@@ -15,7 +15,6 @@ after coordinates are quantized to six decimals.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -32,7 +31,7 @@ from .errors import (
     UsageError,
 )
 from .generation import fallback_generate, generate_scene, parse_description
-from .jsonio import canonical_dumps, quantize
+from .jsonio import canonical_dumps, encode, loads, quantize
 from .paraphrase import (
     DEFAULT_SIMILARITY_THRESHOLD,
     EmbeddingVector,
@@ -40,7 +39,6 @@ from .paraphrase import (
     baseline_embed,
     builtin_paraphrases,
     generate_paraphrases,
-    instruction_set_from_dict,
     validate_candidates,
 )
 from .scene import (
@@ -50,8 +48,6 @@ from .scene import (
     LightingSpec,
     CameraPose,
     SceneConfig,
-    config_from_dict,
-    config_to_dict,
     validate_config,
     with_env,
 )
@@ -92,15 +88,6 @@ class Factors:
     lighting_mutation: bool = False
     camera_mutation: bool = False
     use_paraphrases: bool = True
-
-    def to_dict(self) -> dict:
-        return {
-            "camera_mutation": self.camera_mutation,
-            "lighting_mutation": self.lighting_mutation,
-            "object_count_range": list(self.object_count_range),
-            "source_filter": self.source_filter,
-            "use_paraphrases": self.use_paraphrases,
-        }
 
 
 @dataclass(frozen=True)
@@ -147,16 +134,6 @@ class CampaignSpec:
             return EnvVariant.CAMERA_MUTATED
         return EnvVariant.DEFAULT
 
-    def to_dict(self) -> dict:
-        return {
-            "factors": self.factors.to_dict(),
-            "k_instructions": self.k_instructions,
-            "master_seed": self.master_seed,
-            "n_scenes": self.n_scenes,
-            "task": self.task.value,
-            "threshold": quantize(self.threshold),
-        }
-
 
 @dataclass(frozen=True)
 class Trial:
@@ -164,14 +141,6 @@ class Trial:
     instruction_text: str
     instruction_kind: InstructionKind
     trial_seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "instruction_kind": self.instruction_kind.value,
-            "instruction_text": self.instruction_text,
-            "scene_index": self.scene_index,
-            "trial_seed": self.trial_seed,
-        }
 
 
 @dataclass(frozen=True)
@@ -183,24 +152,11 @@ class SceneMeta:
     target_b_index: int | None
     basic_instruction: str
 
-    def to_dict(self) -> dict:
-        return {
-            "basic_instruction": self.basic_instruction,
-            "env_variant": self.env_variant.value,
-            "object_count": self.object_count,
-            "source_mix": self.source_mix.value,
-            "target_a_index": self.target_a_index,
-            "target_b_index": self.target_b_index,
-        }
-
 
 @dataclass(frozen=True)
 class Shortfall:
     scene_index: int
     missing: int
-
-    def to_dict(self) -> dict:
-        return {"missing": self.missing, "scene_index": self.scene_index}
 
 
 INSTRUCTION_TEMPLATES = {
@@ -365,25 +321,9 @@ class CampaignManifest:
     created_at: str
     tool_version: str
 
-    def to_dict(self) -> dict:
-        return {
-            "created_at": self.created_at,
-            "instruction_sets": [s.to_dict() for s in self.instruction_sets],
-            "scene_meta": [m.to_dict() for m in self.scene_meta],
-            "scenes": [config_to_dict(s) for s in self.scenes],
-            "shortfalls": [s.to_dict() for s in self.shortfalls],
-            "spec": self.spec.to_dict(),
-            "tool_version": self.tool_version,
-            "trials": [t.to_dict() for t in self.trials],
-        }
 
     def dumps(self) -> str:
-        return canonical_dumps(self.to_dict())
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.dumps())
-            fh.write("\n")
+        return canonical_dumps(encode(self))
 
     def validate(self, catalog: Catalog) -> None:
         """Check internal consistency; raises SchemaViolation on breakage."""
@@ -427,104 +367,9 @@ class CampaignManifest:
                 raise SchemaViolation(f"scene {i} target_b_index out of range")
 
 
-def manifest_from_dict(raw: dict) -> CampaignManifest:
-    def need(obj, key, path):
-        if not isinstance(obj, dict) or key not in obj:
-            raise SchemaViolation(f"missing field {key!r}", path)
-        return obj[key]
-
-    spec_raw = need(raw, "spec", "$")
-    factors_raw = need(spec_raw, "factors", "$.spec")
-    rng_raw = need(factors_raw, "object_count_range", "$.spec.factors")
-    if not isinstance(rng_raw, list) or len(rng_raw) != 2:
-        raise SchemaViolation("expected [lo, hi]", "$.spec.factors.object_count_range")
-    try:
-        task = Task(need(spec_raw, "task", "$.spec"))
-    except ValueError:
-        raise SchemaViolation("unknown task", "$.spec.task") from None
-    factors = Factors(
-        object_count_range=(int(rng_raw[0]), int(rng_raw[1])),
-        source_filter=need(factors_raw, "source_filter", "$.spec.factors"),
-        lighting_mutation=bool(need(factors_raw, "lighting_mutation", "$.spec.factors")),
-        camera_mutation=bool(need(factors_raw, "camera_mutation", "$.spec.factors")),
-        use_paraphrases=bool(need(factors_raw, "use_paraphrases", "$.spec.factors")),
-    )
-    spec = CampaignSpec(
-        task=task,
-        n_scenes=int(need(spec_raw, "n_scenes", "$.spec")),
-        k_instructions=int(need(spec_raw, "k_instructions", "$.spec")),
-        factors=factors,
-        master_seed=int(need(spec_raw, "master_seed", "$.spec")),
-        threshold=float(need(spec_raw, "threshold", "$.spec")),
-    )
-    scenes = tuple(
-        config_from_dict(s, path=f"$.scenes[{i}]")
-        for i, s in enumerate(need(raw, "scenes", "$"))
-    )
-    instruction_sets = tuple(
-        instruction_set_from_dict(s) for s in need(raw, "instruction_sets", "$")
-    )
-    metas = []
-    for i, m in enumerate(need(raw, "scene_meta", "$")):
-        path = f"$.scene_meta[{i}]"
-        try:
-            metas.append(
-                SceneMeta(
-                    object_count=int(need(m, "object_count", path)),
-                    source_mix=SourceMix(need(m, "source_mix", path)),
-                    env_variant=EnvVariant(need(m, "env_variant", path)),
-                    target_a_index=int(need(m, "target_a_index", path)),
-                    target_b_index=(
-                        None
-                        if need(m, "target_b_index", path) is None
-                        else int(m["target_b_index"])
-                    ),
-                    basic_instruction=str(need(m, "basic_instruction", path)),
-                )
-            )
-        except ValueError:
-            raise SchemaViolation("bad enum value", path) from None
-    trials = []
-    for j, t in enumerate(need(raw, "trials", "$")):
-        path = f"$.trials[{j}]"
-        try:
-            kind = InstructionKind(need(t, "instruction_kind", path))
-        except ValueError:
-            raise SchemaViolation("bad instruction kind", path) from None
-        trials.append(
-            Trial(
-                scene_index=int(need(t, "scene_index", path)),
-                instruction_text=str(need(t, "instruction_text", path)),
-                instruction_kind=kind,
-                trial_seed=int(need(t, "trial_seed", path)),
-            )
-        )
-    shortfalls = tuple(
-        Shortfall(
-            scene_index=int(need(s, "scene_index", f"$.shortfalls[{i}]")),
-            missing=int(need(s, "missing", f"$.shortfalls[{i}]")),
-        )
-        for i, s in enumerate(need(raw, "shortfalls", "$"))
-    )
-    return CampaignManifest(
-        spec=spec,
-        scenes=scenes,
-        instruction_sets=instruction_sets,
-        scene_meta=tuple(metas),
-        trials=tuple(trials),
-        shortfalls=shortfalls,
-        created_at=str(need(raw, "created_at", "$")),
-        tool_version=str(need(raw, "tool_version", "$")),
-    )
-
-
 def load_manifest(path) -> CampaignManifest:
     with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except ValueError as exc:
-            raise SchemaViolation(f"manifest is not valid JSON: {exc}") from None
-    return manifest_from_dict(raw)
+        return loads(CampaignManifest, fh.read())
 
 
 # ---- planning -------------------------------------------------------------

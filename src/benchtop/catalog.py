@@ -1,4 +1,4 @@
-"""Object model catalog: load, mention resolution, uniform sampling.
+"""Object model catalog: load, mention resolution, source filtering.
 
 A catalog is immutable after load. Mention resolution is a pure function and
 runs in three stages: exact display-name match, exact alias match, then
@@ -8,15 +8,14 @@ name and alias tokens). Ties at any stage break toward the smallest id.
 
 from __future__ import annotations
 
-import json
-import random
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
 
-from .errors import DuplicateId, EmptyFilteredSet, MalformedCatalog
+from .errors import DuplicateId, EmptyFilteredSet, MalformedCatalog, SchemaViolation
+from .jsonio import loads
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -65,8 +64,8 @@ class ObjectModel:
 class Catalog:
     models: tuple[ObjectModel, ...]
     version: str = "0"
-    _by_id: dict = field(default_factory=dict, repr=False, compare=False)
-    _tokens: dict = field(default_factory=dict, repr=False, compare=False)
+    _by_id: dict = field(init=False, repr=False, compare=False)
+    _tokens: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         by_id: dict[str, ObjectModel] = {}
@@ -93,9 +92,6 @@ class Catalog:
 
     def get(self, model_id: str) -> ObjectModel | None:
         return self._by_id.get(model_id)
-
-    def count(self, source: Source) -> int:
-        return sum(1 for m in self.models if m.source is source)
 
     def resolve(self, mention: str) -> ObjectModel | None:
         """Resolve a natural-language mention to a model, or None (no match).
@@ -128,86 +124,18 @@ class Catalog:
             return min(hits, key=lambda m: m.id)
         return None
 
-    def sample_random(
-        self, rng: random.Random, source: Source | None = None
-    ) -> ObjectModel:
-        """Uniform draw over the (optionally source-filtered) model list."""
-        pool = (
-            self.models
-            if source is None
-            else tuple(m for m in self.models if m.source is source)
-        )
-        if not pool:
-            raise EmptyFilteredSet(f"no models with source {source}")
-        return pool[rng.randrange(len(pool))]
-
     def filtered(self, source: Source) -> "Catalog":
         pool = tuple(m for m in self.models if m.source is source)
         if not pool:
             raise EmptyFilteredSet(f"no models with source {source}")
         return Catalog(models=pool, version=self.version)
 
-    def without(self, ids: set[str]) -> "Catalog":
-        pool = tuple(m for m in self.models if m.id not in ids)
-        if not pool:
-            raise EmptyFilteredSet("exclusion removed every model")
-        return Catalog(models=pool, version=self.version)
-
-
-def _require(obj: dict, key: str, kind, where: str):
-    if key not in obj:
-        raise MalformedCatalog(f"{where}: missing field {key!r}")
-    value = obj[key]
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise MalformedCatalog(f"{where}.{key}: expected number")
-        return float(value)
-    if not isinstance(value, kind):
-        raise MalformedCatalog(f"{where}.{key}: expected {kind.__name__}")
-    return value
-
-
-def _parse_model(raw: dict, index: int) -> ObjectModel:
-    where = f"models[{index}]"
-    if not isinstance(raw, dict):
-        raise MalformedCatalog(f"{where}: expected object")
-    aliases = _require(raw, "aliases", list, where)
-    if not all(isinstance(a, str) for a in aliases):
-        raise MalformedCatalog(f"{where}.aliases: expected list of strings")
-    dims = _require(raw, "dimensions_m", list, where)
-    if len(dims) != 3 or any(
-        isinstance(d, bool) or not isinstance(d, (int, float)) for d in dims
-    ):
-        raise MalformedCatalog(f"{where}.dimensions_m: expected 3 numbers")
-    try:
-        source = Source(_require(raw, "source", str, where))
-        shape = Shape(_require(raw, "shape", str, where))
-    except ValueError as exc:
-        raise MalformedCatalog(f"{where}: {exc}") from exc
-    return ObjectModel(
-        id=_require(raw, "id", str, where),
-        display_name=_require(raw, "display_name", str, where),
-        aliases=tuple(aliases),
-        source=source,
-        shape=shape,
-        dimensions_m=(float(dims[0]), float(dims[1]), float(dims[2])),
-        graspable=_require(raw, "graspable", bool, where),
-        container=_require(raw, "container", bool, where),
-        support_surface=_require(raw, "support_surface", bool, where),
-    )
-
 
 def parse_catalog(text: str) -> Catalog:
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedCatalog(f"invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise MalformedCatalog("catalog document must be a JSON object")
-    version = _require(raw, "version", str, "$")
-    models_raw = _require(raw, "models", list, "$")
-    models = tuple(_parse_model(m, i) for i, m in enumerate(models_raw))
-    return Catalog(models=models, version=version)
+        return loads(Catalog, text)
+    except SchemaViolation as exc:
+        raise MalformedCatalog(str(exc)) from exc
 
 
 def load_catalog(path: str | Path) -> Catalog:

@@ -26,7 +26,7 @@ from .campaign import (
 from .catalog import Source, load_catalog, load_default_catalog
 from .errors import BenchtopError
 from .generation import fallback_generate, generate_scene
-from .jsonio import canonical_dumps
+from .jsonio import canonical_dumps, encode
 from .paraphrase import (
     builtin_paraphrases,
     generate_paraphrases,
@@ -117,9 +117,7 @@ def _cmd_gen_scene(args) -> int:
         config = fallback_generate(args.desc, catalog, args.seed)
     else:
         config = generate_scene(args.desc, provider, catalog, args.seed)
-    from .scene import serialize_config
-
-    _write_out(serialize_config(config) + "\n", args.out)
+    _write_out(canonical_dumps(encode(config)) + "\n", args.out)
     return 0
 
 
@@ -132,7 +130,7 @@ def _cmd_paraphrase(args) -> int:
     instruction_set = validate_candidates(
         args.instruction, candidates, args.k, args.threshold
     )
-    _write_out(canonical_dumps(instruction_set.to_dict()) + "\n", args.out)
+    _write_out(canonical_dumps(encode(instruction_set)) + "\n", args.out)
     return 0
 
 
@@ -180,7 +178,7 @@ def _cmd_run(args) -> int:
         max_steps=args.max_steps,
         act_timeout_s=args.act_timeout,
     )
-    lines = "".join(canonical_dumps(r.to_dict()) + "\n" for r in results)
+    lines = "".join(canonical_dumps(encode(r)) + "\n" for r in results)
     _write_out(lines, args.out)
     return 0
 

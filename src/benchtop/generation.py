@@ -17,7 +17,6 @@ Both attach provenance so downstream reports can split results on it.
 
 from __future__ import annotations
 
-import json
 import random
 import re
 from dataclasses import dataclass, replace
@@ -26,13 +25,14 @@ from .catalog import Catalog, ObjectModel
 from .errors import (
     CountMismatch,
     DescriptionParseError,
+    EmptyFilteredSet,
     NoJsonFound,
     SchemaViolation,
     UnknownModel,
     UnresolvableMention,
     ValidationFailed,
 )
-from .jsonio import quantize
+from .jsonio import decode, first_json, quantize
 from .scene import (
     CameraPose,
     EnvSetupOp,
@@ -44,7 +44,6 @@ from .scene import (
     SceneConfig,
     SceneDescription,
     default_env,
-    pose_from_dict,
     sample_pose,
     validate_config,
 )
@@ -205,27 +204,11 @@ def build_env_prompt(description: SceneDescription) -> PromptBundle:
     )
 
 
-def _first_json(text: str, want: type) -> object:
-    decoder = json.JSONDecoder()
-    opener = "[" if want is list else "{"
-    idx = text.find(opener)
-    while idx != -1:
-        try:
-            value, _ = decoder.raw_decode(text, idx)
-        except ValueError:
-            idx = text.find(opener, idx + 1)
-            continue
-        if isinstance(value, want):
-            return value
-        idx = text.find(opener, idx + 1)
-    raise NoJsonFound(f"no JSON {'array' if want is list else 'object'} in reply")
-
-
 def parse_llm_ops(
     text: str, catalog: Catalog, expected_count: int
 ) -> list[ObjectAddOp]:
     """Extract and validate add operations from an LLM reply."""
-    raw = _first_json(text, list)
+    raw = first_json(text, "[", lambda value: isinstance(value, list), "array")
     ops: list[ObjectAddOp] = []
     for i, item in enumerate(raw):
         path = f"$[{i}]"
@@ -244,7 +227,7 @@ def parse_llm_ops(
         pose = None
         raw_pose = item.get("pose")
         if raw_pose is not None:
-            pose = pose_from_dict(raw_pose, path=f"{path}.pose")
+            pose = decode(Pose, raw_pose, f"{path}.pose")
         ops.append(ObjectAddOp(model_id=model.id, pose=pose))
     if len(ops) != expected_count:
         raise CountMismatch(
@@ -254,26 +237,13 @@ def parse_llm_ops(
 
 
 def parse_llm_env(text: str) -> EnvSetupOp:
-    raw = _first_json(text, dict)
+    raw = first_json(text, "{", lambda value: isinstance(value, dict), "object")
     base = default_env()
-    lighting = base.lighting
-    camera = base.camera
-    raw_light = raw.get("lighting")
-    if raw_light is not None:
-        if not isinstance(raw_light, dict) or "intensity" not in raw_light:
-            raise SchemaViolation("'lighting' must be {\"intensity\": f} or null", path="$.lighting")
-        value = raw_light["intensity"]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SchemaViolation("'intensity' must be a number", path="$.lighting")
-        lighting = LightingSpec(intensity=quantize(float(value)))
-    raw_cam = raw.get("camera")
-    if raw_cam is not None:
-        if not isinstance(raw_cam, dict):
-            raise SchemaViolation("'camera' must be an object or null", path="$.camera")
-        from .scene import camera_from_dict
-
-        camera = camera_from_dict(raw_cam, path="$.camera")
-    return EnvSetupOp(lighting=lighting, camera=camera)
+    lighting = decode(LightingSpec | None, raw.get("lighting"), "$.lighting")
+    camera = decode(CameraPose | None, raw.get("camera"), "$.camera")
+    return EnvSetupOp(
+        lighting=lighting or base.lighting, camera=camera or base.camera
+    )
 
 
 # ---- mention resolution ---------------------------------------------------
@@ -327,8 +297,10 @@ def fallback_generate(
     rng = random.Random(description_seed(seed))
     mentioned = resolve_mentions(description, catalog)
     ops = [ObjectAddOp(model_id=m.id, pose=None) for m in mentioned]
-    pool_catalog = catalog.without([m.id for m in mentioned])
-    pool = list(pool_catalog.models)
+    mentioned_ids = {m.id for m in mentioned}
+    pool = [m for m in catalog.models if m.id not in mentioned_ids]
+    if not pool:
+        raise EmptyFilteredSet("the described objects take up the whole catalog")
     for _ in range(description.object_count - len(ops)):
         if not pool:
             pool = list(catalog.models)

@@ -1,16 +1,44 @@
-"""Canonical JSON: sorted keys, compact separators, fixed 6-decimal floats.
+"""Canonical JSON and the one codec every artifact goes through.
 
-Two serializations of equal values are byte-identical, which is what the
-determinism contracts (byte-identical manifests, results, reports) rest on.
-Floats are quantized to 6 decimals at value-creation time so that
-deserialize(serialize(x)) == x and serialize is idempotent.
+Canonical form: sorted keys, compact separators, floats with exactly six
+decimals. Two serializations of equal values are byte-identical, which is
+what the determinism contracts (byte-identical manifests, results, reports)
+rest on.
+
+The codec maps frozen dataclasses to JSON values and back:
+
+- Field names are the JSON keys and field type hints are the schema. Only
+  fields taken by ``__init__`` are part of it.
+- Supported hints: ``int``, ``float``, ``bool``, ``str``, str-valued
+  ``Enum`` classes (stored as their value), ``X | None``, fixed
+  ``tuple[A, B, C]`` and ``tuple[X, ...]`` (both stored as arrays), and
+  nested dataclasses (stored as objects).
+- Type checks are exact: a bool is not an int, an int is not a str. A float
+  field also takes an int. Non-finite numbers are rejected.
+- Floats are quantized with ``quantize`` on both ``encode`` and ``decode``,
+  so ``decode(encode(x)) == x`` and encoding is idempotent.
+- ``decode`` raises ``SchemaViolation`` carrying a JSON path: for a missing
+  or unknown field, the path of the object that holds it (``$.adds[0].pose``);
+  for a bad value, the path of the value (``$.trials[3].trial_seed``).
+
+One converter per type is built on first use and cached, so type hints are
+read once per class, not once per value.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import itertools
 import json
 import math
+import types
+import typing
+from collections.abc import Callable
+from enum import Enum
 from typing import Any
+
+from .errors import NoJsonFound, SchemaViolation
 
 
 def quantize(value: float) -> float:
@@ -62,3 +90,185 @@ def _emit(value: Any, out: list[str]) -> None:
         out.append("]")
     else:
         raise ValueError(f"unsupported type for canonical JSON: {type(value)!r}")
+
+
+def first_json(
+    text: str, opener: str, accept: Callable[[Any], bool], what: str
+) -> Any:
+    """Return the first JSON value in ``text`` that ``accept`` takes.
+
+    Candidates start at each ``opener`` character ("[" or "{"), in order;
+    chatter around the value and values that do not parse are skipped.
+    Raises NoJsonFound naming ``what`` when no candidate is accepted.
+    """
+    decoder = json.JSONDecoder()
+    idx = text.find(opener)
+    while idx != -1:
+        try:
+            value, _ = decoder.raw_decode(text, idx)
+        except ValueError:
+            pass
+        else:
+            if accept(value):
+                return value
+        idx = text.find(opener, idx + 1)
+    raise NoJsonFound(f"no JSON {what} in reply")
+
+
+# ---- the codec --------------------------------------------------------------
+
+
+def encode(obj: Any) -> Any:
+    """A dataclass instance as plain JSON values, ready for canonical_dumps."""
+    return _codec(type(obj))[0](obj)
+
+
+def decode(cls: type, raw: Any, path: str = "$") -> Any:
+    """Build a ``cls`` from parsed JSON, checking it against the field hints."""
+    try:
+        return _codec(cls)[1](raw)
+    except _Invalid as exc:
+        raise SchemaViolation(exc.message, path + exc.where) from None
+
+
+def loads(cls: type, text: str, path: str = "$") -> Any:
+    """``decode`` of a JSON text; text that does not parse is a SchemaViolation."""
+    try:
+        raw = json.loads(text)
+    except ValueError as exc:
+        raise SchemaViolation(f"invalid JSON: {exc}", path) from None
+    return decode(cls, raw, path)
+
+
+class _Invalid(Exception):
+    """A decode failure; ``where`` grows from the failing value outward."""
+
+    def __init__(self, message: str) -> None:
+        super().__init__(message)
+        self.message = message
+        self.where = ""
+
+    def within(self, step: str) -> "_Invalid":
+        self.where = step + self.where
+        return self
+
+
+_Converter = Callable[[Any], Any]
+
+
+@functools.lru_cache(maxsize=None)
+def _codec(tp: Any) -> tuple[_Converter, _Converter]:
+    """The (encoder, decoder) pair for one type hint, built once."""
+    if dataclasses.is_dataclass(tp):
+        return _dataclass_codec(tp)
+    if tp in _SCALARS:
+        return _SCALARS[tp]
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return (lambda member: member.value), _enum_decoder(tp)
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):
+        if len(args) == 2 and args[1] is type(None):
+            enc, dec = _codec(args[0])
+            return (
+                lambda value: None if value is None else enc(value),
+                lambda raw: None if raw is None else dec(raw),
+            )
+    elif typing.get_origin(tp) is tuple:
+        if len(args) == 2 and args[1] is Ellipsis:
+            # zip() stops at the end of the array; the repeat never runs out
+            enc, dec = _codec(args[0])
+            return _array_codec(itertools.repeat(enc), itertools.repeat(dec), None)
+        pairs = [_codec(a) for a in args]
+        return _array_codec(
+            [enc for enc, _ in pairs], [dec for _, dec in pairs], len(pairs)
+        )
+    raise TypeError(f"the codec does not support the type hint {tp!r}")
+
+
+def _exact(tp: type, expected: str) -> tuple[_Converter, _Converter]:
+    def decode_exact(raw):
+        if type(raw) is not tp:
+            raise _Invalid(expected)
+        return raw
+
+    return (lambda value: value), decode_exact
+
+
+def _decode_float(raw: Any) -> float:
+    if type(raw) is float:
+        if not math.isfinite(raw):
+            raise _Invalid("expected finite number")
+    elif type(raw) is not int:
+        raise _Invalid("expected number")
+    return quantize(raw)
+
+
+_SCALARS = {
+    int: _exact(int, "expected integer"),
+    bool: _exact(bool, "expected boolean"),
+    str: _exact(str, "expected string"),
+    float: (quantize, _decode_float),
+}
+
+
+def _dataclass_codec(cls: type) -> tuple[_Converter, _Converter]:
+    hints = typing.get_type_hints(cls)
+    fields = [
+        (f.name, *_codec(hints[f.name])) for f in dataclasses.fields(cls) if f.init
+    ]
+    names = {name for name, _, _ in fields}
+
+    def encode_object(obj):
+        return {name: enc(getattr(obj, name)) for name, enc, _ in fields}
+
+    def decode_object(raw):
+        if type(raw) is not dict:
+            raise _Invalid("expected object")
+        if raw.keys() != names:
+            missing = sorted(names - raw.keys())
+            if missing:
+                raise _Invalid(f"missing field {missing[0]!r}")
+            raise _Invalid(f"unknown field {sorted(raw.keys() - names)[0]!r}")
+        kwargs = {}
+        for name, _, dec in fields:
+            try:
+                kwargs[name] = dec(raw[name])
+            except _Invalid as exc:
+                raise exc.within("." + name)
+        return cls(**kwargs)
+
+    return encode_object, decode_object
+
+
+def _enum_decoder(cls: type) -> _Converter:
+    members = {m.value: m for m in cls}
+    expected = f"expected one of {sorted(members)}"
+
+    def decode_member(raw):
+        member = members.get(raw) if type(raw) is str else None
+        if member is None:
+            raise _Invalid(expected)
+        return member
+
+    return decode_member
+
+
+def _array_codec(encs, decs, size: int | None) -> tuple[_Converter, _Converter]:
+    """Arrays of ``size`` items (any number when None), one converter each."""
+    expected = "expected array" if size is None else f"expected array of {size} items"
+
+    def encode_array(value):
+        return [enc(item) for enc, item in zip(encs, value)]
+
+    def decode_array(raw):
+        if type(raw) is not list or (size is not None and len(raw) != size):
+            raise _Invalid(expected)
+        out = []
+        for i, (dec, item) in enumerate(zip(decs, raw)):
+            try:
+                out.append(dec(item))
+            except _Invalid as exc:
+                raise exc.within(f"[{i}]")
+        return tuple(out)
+
+    return encode_array, decode_array

@@ -10,7 +10,6 @@ exposing ``embed_batch`` can be swapped in.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from .catalog import tokenize
 from .errors import DimensionMismatch, NoJsonFound, ZeroVector
-from .jsonio import quantize
+from .jsonio import first_json, quantize
 
 EMBED_DIM = 512
 
@@ -92,13 +91,6 @@ class Candidate:
     similarity: float
     valid: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "similarity": self.similarity,
-            "text": self.text,
-            "valid": self.valid,
-        }
-
 
 @dataclass(frozen=True)
 class InstructionSet:
@@ -111,14 +103,6 @@ class InstructionSet:
     def valid_texts(self) -> tuple[str, ...]:
         return tuple(c.text for c in self.candidates if c.valid)
 
-    def to_dict(self) -> dict:
-        return {
-            "candidates": [c.to_dict() for c in self.candidates],
-            "k_requested": self.k_requested,
-            "original": self.original,
-            "threshold": self.threshold,
-        }
-
 
 def builtin_paraphrases(original: str, k: int) -> list[str]:
     """Template rewrites that preserve the token bag almost entirely."""
@@ -129,18 +113,11 @@ def builtin_paraphrases(original: str, k: int) -> list[str]:
 
 def parse_paraphrase_reply(text: str) -> list[str]:
     """Pull the first JSON array of strings out of an LLM reply."""
-    decoder = json.JSONDecoder()
-    idx = text.find("[")
-    while idx != -1:
-        try:
-            value, _ = decoder.raw_decode(text, idx)
-        except ValueError:
-            idx = text.find("[", idx + 1)
-            continue
-        if isinstance(value, list) and all(isinstance(v, str) for v in value):
-            return value
-        idx = text.find("[", idx + 1)
-    raise NoJsonFound("no JSON array of strings in reply")
+    return first_json(text, "[", _is_string_array, "array of strings")
+
+
+def _is_string_array(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 def generate_paraphrases(original: str, k: int, provider) -> list[str]:
@@ -231,20 +208,4 @@ def validate_candidates(
         candidates=tuple(scored),
         k_requested=k,
         threshold=quantize(threshold),
-    )
-
-
-def instruction_set_from_dict(data: dict) -> InstructionSet:
-    return InstructionSet(
-        original=data["original"],
-        candidates=tuple(
-            Candidate(
-                text=c["text"],
-                similarity=c["similarity"],
-                valid=c["valid"],
-            )
-            for c in data["candidates"]
-        ),
-        k_requested=data["k_requested"],
-        threshold=data["threshold"],
     )

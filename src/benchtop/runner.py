@@ -41,7 +41,7 @@ from queue import Empty, Queue
 from .campaign import CampaignManifest, EnvVariant, InstructionKind, SourceMix
 from .catalog import Catalog
 from .errors import PolicyProtocolError, PolicyTimeout, UsageError
-from .jsonio import canonical_dumps
+from .jsonio import loads
 from .sim import (
     ACTION_DELTA_LIMIT,
     DEFAULT_MAX_STEPS,
@@ -131,53 +131,19 @@ class EpisodeResult:
     trial_seed: int
     error: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "env_variant": self.env_variant.value,
-            "error": self.error,
-            "instruction": self.instruction,
-            "instruction_kind": self.instruction_kind.value,
-            "object_count": self.object_count,
-            "policy_id": self.policy_id,
-            "scene_index": self.scene_index,
-            "source_mix": self.source_mix.value,
-            "steps_used": self.steps_used,
-            "success": self.success,
-            "trial_seed": self.trial_seed,
-        }
-
-
-def result_from_dict(raw: dict) -> EpisodeResult:
-    return EpisodeResult(
-        scene_index=raw["scene_index"],
-        instruction=raw["instruction"],
-        instruction_kind=InstructionKind(raw["instruction_kind"]),
-        success=raw["success"],
-        steps_used=raw["steps_used"],
-        object_count=raw["object_count"],
-        source_mix=SourceMix(raw["source_mix"]),
-        env_variant=EnvVariant(raw["env_variant"]),
-        policy_id=raw["policy_id"],
-        trial_seed=raw["trial_seed"],
-        error=raw.get("error"),
-    )
-
-
-def save_results(results, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for result in results:
-            fh.write(canonical_dumps(result.to_dict()))
-            fh.write("\n")
-
 
 def load_results(path) -> list[EpisodeResult]:
-    out = []
+    """Read a results file, one EpisodeResult per nonblank line.
+
+    The file is read as an array of lines, so a bad line ``i`` (counted from
+    0) is reported at the JSON path ``$[i]``.
+    """
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(result_from_dict(json.loads(line)))
-    return out
+        return [
+            loads(EpisodeResult, line, f"$[{i}]")
+            for i, line in enumerate(fh)
+            if line.strip()
+        ]
 
 
 # ---- builtin policies -----------------------------------------------------
@@ -263,6 +229,20 @@ class OraclePolicy:
         return self._brain.next_action(obs.object_snapshots)
 
 
+_GRIPPER_CHOICES = (GripperCommand.OPEN, GripperCommand.CLOSE, GripperCommand.HOLD)
+
+
+def _random_action(rng: random.Random) -> Action:
+    """Uniform action noise: three deltas, then a gripper command."""
+    lim = ACTION_DELTA_LIMIT
+    return Action.make(
+        rng.uniform(-lim, lim),
+        rng.uniform(-lim, lim),
+        rng.uniform(-lim, lim),
+        rng.choice(_GRIPPER_CHOICES),
+    )
+
+
 class RandomPolicy:
     privileged = False
 
@@ -270,16 +250,7 @@ class RandomPolicy:
         self._rng = random.Random(ctx.trial_seed)
 
     def act(self, obs: Observation) -> Action:
-        rng = self._rng
-        lim = ACTION_DELTA_LIMIT
-        return Action.make(
-            rng.uniform(-lim, lim),
-            rng.uniform(-lim, lim),
-            rng.uniform(-lim, lim),
-            rng.choice(
-                (GripperCommand.OPEN, GripperCommand.CLOSE, GripperCommand.HOLD)
-            ),
-        )
+        return _random_action(self._rng)
 
 
 class RandomTargetPolicy:
@@ -318,16 +289,7 @@ class InstructionBrittlePolicy:
                 self._brain = _OracleBrain(self._ctx, self._ctx.target_a_index)
         if self._mode == "oracle":
             return self._brain.next_action(obs.object_snapshots)
-        rng = self._rng
-        lim = ACTION_DELTA_LIMIT
-        return Action.make(
-            rng.uniform(-lim, lim),
-            rng.uniform(-lim, lim),
-            rng.uniform(-lim, lim),
-            rng.choice(
-                (GripperCommand.OPEN, GripperCommand.CLOSE, GripperCommand.HOLD)
-            ),
-        )
+        return _random_action(self._rng)
 
 
 _BUILTIN_CLASSES = {
@@ -589,7 +551,6 @@ def run_campaign(
     parallelism: int = 1,
     max_steps: int = DEFAULT_MAX_STEPS,
     act_timeout_s: float = DEFAULT_ACT_TIMEOUT_S,
-    out_path=None,
 ) -> list[EpisodeResult]:
     """Execute every trial in the manifest, in manifest order."""
     if parallelism < 1:
@@ -657,7 +618,4 @@ def run_campaign(
     finally:
         if cache is not None:
             cache.close_all()
-
-    if out_path is not None:
-        save_results(results, out_path)
     return results

@@ -1,4 +1,4 @@
-"""Scene value types, collision-free pose sampling, validation, canonical IO.
+"""Scene value types, collision-free pose sampling, and validation.
 
 Geometry conventions:
 
@@ -22,10 +22,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .catalog import Catalog, ObjectModel, Shape
-from .errors import PlacementExhausted, SchemaViolation, UnknownModel
-from .jsonio import canonical_dumps, quantize
-
-import json
+from .errors import PlacementExhausted, UnknownModel
+from .jsonio import quantize
 
 TABLE_HALF_X = 0.3
 TABLE_HALF_Y = 0.2
@@ -287,141 +285,6 @@ def validate_config(config: SceneConfig, catalog: Catalog) -> list[Violation]:
             Violation("bad_camera", (), "camera must sit above the table plane")
         )
     return violations
-
-
-# ---- canonical serialization ----------------------------------------------
-
-
-def _vec3(values) -> tuple[float, float, float]:
-    return (quantize(values[0]), quantize(values[1]), quantize(values[2]))
-
-
-def pose_to_dict(pose: Pose) -> dict:
-    return {
-        "position_m": [quantize(v) for v in pose.position_m],
-        "yaw_rad": quantize(pose.yaw_rad),
-    }
-
-
-def env_to_dict(env: EnvSetupOp) -> dict:
-    return {
-        "lighting": {"intensity": quantize(env.lighting.intensity)},
-        "camera": {
-            "position_m": [quantize(v) for v in env.camera.position_m],
-            "look_at_m": [quantize(v) for v in env.camera.look_at_m],
-        },
-    }
-
-
-def config_to_dict(config: SceneConfig) -> dict:
-    return {
-        "scene_id": config.scene_id,
-        "seed": config.seed,
-        "provenance": config.provenance.value,
-        "adds": [
-            {"model_id": op.model_id, "pose": pose_to_dict(op.pose)}
-            for op in config.adds
-        ],
-        "env": env_to_dict(config.env),
-    }
-
-
-def serialize_config(config: SceneConfig) -> str:
-    return canonical_dumps(config_to_dict(config))
-
-
-def _expect(obj, key: str, path: str):
-    if not isinstance(obj, dict):
-        raise SchemaViolation("expected object", path)
-    if key not in obj:
-        raise SchemaViolation(f"missing field {key!r}", path)
-    return obj[key]
-
-
-def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaViolation("expected number", path)
-    return float(value)
-
-
-def _vec3_from(value, path: str) -> tuple[float, float, float]:
-    if not isinstance(value, list) or len(value) != 3:
-        raise SchemaViolation("expected array of 3 numbers", path)
-    return (
-        quantize(_number(value[0], f"{path}[0]")),
-        quantize(_number(value[1], f"{path}[1]")),
-        quantize(_number(value[2], f"{path}[2]")),
-    )
-
-
-def pose_from_dict(raw, path: str) -> Pose:
-    position = _vec3_from(_expect(raw, "position_m", path), f"{path}.position_m")
-    yaw = quantize(_number(_expect(raw, "yaw_rad", path), f"{path}.yaw_rad"))
-    return Pose(position_m=position, yaw_rad=yaw)
-
-
-def camera_from_dict(raw, path: str) -> CameraPose:
-    position = _vec3_from(_expect(raw, "position_m", path), f"{path}.position_m")
-    look_at = _vec3_from(_expect(raw, "look_at_m", path), f"{path}.look_at_m")
-    return CameraPose(position_m=position, look_at_m=look_at)
-
-
-def env_from_dict(raw, path: str) -> EnvSetupOp:
-    lighting_raw = _expect(raw, "lighting", path)
-    intensity = quantize(
-        _number(
-            _expect(lighting_raw, "intensity", f"{path}.lighting"),
-            f"{path}.lighting.intensity",
-        )
-    )
-    camera = camera_from_dict(_expect(raw, "camera", path), f"{path}.camera")
-    return EnvSetupOp(
-        lighting=LightingSpec(intensity=intensity),
-        camera=camera,
-    )
-
-
-def config_from_dict(raw, path: str = "$") -> SceneConfig:
-    scene_id = _expect(raw, "scene_id", path)
-    if not isinstance(scene_id, str) or not scene_id:
-        raise SchemaViolation("expected nonempty string", f"{path}.scene_id")
-    seed = _expect(raw, "seed", path)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise SchemaViolation("expected integer", f"{path}.seed")
-    provenance_raw = _expect(raw, "provenance", path)
-    try:
-        provenance = Provenance(provenance_raw)
-    except ValueError:
-        raise SchemaViolation(
-            f"unknown provenance {provenance_raw!r}", f"{path}.provenance"
-        ) from None
-    adds_raw = _expect(raw, "adds", path)
-    if not isinstance(adds_raw, list):
-        raise SchemaViolation("expected array", f"{path}.adds")
-    adds = []
-    for i, add_raw in enumerate(adds_raw):
-        add_path = f"{path}.adds[{i}]"
-        model_id = _expect(add_raw, "model_id", add_path)
-        if not isinstance(model_id, str) or not model_id:
-            raise SchemaViolation("expected nonempty string", f"{add_path}.model_id")
-        pose = pose_from_dict(_expect(add_raw, "pose", add_path), f"{add_path}.pose")
-        adds.append(ObjectAddOp(model_id=model_id, pose=pose))
-    env = env_from_dict(_expect(raw, "env", path), f"{path}.env")
-    return SceneConfig(
-        scene_id=scene_id,
-        adds=tuple(adds),
-        env=env,
-        seed=seed,
-        provenance=provenance,
-    )
-
-
-def deserialize_config(text: str) -> SceneConfig:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaViolation(f"invalid JSON: {exc}", "$") from exc
-    return config_from_dict(raw)
 
 
 def with_env(config: SceneConfig, env: EnvSetupOp) -> SceneConfig:

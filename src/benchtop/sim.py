@@ -41,6 +41,9 @@ import numpy as np
 from .catalog import Catalog
 from .errors import EpisodeOver, InvalidConfig
 from .scene import (
+    _EPS,
+    REST_TOL,
+    TABLE_HEIGHT,
     EnvSetupOp,
     Pose,
     SceneConfig,
@@ -48,7 +51,6 @@ from .scene import (
     validate_config,
 )
 
-TABLE_HEIGHT = 0.0
 GRIPPER_HOME = (0.0, 0.0, 0.3)
 WORKSPACE_HALF_X = 0.35
 WORKSPACE_HALF_Y = 0.25
@@ -65,18 +67,12 @@ RASTER_WIDTH = 64
 RASTER_HEIGHT = 64
 VIEW_HALF_WIDTH = 0.45
 
-_EPS = 1e-9
-REST_TOL = 1e-6
-
 
 class Task(str, Enum):
     PICK_UP = "pick_up"
     MOVE_NEAR = "move_near"
     PUT_ON = "put_on"
     PUT_IN = "put_in"
-
-
-TWO_OBJECT_TASKS = frozenset({Task.MOVE_NEAR, Task.PUT_ON, Task.PUT_IN})
 
 
 class GripperCommand(str, Enum):
@@ -107,9 +103,6 @@ class Action:
             ),
             gripper=gripper,
         )
-
-
-HOLD_STILL = Action(delta_position=(0.0, 0.0, 0.0), gripper=GripperCommand.HOLD)
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,5 +1,4 @@
 import json
-import random
 
 import pytest
 
@@ -33,8 +32,8 @@ def _model(id="apple", **over):
 
 def test_population_is_18_plus_65(catalog):
     assert len(catalog) == 83
-    assert catalog.count(Source.SEEN_SET) == 18
-    assert catalog.count(Source.UNSEEN_SET) == 65
+    assert len(catalog.filtered(Source.SEEN_SET)) == 18
+    assert len(catalog.filtered(Source.UNSEEN_SET)) == 65
 
 
 def test_models_sorted_by_id(catalog):
@@ -103,50 +102,21 @@ def test_parse_catalog_bad_json():
         parse_catalog("{nope")
 
 
-def test_filtered_and_without(catalog):
+def test_filtered(catalog):
     seen = catalog.filtered(Source.SEEN_SET)
     assert len(seen) == 18
     assert all(m.source is Source.SEEN_SET for m in seen.models)
-    smaller = catalog.without({"apple"})
-    assert len(smaller) == 82
-    assert "apple" not in smaller
+    assert "apple" in seen
 
 
-def test_without_everything_is_an_error(catalog):
+def test_filtered_empty_pool():
+    cat = Catalog(models=(_model(),), version="1")
     with pytest.raises(EmptyFilteredSet):
-        catalog.without({m.id for m in catalog.models})
+        cat.filtered(Source.UNSEEN_SET)
 
 
 def test_tokenize():
     assert tokenize("Blue  plastic-bottle 7Up!") == ("blue", "plastic", "bottle", "7up")
-
-
-def _chi_square_threshold(df: int) -> float:
-    # Wilson-Hilferty approximation of the 99.9th chi-square percentile
-    z = 3.0902
-    h = 2.0 / (9.0 * df)
-    return df * (1.0 - h + z * (h**0.5)) ** 3
-
-
-@pytest.mark.parametrize(
-    "source,bins", [(Source.SEEN_SET, 18), (Source.UNSEEN_SET, 65)]
-)
-def test_sample_random_is_uniform(catalog, source, bins):
-    """Chi-square goodness of fit at 1,000 expected draws per model."""
-    rng = random.Random(20240817)
-    draws = bins * 1000
-    counts = {m.id: 0 for m in catalog.models if m.source is source}
-    for _ in range(draws):
-        counts[catalog.sample_random(rng, source).id] += 1
-    expected = draws / bins
-    chi2 = sum((n - expected) ** 2 / expected for n in counts.values())
-    assert chi2 < _chi_square_threshold(bins - 1)
-
-
-def test_sample_random_empty_pool():
-    cat = Catalog(models=(_model(),), version="1")
-    with pytest.raises(EmptyFilteredSet):
-        cat.sample_random(random.Random(0), Source.UNSEEN_SET)
 
 
 def test_heights_are_plausible(catalog):

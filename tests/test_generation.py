@@ -1,9 +1,10 @@
 import pytest
 
-from benchtop.catalog import load_default_catalog
+from benchtop.catalog import Catalog, load_default_catalog
 from benchtop.errors import (
     CountMismatch,
     DescriptionParseError,
+    EmptyFilteredSet,
     NoJsonFound,
     SchemaViolation,
     UnknownModel,
@@ -20,7 +21,8 @@ from benchtop.generation import (
     parse_llm_ops,
 )
 from benchtop.providers import ScriptedChatProvider
-from benchtop.scene import Provenance, serialize_config, validate_config
+from benchtop.jsonio import canonical_dumps, encode
+from benchtop.scene import Provenance, validate_config
 
 
 # ---- description grammar --------------------------------------------------
@@ -252,9 +254,9 @@ def test_fallback_mentions_come_first(catalog):
 def test_fallback_is_deterministic(catalog):
     a = fallback_generate("3 objects, one is an apple", catalog, seed=99)
     b = fallback_generate("3 objects, one is an apple", catalog, seed=99)
-    assert serialize_config(a) == serialize_config(b)
+    assert canonical_dumps(encode(a)) == canonical_dumps(encode(b))
     c = fallback_generate("3 objects, one is an apple", catalog, seed=100)
-    assert serialize_config(c) != serialize_config(a)
+    assert canonical_dumps(encode(c)) != canonical_dumps(encode(a))
 
 
 def test_fallback_env_from_description(catalog):
@@ -270,6 +272,12 @@ def test_fallback_env_from_description(catalog):
 def test_fallback_unresolvable_mention(catalog):
     with pytest.raises(UnresolvableMention):
         fallback_generate("2 objects, one is a quantum flux", catalog, seed=0)
+
+
+def test_fallback_all_models_mentioned_is_an_error(catalog):
+    pair = Catalog(models=(catalog.get("apple"), catalog.get("sponge")), version="1")
+    with pytest.raises(EmptyFilteredSet):
+        fallback_generate("2 objects, one is an apple, one is a sponge", pair, seed=0)
 
 
 def test_fallback_no_duplicate_models(catalog):

@@ -6,17 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benchtop.errors import DimensionMismatch, NoJsonFound, ZeroVector
-from benchtop.jsonio import quantize
+from benchtop.jsonio import canonical_dumps, encode, loads, quantize
 from benchtop.paraphrase import (
     EMBED_DIM,
     PARAPHRASE_TEMPLATES,
     EmbeddingVector,
+    InstructionSet,
     baseline_embed,
     builtin_paraphrases,
     cosine_similarity,
     fnv1a_64,
     generate_paraphrases,
-    instruction_set_from_dict,
     parse_paraphrase_reply,
     validate_candidates,
 )
@@ -157,7 +157,7 @@ def test_similarity_survives_round_trip_exactly():
     original = "put the sponge inside the basket"
     candidates = builtin_paraphrases(original, 6) + ["unrelated chatter entirely"]
     result = validate_candidates(original, candidates, 7, threshold=0.85)
-    back = instruction_set_from_dict(result.to_dict())
+    back = loads(InstructionSet, canonical_dumps(encode(result)))
     assert back == result
     for cand in back.candidates:
         sim = quantize(

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from benchtop.catalog import Catalog, ObjectModel, Shape, Source
 from benchtop.errors import PlacementExhausted, SchemaViolation
-from benchtop.jsonio import quantize
+from benchtop.jsonio import canonical_dumps, encode, loads, quantize
 from benchtop.scene import (
     PLACEMENT_MARGIN,
     TABLE_HALF_X,
@@ -20,10 +20,8 @@ from benchtop.scene import (
     Provenance,
     SceneConfig,
     default_env,
-    deserialize_config,
     footprint_half_extents,
     sample_pose,
-    serialize_config,
     validate_config,
     with_env,
 )
@@ -255,21 +253,21 @@ def test_exact_canonical_form(toy_catalog):
         '"position_m":[0.000000,-0.500000,0.600000]},"lighting":'
         '{"intensity":1.000000}},"provenance":"manual","scene_id":"s","seed":3}'
     )
-    assert serialize_config(cfg) == expected
+    assert canonical_dumps(encode(cfg)) == expected
 
 
 def test_round_trip_identity(toy_catalog):
     brick = toy_catalog.models[0]
     cfg = _config([_resting(brick, -0.12, 0.07, yaw=1.25)])
-    text = serialize_config(cfg)
-    again = deserialize_config(text)
+    text = canonical_dumps(encode(cfg))
+    again = loads(SceneConfig, text)
     assert again == cfg
-    assert serialize_config(again) == text
+    assert canonical_dumps(encode(again)) == text
 
 
 def test_schema_violation_reports_path():
     with pytest.raises(SchemaViolation) as err:
-        deserialize_config('{"scene_id": "s", "seed": 1}')
+        loads(SceneConfig, '{"scene_id": "s", "seed": 1}')
     assert "$" in str(err.value)
     broken = (
         '{"adds":[{"model_id":"brick","pose":{"yaw_rad":0}}],'
@@ -277,7 +275,7 @@ def test_schema_violation_reports_path():
         '"lighting":{"intensity":1}},"provenance":"manual","scene_id":"s","seed":3}'
     )
     with pytest.raises(SchemaViolation) as err:
-        deserialize_config(broken)
+        loads(SceneConfig, broken)
     assert err.value.path == "$.adds[0].pose"
 
 
@@ -288,7 +286,7 @@ def test_bad_provenance_rejected():
         '"lighting":{"intensity":1}},"provenance":"wishes","scene_id":"s","seed":3}'
     )
     with pytest.raises(SchemaViolation):
-        deserialize_config(text)
+        loads(SceneConfig, text)
 
 
 def test_with_env_replaces_only_env(toy_catalog):
@@ -328,6 +326,6 @@ def test_serialization_round_trips_any_config(xs, seed, intensity):
         seed=seed,
         provenance=Provenance.LLM,
     )
-    text = serialize_config(cfg)
-    assert deserialize_config(text) == cfg
-    assert serialize_config(deserialize_config(text)) == text
+    text = canonical_dumps(encode(cfg))
+    assert loads(SceneConfig, text) == cfg
+    assert canonical_dumps(encode(loads(SceneConfig, text))) == text
