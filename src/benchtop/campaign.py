@@ -327,6 +327,10 @@ class CampaignManifest:
 
     def validate(self, catalog: Catalog) -> None:
         """Check internal consistency; raises SchemaViolation on breakage."""
+        try:
+            self.spec.validate()
+        except UsageError as exc:
+            raise SchemaViolation(str(exc), path="$.spec") from None
         n = self.spec.n_scenes
         if not (len(self.scenes) == len(self.scene_meta) == n):
             raise SchemaViolation(
@@ -352,7 +356,14 @@ class CampaignManifest:
                 raise SchemaViolation(
                     f"trial {j} references scene {trial.scene_index}"
                 )
+        variant = self.spec.env_variant
         for i, meta in enumerate(self.scene_meta):
+            if meta.env_variant is not variant:
+                raise SchemaViolation(
+                    f"scene {i} is {meta.env_variant.value}, the spec asks for "
+                    f"{variant.value}",
+                    path=f"$.scene_meta[{i}].env_variant",
+                )
             count = len(self.scenes[i].adds)
             if meta.object_count != count:
                 raise SchemaViolation(

@@ -7,7 +7,8 @@ and ``report`` aggregates execution results.
 
 Errors are machine-readable: a single JSON line on stderr with a ``code``
 and ``message``. Exit codes are 0 on success, 1 for runtime failures
-(including a failed trend check), 2 for usage errors.
+(including a failed trend check and an ``io_error`` such as a missing input
+file), 2 for usage errors.
 """
 
 from __future__ import annotations
@@ -284,6 +285,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         _error_line("usage", str(exc))
         return 2
+    except OSError as exc:
+        _error_line("io_error", str(exc))
+        return 1
 
 
 if __name__ == "__main__":

@@ -8,7 +8,9 @@ Policies come in three kinds:
   object), and ``instruction_brittle`` (oracle on the exact planned
   instruction, random noise on anything else, e.g. paraphrases).
 - ``subprocess:<command>`` talks newline-delimited JSON over the child's
-  stdin/stdout.
+  stdin/stdout. Replies are read on the stepping thread, which waits on the
+  pipe with ``select`` until the act deadline, so this kind needs POSIX
+  pipes.
 - ``http:<url>`` POSTs the same messages to an HTTP endpoint.
 
 Wire messages are fixed-shape. Each step the runner sends
@@ -20,8 +22,15 @@ that are late, malformed, or mis-shaped fail that trial with an error
 annotation; the campaign itself keeps going, and the external policy is
 respawned before the next episode on its worker.
 
-Builtin policies are constructed fresh per trial and seeded from the trial
-seed, so results are identical regardless of the parallelism level.
+Every policy, builtin or wire client, offers ``privileged``, ``reset(ctx)``
+and ``act(obs)``, and one episode loop drives them all. ``run_campaign``
+starts ``parallelism`` workers on a thread pool. Each takes the next trial
+index from a shared iterator and fills that slot of the results, so results
+keep manifest order. A worker owns at most one wire client, which it closes
+after a failed trial and when it exits. An exception raised by a trial
+stops the workers from taking more trials and propagates. Builtin policies
+are constructed fresh per trial and seeded from the trial seed, so results
+are identical regardless of the parallelism level.
 """
 
 from __future__ import annotations
@@ -29,14 +38,16 @@ from __future__ import annotations
 import base64
 import json
 import math
+import os
 import random
+import select
 import shlex
 import subprocess
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from enum import Enum
-from queue import Empty, Queue
 
 from .campaign import CampaignManifest, EnvVariant, InstructionKind, SourceMix
 from .catalog import Catalog
@@ -300,13 +311,6 @@ _BUILTIN_CLASSES = {
 }
 
 
-def make_builtin_policy(name: str):
-    try:
-        return _BUILTIN_CLASSES[name]()
-    except KeyError:
-        raise UsageError(f"unknown builtin policy {name!r}") from None
-
-
 # ---- wire clients ---------------------------------------------------------
 
 
@@ -353,7 +357,16 @@ def _decode_act(line: str) -> Action:
 
 
 class SubprocessPolicyClient:
-    """One external policy process speaking NDJSON over stdio."""
+    """One external policy process speaking NDJSON over stdio.
+
+    Replies are read on the calling thread: ``select`` waits on the child's
+    stdout until the act deadline and ``os.read`` takes whatever has
+    arrived, so a reply may come in any number of pieces. Bytes that are not
+    UTF-8 are replaced, as ``HttpPolicyClient`` gets them from ``requests``,
+    so such a reply fails as a protocol error. This needs POSIX pipes.
+    """
+
+    privileged = False
 
     def __init__(self, command: str, act_timeout_s: float) -> None:
         self.act_timeout_s = act_timeout_s
@@ -362,47 +375,44 @@ class SubprocessPolicyClient:
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
-            text=True,
-            bufsize=1,
         )
-        self._queue: Queue[str | None] = Queue()
-        self._reader = threading.Thread(target=self._pump, daemon=True)
-        self._reader.start()
-
-    def _pump(self) -> None:
-        assert self._proc.stdout is not None
-        for line in self._proc.stdout:
-            self._queue.put(line)
-        self._queue.put(None)
+        self._stdout_fd = self._proc.stdout.fileno()
+        self._pending = b""
 
     def _send(self, text: str) -> None:
         try:
-            assert self._proc.stdin is not None
-            self._proc.stdin.write(text + "\n")
+            self._proc.stdin.write(text.encode("utf-8") + b"\n")
             self._proc.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
             raise PolicyProtocolError("policy process closed its stdin") from exc
 
-    def reset(self) -> None:
+    def _read_line(self) -> str:
+        """The next reply line, with its newline, read before the deadline."""
+        deadline = time.monotonic() + self.act_timeout_s
+        while b"\n" not in self._pending:
+            remaining = max(0.0, deadline - time.monotonic())
+            if not select.select([self._stdout_fd], [], [], remaining)[0]:
+                raise PolicyTimeout(
+                    f"policy did not reply within {self.act_timeout_s}s"
+                )
+            chunk = os.read(self._stdout_fd, 65536)
+            if not chunk:
+                raise PolicyProtocolError("policy process closed its stdout")
+            self._pending += chunk
+        line, _, self._pending = self._pending.partition(b"\n")
+        return (line + b"\n").decode("utf-8", errors="replace")
+
+    def reset(self, ctx: ResetContext) -> None:
         self._send('{"type":"reset"}')
 
     def act(self, obs: Observation) -> Action:
         self._send(_encode_observe(obs))
-        try:
-            line = self._queue.get(timeout=self.act_timeout_s)
-        except Empty:
-            raise PolicyTimeout(
-                f"policy did not reply within {self.act_timeout_s}s"
-            ) from None
-        if line is None:
-            raise PolicyProtocolError("policy process closed its stdout")
-        return _decode_act(line)
+        return _decode_act(self._read_line())
 
     def close(self) -> None:
         proc = self._proc
         try:
-            if proc.stdin is not None:
-                proc.stdin.close()
+            proc.stdin.close()
         except OSError:
             pass
         try:
@@ -413,9 +423,12 @@ class SubprocessPolicyClient:
                 proc.kill()
             except OSError:
                 pass
+        proc.stdout.close()
 
 
 class HttpPolicyClient:
+    privileged = False
+
     def __init__(self, url: str, act_timeout_s: float) -> None:
         import requests
 
@@ -423,7 +436,7 @@ class HttpPolicyClient:
         self.act_timeout_s = act_timeout_s
         self._session = requests.Session()
 
-    def reset(self) -> None:
+    def reset(self, ctx: ResetContext) -> None:
         import requests
 
         try:
@@ -459,88 +472,27 @@ class HttpPolicyClient:
 # ---- episode and campaign execution ---------------------------------------
 
 
-def run_builtin_episode(
+def run_episode(
     config, catalog: Catalog, policy, ctx: ResetContext, goal: TaskGoal,
-    max_steps: int,
+    max_steps: int, render: bool,
 ) -> tuple[bool, int, str | None]:
-    state = init_world(config, catalog, max_steps)
-    policy.reset(ctx)
-    privileged = getattr(policy, "privileged", False)
-    if check_success(state, goal):
-        return True, 0, None
-    while state.step_count < max_steps:
-        obs = observe(
-            state, config.env, ctx.instruction,
-            privileged=privileged, render=False,
-        )
-        action = policy.act(obs)
-        state = step(state, action)
-        if check_success(state, goal):
-            return True, state.step_count, None
-    return False, state.step_count, None
-
-
-def run_wire_episode(
-    config, catalog: Catalog, client, ctx: ResetContext, goal: TaskGoal,
-    max_steps: int,
-) -> tuple[bool, int, str | None]:
+    """Play one episode; a policy timeout or protocol error fails only it."""
     state = init_world(config, catalog, max_steps)
     try:
-        client.reset()
+        policy.reset(ctx)
         if check_success(state, goal):
             return True, 0, None
         while state.step_count < max_steps:
             obs = observe(
                 state, config.env, ctx.instruction,
-                privileged=False, render=True,
+                privileged=policy.privileged, render=render,
             )
-            action = client.act(obs)
-            state = step(state, action)
+            state = step(state, policy.act(obs))
             if check_success(state, goal):
                 return True, state.step_count, None
         return False, state.step_count, None
     except (PolicyTimeout, PolicyProtocolError) as exc:
         return False, state.step_count, f"{type(exc).__name__}: {exc}"
-
-
-class _WireClientCache:
-    """Per-thread wire client, replaced after any protocol failure."""
-
-    def __init__(self, endpoint: PolicyEndpoint, act_timeout_s: float) -> None:
-        self.endpoint = endpoint
-        self.act_timeout_s = act_timeout_s
-        self._local = threading.local()
-        self._lock = threading.Lock()
-        self._all: list = []
-
-    def get(self):
-        client = getattr(self._local, "client", None)
-        if client is None:
-            if self.endpoint.kind is PolicyKind.SUBPROCESS:
-                client = SubprocessPolicyClient(
-                    self.endpoint.address, self.act_timeout_s
-                )
-            else:
-                client = HttpPolicyClient(self.endpoint.address, self.act_timeout_s)
-            self._local.client = client
-            with self._lock:
-                self._all.append(client)
-        return client
-
-    def discard(self) -> None:
-        client = getattr(self._local, "client", None)
-        if client is not None:
-            client.close()
-            with self._lock:
-                if client in self._all:
-                    self._all.remove(client)
-            self._local.client = None
-
-    def close_all(self) -> None:
-        with self._lock:
-            clients, self._all = list(self._all), []
-        for client in clients:
-            client.close()
 
 
 def run_campaign(
@@ -561,13 +513,13 @@ def run_campaign(
         tuple(catalog.get(op.model_id).height_m for op in scene.adds)
         for scene in manifest.scenes
     ]
-    cache = None
-    if endpoint.kind is not PolicyKind.BUILTIN:
-        cache = _WireClientCache(endpoint, act_timeout_s)
+    render = endpoint.kind is not PolicyKind.BUILTIN
+    results: list[EpisodeResult | None] = [None] * len(manifest.trials)
+    indices = iter(range(len(results)))
+    lock = threading.Lock()
 
-    def run_one(trial) -> EpisodeResult:
+    def run_trial(trial, policy) -> EpisodeResult:
         meta = manifest.scene_meta[trial.scene_index]
-        config = manifest.scenes[trial.scene_index]
         ctx = ResetContext(
             task=task,
             target_a_index=meta.target_a_index,
@@ -582,18 +534,10 @@ def run_campaign(
             target_a_index=meta.target_a_index,
             target_b_index=meta.target_b_index,
         )
-        if endpoint.kind is PolicyKind.BUILTIN:
-            policy = make_builtin_policy(endpoint.address)
-            success, steps, error = run_builtin_episode(
-                config, catalog, policy, ctx, goal, max_steps
-            )
-        else:
-            client = cache.get()
-            success, steps, error = run_wire_episode(
-                config, catalog, client, ctx, goal, max_steps
-            )
-            if error is not None:
-                cache.discard()
+        success, steps, error = run_episode(
+            manifest.scenes[trial.scene_index], catalog, policy, ctx, goal,
+            max_steps, render,
+        )
         return EpisodeResult(
             scene_index=trial.scene_index,
             instruction=trial.instruction_text,
@@ -608,14 +552,40 @@ def run_campaign(
             error=error,
         )
 
-    try:
-        if parallelism == 1:
-            results = [run_one(t) for t in manifest.trials]
-        else:
-            with ThreadPoolExecutor(max_workers=parallelism) as pool:
-                futures = [pool.submit(run_one, t) for t in manifest.trials]
-                results = [f.result() for f in futures]
-    finally:
-        if cache is not None:
-            cache.close_all()
+    def worker() -> None:
+        client = None
+        try:
+            while True:
+                with lock:
+                    j = next(indices, None)
+                if j is None:
+                    return
+                if endpoint.kind is PolicyKind.BUILTIN:
+                    policy = _BUILTIN_CLASSES[endpoint.address]()
+                else:
+                    if client is None:
+                        client_class = (
+                            SubprocessPolicyClient
+                            if endpoint.kind is PolicyKind.SUBPROCESS
+                            else HttpPolicyClient
+                        )
+                        client = client_class(endpoint.address, act_timeout_s)
+                    policy = client
+                result = results[j] = run_trial(manifest.trials[j], policy)
+                if client is not None and result.error is not None:
+                    client.close()
+                    client = None
+        finally:
+            if client is not None:
+                client.close()
+
+    workers = min(parallelism, len(results))
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        futures = [pool.submit(worker) for _ in range(workers)]
+        try:
+            for future in as_completed(futures):
+                future.result()
+        finally:
+            with lock:
+                indices = iter(())  # no more trials after a failure or an interrupt
     return results

@@ -136,7 +136,6 @@ class Gripper:
 class WorldState:
     objects: tuple[WorldObject, ...]
     gripper: Gripper
-    table_height: float
     step_count: int
     max_steps: int
 
@@ -192,7 +191,6 @@ def init_world(
     return WorldState(
         objects=tuple(objects),
         gripper=Gripper(position=GRIPPER_HOME, open=True, attached=None),
-        table_height=TABLE_HEIGHT,
         step_count=0,
         max_steps=max_steps,
     )
@@ -208,15 +206,13 @@ def _moved(obj: WorldObject, position: tuple[float, float, float]) -> WorldObjec
 
 
 def _nearest_graspable(
-    objects: tuple[WorldObject, ...],
-    pos: tuple[float, float, float],
-    table_height: float,
+    objects: tuple[WorldObject, ...], pos: tuple[float, float, float]
 ) -> int | None:
     best: tuple[float, int] | None = None
     for i, obj in enumerate(objects):
         if not obj.graspable:
             continue
-        if pos[2] + _EPS < table_height + obj.height_m / 2.0:
+        if pos[2] + _EPS < TABLE_HEIGHT + obj.height_m / 2.0:
             continue
         c = obj.pose.position_m
         d = math.sqrt(
@@ -227,12 +223,10 @@ def _nearest_graspable(
     return None if best is None else best[1]
 
 
-def _settle(
-    objects: tuple[WorldObject, ...], index: int, table_height: float
-) -> tuple[WorldObject, ...]:
+def _settle(objects: tuple[WorldObject, ...], index: int) -> tuple[WorldObject, ...]:
     obj = objects[index]
     cx, cy = obj.pose.position_m[0], obj.pose.position_m[1]
-    landing = table_height
+    landing = TABLE_HEIGHT
     for j, other in enumerate(objects):
         if j == index:
             continue
@@ -262,9 +256,9 @@ def step(state: WorldState, action: Action) -> WorldState:
 
     g = state.gripper
     attached = g.attached
-    z_min = state.table_height
+    z_min = TABLE_HEIGHT
     if attached is not None:
-        z_min = state.table_height + state.objects[attached].height_m / 2.0
+        z_min = TABLE_HEIGHT + state.objects[attached].height_m / 2.0
     nx = _clamp(g.position[0] + dx, -WORKSPACE_HALF_X, WORKSPACE_HALF_X)
     ny = _clamp(g.position[1] + dy, -WORKSPACE_HALF_Y, WORKSPACE_HALF_Y)
     nz = _clamp(g.position[2] + dz, z_min, WORKSPACE_Z_MAX)
@@ -281,21 +275,20 @@ def step(state: WorldState, action: Action) -> WorldState:
     if cmd is GripperCommand.CLOSE:
         is_open = False
         if attached is None:
-            attached = _nearest_graspable(objects, pos, state.table_height)
+            attached = _nearest_graspable(objects, pos)
             if attached is not None:
                 out = list(objects)
                 out[attached] = _moved(objects[attached], pos)
                 objects = tuple(out)
     elif cmd is GripperCommand.OPEN:
         if attached is not None:
-            objects = _settle(objects, attached, state.table_height)
+            objects = _settle(objects, attached)
             attached = None
         is_open = True
 
     return WorldState(
         objects=objects,
         gripper=Gripper(position=pos, open=is_open, attached=attached),
-        table_height=state.table_height,
         step_count=state.step_count + 1,
         max_steps=state.max_steps,
     )
@@ -405,7 +398,7 @@ def check_success(state: WorldState, goal: TaskGoal) -> bool:
     a = objs[goal.target_a_index]
     a_attached = state.gripper.attached == goal.target_a_index
     if goal.task is Task.PICK_UP:
-        return a_attached and a.base >= state.table_height + PICK_HEIGHT - _EPS
+        return a_attached and a.base >= TABLE_HEIGHT + PICK_HEIGHT - _EPS
     if goal.target_b_index is None or goal.target_b_index >= len(objs):
         return False
     b = objs[goal.target_b_index]

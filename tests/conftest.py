@@ -19,8 +19,9 @@ def stub_server():
     """Factory for a scriptable local JSON API.
 
     ``start(respond)`` takes a callable (path, payload, call_number) ->
-    (status, body) and returns (base_url, state). ``state`` tracks the
-    request count and the concurrency high-water mark.
+    (status, body) and returns (base_url, state). A ``bytes`` body is sent
+    as it is, anything else as JSON. ``state`` tracks the request count and
+    the concurrency high-water mark.
     """
     servers = []
 
@@ -40,7 +41,10 @@ def stub_server():
                     length = int(self.headers.get("Content-Length", 0))
                     payload = json.loads(self.rfile.read(length) or b"{}")
                     status, body = respond(self.path, payload, call)
-                    data = json.dumps(body).encode("utf-8")
+                    if isinstance(body, bytes):
+                        data = body
+                    else:
+                        data = json.dumps(body).encode("utf-8")
                     self.send_response(status)
                     self.send_header("Content-Type", "application/json")
                     self.send_header("Content-Length", str(len(data)))

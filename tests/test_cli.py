@@ -21,15 +21,19 @@ def _edit(doc, keys, value):
         doc[keys[-1]] = value
 
 
-def _expect_schema_violation(capsys, argv, path):
+def _expect_error(capsys, argv, code) -> str:
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1, err
     line = json.loads(lines[0])
-    assert line["code"] == "schema_violation"
-    assert line["message"].startswith(f"{path}: ")
+    assert line["code"] == code
+    return line["message"]
+
+
+def _expect_schema_violation(capsys, argv, path):
+    assert _expect_error(capsys, argv, "schema_violation").startswith(f"{path}: ")
 
 
 @pytest.mark.parametrize(
@@ -41,8 +45,17 @@ def _expect_schema_violation(capsys, argv, path):
         (("spec", "n_scenes"), "3", "$.spec.n_scenes"),
         (("spec", "budget"), 5, "$.spec"),
         (("instruction_sets", 0, "threshold"), _DROP, "$.instruction_sets[0]"),
+        (("spec", "threshold"), 7.5, "$.spec"),
+        (("spec", "factors", "object_count_range"), [5, 1], "$.spec"),
+        (("spec", "factors", "lighting_mutation"), True, "$.spec"),
+        (("spec", "factors", "camera_mutation"), False,
+         "$.scene_meta[0].env_variant"),
     ],
-    ids=["string_bool", "float_seed", "string_count", "unknown_key", "no_threshold"],
+    ids=[
+        "string_bool", "float_seed", "string_count", "unknown_key", "no_threshold",
+        "threshold_above_one", "count_range_reversed", "both_mutations",
+        "env_variant_mismatch",
+    ],
 )
 def test_run_rejects_malformed_manifest(tmp_path, capsys, keys, value, path):
     raw = json.loads((GOLDEN / "put_on.manifest.json").read_text())
@@ -71,3 +84,24 @@ def test_report_rejects_malformed_results(tmp_path, capsys, keys, value, path):
         "".join((r if isinstance(r, str) else json.dumps(r)) + "\n" for r in rows)
     )
     _expect_schema_violation(capsys, ["report", "--results", str(results)], path)
+
+
+_MISSING = "<missing>"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--results", _MISSING],
+        ["run", "--manifest", _MISSING, "--policy", "builtin:oracle"],
+        ["run", "--manifest", str(GOLDEN / "put_on.manifest.json"),
+         "--catalog", _MISSING, "--policy", "builtin:oracle"],
+        ["run", "--manifest", str(GOLDEN / "put_on.manifest.json"),
+         "--policy", f"subprocess:{_MISSING}"],
+    ],
+    ids=["report_results", "run_manifest", "run_catalog", "run_policy_command"],
+)
+def test_missing_input_file_is_an_io_error(tmp_path, capsys, argv):
+    missing = str(tmp_path / "missing.json")
+    argv = [arg.replace(_MISSING, missing) for arg in argv]
+    assert missing in _expect_error(capsys, argv, "io_error")
