@@ -95,6 +95,23 @@ class EmbeddingProvider(Protocol):
     def embed_batch(self, texts: list[str]) -> list[list[float]]: ...
 
 
+def resolved_session(url: str) -> requests.Session:
+    """A session for ``url`` with the environment's settings read once.
+
+    A session that trusts the environment re-reads the proxy variables,
+    ``NO_PROXY``, the CA bundle variables and netrc on every request. Here
+    requests' own rules resolve them for ``url`` once; the session then
+    uses the result and no longer looks at the environment.
+    """
+    session = requests.Session()
+    settings = session.merge_environment_settings(url, {}, None, None, None)
+    session.proxies = settings["proxies"]
+    session.verify = settings["verify"]
+    session.auth = requests.utils.get_netrc_auth(url)
+    session.trust_env = False
+    return session
+
+
 def fixture_key(endpoint: str, payload: dict) -> str:
     blob = canonical_dumps({"endpoint": endpoint, "payload": payload})
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -106,7 +123,7 @@ class HttpProvider:
     def __init__(self, config: ProviderConfig) -> None:
         self.config = config
         self._semaphore = threading.Semaphore(config.max_concurrent_requests)
-        self._session = requests.Session()
+        self._session = resolved_session(config.base_url)
 
     # -- fixture plumbing ---------------------------------------------------
 

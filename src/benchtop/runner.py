@@ -314,17 +314,32 @@ _BUILTIN_CLASSES = {
 # ---- wire clients ---------------------------------------------------------
 
 
-def _encode_observe(obs: Observation) -> str:
-    raster = obs.raster
-    payload = {
-        "type": "observe",
-        "instruction": obs.instruction,
-        "raster_base64": base64.b64encode(
-            raster.tobytes() if raster is not None else b""
-        ).decode("ascii"),
-        "step": obs.step_count,
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+class _ObserveEncoder:
+    """Writes observe messages as ``json.dumps(payload, sort_keys=True,
+    separators=(",", ":"))`` would, byte for byte.
+
+    Everything before the step number depends only on the instruction and
+    the raster, so that prefix is kept for the last (instruction, raster
+    object) pair and reused while the episode loop passes the same raster.
+    Each wire client owns one encoder.
+    """
+
+    def __init__(self) -> None:
+        self._instruction: str | None = None
+        self._raster = None
+        self._prefix = ""
+
+    def encode(self, obs: Observation) -> str:
+        raster = obs.raster
+        if raster is not self._raster or obs.instruction != self._instruction:
+            data = raster.tobytes() if raster is not None else b""
+            self._prefix = (
+                '{"instruction":' + json.dumps(obs.instruction)
+                + ',"raster_base64":"' + base64.b64encode(data).decode("ascii")
+                + '","step":'
+            )
+            self._instruction, self._raster = obs.instruction, raster
+        return f'{self._prefix}{obs.step_count},"type":"observe"}}'
 
 
 def _decode_act(line: str) -> Action:
@@ -378,6 +393,7 @@ class SubprocessPolicyClient:
         )
         self._stdout_fd = self._proc.stdout.fileno()
         self._pending = b""
+        self._encoder = _ObserveEncoder()
 
     def _send(self, text: str) -> None:
         try:
@@ -406,7 +422,7 @@ class SubprocessPolicyClient:
         self._send('{"type":"reset"}')
 
     def act(self, obs: Observation) -> Action:
-        self._send(_encode_observe(obs))
+        self._send(self._encoder.encode(obs))
         return _decode_act(self._read_line())
 
     def close(self) -> None:
@@ -430,11 +446,12 @@ class HttpPolicyClient:
     privileged = False
 
     def __init__(self, url: str, act_timeout_s: float) -> None:
-        import requests
+        from .providers import resolved_session
 
         self.url = url
         self.act_timeout_s = act_timeout_s
-        self._session = requests.Session()
+        self._session = resolved_session(url)
+        self._encoder = _ObserveEncoder()
 
     def reset(self, ctx: ResetContext) -> None:
         import requests
@@ -453,7 +470,7 @@ class HttpPolicyClient:
 
         try:
             resp = self._session.post(
-                self.url, data=_encode_observe(obs),
+                self.url, data=self._encoder.encode(obs),
                 headers={"Content-Type": "application/json"},
                 timeout=self.act_timeout_s,
             )
@@ -476,20 +493,39 @@ def run_episode(
     config, catalog: Catalog, policy, ctx: ResetContext, goal: TaskGoal,
     max_steps: int, render: bool,
 ) -> tuple[bool, int, str | None]:
-    """Play one episode; a policy timeout or protocol error fails only it."""
+    """Play one episode; a policy timeout or protocol error fails only it.
+
+    Work is redone only when the world has changed. A new observation
+    (snapshots and raster) is built only when ``step`` returned a new
+    objects tuple; otherwise the last one is passed on with the current step
+    count. Success is rechecked only when the objects or the attachment
+    changed, the only inputs ``check_success`` reads.
+    """
     state = init_world(config, catalog, max_steps)
     try:
         policy.reset(ctx)
         if check_success(state, goal):
             return True, 0, None
+        seen = obs = None
+        checked_objects, checked_attached = state.objects, state.gripper.attached
         while state.step_count < max_steps:
-            obs = observe(
-                state, config.env, ctx.instruction,
-                privileged=policy.privileged, render=render,
-            )
+            if state.objects is not seen:
+                seen = state.objects
+                obs = observe(
+                    state, config.env, ctx.instruction,
+                    privileged=policy.privileged, render=render,
+                )
+            else:
+                obs = Observation(
+                    obs.instruction, obs.object_snapshots, obs.raster,
+                    state.step_count,
+                )
             state = step(state, policy.act(obs))
-            if check_success(state, goal):
-                return True, state.step_count, None
+            attached = state.gripper.attached
+            if state.objects is not checked_objects or attached != checked_attached:
+                checked_objects, checked_attached = state.objects, attached
+                if check_success(state, goal):
+                    return True, state.step_count, None
         return False, state.step_count, None
     except (PolicyTimeout, PolicyProtocolError) as exc:
         return False, state.step_count, f"{type(exc).__name__}: {exc}"

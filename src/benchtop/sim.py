@@ -28,6 +28,15 @@ Observations carry the instruction, an optional privileged pose snapshot
 rendered orthographically from the camera pose. Pixel intensity is the
 product of a depth shade and the lighting intensity, clamped at 255, so
 rescaling the lighting rescales every non-background pixel multiplicatively.
+
+Two contracts let callers reuse what they derived from a state:
+
+- Identity: ``step(state, action).objects is state.objects`` exactly when no
+  object's pose changed. Everything ``observe``, ``render_raster`` and
+  ``check_success`` read about the objects is in that tuple, so a caller may
+  keep their results while the tuple stays the same.
+- Read-only rasters: ``render_raster`` returns an array with
+  ``writeable=False``, so one raster can be shared by many observations.
 """
 
 from __future__ import annotations
@@ -201,8 +210,21 @@ def _contains_xy(obj: WorldObject, x: float, y: float) -> bool:
     return abs(x - ox) <= obj.fx + _EPS and abs(y - oy) <= obj.fy + _EPS
 
 
-def _moved(obj: WorldObject, position: tuple[float, float, float]) -> WorldObject:
-    return replace(obj, pose=Pose(position_m=position, yaw_rad=obj.pose.yaw_rad))
+def _placed(
+    objects: tuple[WorldObject, ...],
+    index: int,
+    position: tuple[float, float, float],
+) -> tuple[WorldObject, ...]:
+    """``objects`` with object ``index`` centered at ``position``.
+
+    Returns ``objects`` itself when the object is already there.
+    """
+    obj = objects[index]
+    if obj.pose.position_m == position:
+        return objects
+    out = list(objects)
+    out[index] = replace(obj, pose=Pose(position_m=position, yaw_rad=obj.pose.yaw_rad))
+    return tuple(out)
 
 
 def _nearest_graspable(
@@ -223,9 +245,15 @@ def _nearest_graspable(
     return None if best is None else best[1]
 
 
-def _settle(objects: tuple[WorldObject, ...], index: int) -> tuple[WorldObject, ...]:
+def _landing(
+    objects: tuple[WorldObject, ...],
+    index: int,
+    position: tuple[float, float, float],
+) -> tuple[float, float, float]:
+    """Where object ``index``, released with its center at ``position``, rests."""
     obj = objects[index]
-    cx, cy = obj.pose.position_m[0], obj.pose.position_m[1]
+    cx, cy = position[0], position[1]
+    base = position[2] - obj.height_m / 2.0
     landing = TABLE_HEIGHT
     for j, other in enumerate(objects):
         if j == index:
@@ -237,16 +265,17 @@ def _settle(objects: tuple[WorldObject, ...], index: int) -> tuple[WorldObject, 
         cand = (
             other.base + CONTAINER_FLOOR_OFFSET if other.container else other.top
         )
-        if cand <= obj.base + REST_TOL and cand > landing:
+        if cand <= base + REST_TOL and cand > landing:
             landing = cand
-    new_z = landing + obj.height_m / 2.0
-    out = list(objects)
-    out[index] = _moved(obj, (cx, cy, new_z))
-    return tuple(out)
+    return (cx, cy, landing + obj.height_m / 2.0)
 
 
 def step(state: WorldState, action: Action) -> WorldState:
-    """Advance one tick. Raises EpisodeOver past the step budget."""
+    """Advance one tick. Raises EpisodeOver past the step budget.
+
+    The new state's ``objects`` is ``state.objects`` itself, the same tuple,
+    exactly when no object's pose changed.
+    """
     if state.step_count >= state.max_steps:
         raise EpisodeOver(f"episode exceeded {state.max_steps} steps")
     lim = ACTION_DELTA_LIMIT
@@ -264,27 +293,23 @@ def step(state: WorldState, action: Action) -> WorldState:
     nz = _clamp(g.position[2] + dz, z_min, WORKSPACE_Z_MAX)
     pos = (nx, ny, nz)
 
-    objects = state.objects
-    if attached is not None:
-        out = list(objects)
-        out[attached] = _moved(objects[attached], pos)
-        objects = tuple(out)
-
+    # At most one object moves per step: the held one, the one just grasped,
+    # or the one just released.
+    moving, target = attached, pos
     is_open = g.open
     cmd = action.gripper
     if cmd is GripperCommand.CLOSE:
         is_open = False
         if attached is None:
-            attached = _nearest_graspable(objects, pos)
-            if attached is not None:
-                out = list(objects)
-                out[attached] = _moved(objects[attached], pos)
-                objects = tuple(out)
+            attached = moving = _nearest_graspable(state.objects, pos)
     elif cmd is GripperCommand.OPEN:
         if attached is not None:
-            objects = _settle(objects, attached)
+            target = _landing(state.objects, attached, pos)
             attached = None
         is_open = True
+    objects = state.objects
+    if moving is not None:
+        objects = _placed(objects, moving, target)
 
     return WorldState(
         objects=objects,
@@ -313,6 +338,7 @@ def render_raster(state: WorldState, env: EnvSetupOp) -> np.ndarray:
     fz = cam.look_at_m[2] - pz
     norm = math.sqrt(fx * fx + fy * fy + fz * fz)
     if norm < _EPS:
+        img.setflags(write=False)
         return img
     fx, fy, fz = fx / norm, fy / norm, fz / norm
     ux, uy, uz = (0.0, 0.0, 1.0)
@@ -357,6 +383,7 @@ def render_raster(state: WorldState, env: EnvSetupOp) -> np.ndarray:
     for _, r0, r1, c0, c1, value in layers:
         img[max(r0, 0) : min(r1, RASTER_HEIGHT - 1) + 1,
             max(c0, 0) : min(c1, RASTER_WIDTH - 1) + 1] = value
+    img.setflags(write=False)
     return img
 
 

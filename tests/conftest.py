@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -12,6 +13,21 @@ from benchtop.catalog import load_default_catalog
 @pytest.fixture(scope="session")
 def catalog():
     return load_default_catalog()
+
+
+@pytest.fixture
+def closed_proxy(monkeypatch):
+    """Points ``HTTP_PROXY`` at a local port that nothing listens on.
+
+    Every other proxy variable is cleared, ``NO_PROXY`` included.
+    """
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{port}")
 
 
 @pytest.fixture

@@ -2,12 +2,15 @@
 """Stdio stub policies for wire-protocol tests.
 
 Usage: stub_policies.py {conform|garbage|extra_field|sleep|quit|bad_utf8|split}
+       stub_policies.py record PATH
 
 The conform stub is strict in both directions: if an incoming observe
 message does not have exactly the documented fields it answers with a
 deliberately broken reply, which shows up as a failed trial in the tests.
 ``bad_utf8`` answers with bytes that are not UTF-8; ``split`` answers like
 ``conform`` but writes each reply in two flushes with a pause between them.
+``record`` answers like ``conform`` and appends every line it receives,
+exactly as received, to the file PATH.
 """
 import json
 import sys
@@ -18,7 +21,12 @@ OBSERVE_FIELDS = {"type", "instruction", "raster_base64", "step"}
 
 def main() -> int:
     behavior = sys.argv[1] if len(sys.argv) > 1 else "conform"
+    record = None
+    if behavior == "record":
+        record = open(sys.argv[2], "a", encoding="utf-8", newline="", buffering=1)
     for line in sys.stdin:
+        if record is not None:
+            record.write(line)
         line = line.strip()
         if not line:
             continue

@@ -218,3 +218,17 @@ def test_no_auth_header_without_key(stub_server, monkeypatch):
     provider = HttpProvider(_config(url))
     provider.chat(REQ)
     assert state["last_auth"] is None
+
+
+@pytest.mark.usefixtures("closed_proxy")
+def test_proxy_settings_are_read_once_at_construction(stub_server, monkeypatch):
+    url, state = stub_server(lambda p, q, c: (200, _chat_body("ok")))
+    proxied = HttpProvider(_config(url, max_retries=0))
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    direct = HttpProvider(_config(url, max_retries=0))
+    monkeypatch.delenv("NO_PROXY")
+    with pytest.raises(RetriesExhausted, match="connection error"):
+        proxied.chat(REQ)
+    assert state["count"] == 0
+    assert direct.chat(REQ) == "ok"
+    assert state["count"] == 1

@@ -8,15 +8,24 @@ parallelism level.
 import shlex
 import sys
 import time
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from stub_policies import OBSERVE_FIELDS
 
-from benchtop import runner
+from benchtop import runner, sim
 from benchtop.campaign import load_manifest
-from benchtop.runner import BUILTIN_POLICIES, parse_policy_endpoint, run_campaign
+from benchtop.errors import PolicyProtocolError
+from benchtop.runner import (
+    BUILTIN_POLICIES,
+    HttpPolicyClient,
+    parse_policy_endpoint,
+    run_campaign,
+)
+from benchtop.sim import GripperCommand, Observation, TaskGoal
 
 HERE = Path(__file__).parent
 HOLD_REPLY = {"type": "act", "delta_position": [0.01, 0.0, 0.0], "gripper": "HOLD"}
@@ -131,6 +140,21 @@ def test_http_body_that_is_not_json_is_a_protocol_error(catalog, short, stub_ser
     ] * len(short.trials)
 
 
+@pytest.mark.usefixtures("closed_proxy")
+def test_http_policy_reads_proxy_settings_once(stub_server, monkeypatch):
+    url, state = stub_server(lambda path, payload, call: (200, HOLD_REPLY))
+    proxied = HttpPolicyClient(url, 5.0)
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    direct = HttpPolicyClient(url, 5.0)
+    monkeypatch.delenv("NO_PROXY")
+    obs = Observation("pick up the cup", None, None, 0)
+    with pytest.raises(PolicyProtocolError, match="cannot reach policy"):
+        proxied.act(obs)
+    assert state["count"] == 0
+    assert direct.act(obs).gripper is GripperCommand.HOLD
+    assert state["count"] == 1
+
+
 def test_trial_exception_stops_the_campaign_and_propagates(
     catalog, manifest, monkeypatch
 ):
@@ -149,3 +173,100 @@ def test_trial_exception_stops_the_campaign_and_propagates(
     with pytest.raises(RuntimeError, match="policy bug"):
         run(manifest, catalog, "builtin:oracle", parallelism=2)
     assert len(resets) < len(manifest.trials)
+
+
+def _poses(state):
+    return [o.pose for o in state.objects]
+
+
+def test_conform_campaign_renders_and_checks_only_after_a_change(
+    catalog, manifest, monkeypatch
+):
+    counts = Counter()
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(sim, "render_raster")
+    counted(runner, "check_success")
+    original_step = runner.step
+
+    def step(state, action):
+        new = original_step(state, action)
+        moved = _poses(new) != _poses(state)
+        counts["steps"] += 1
+        counts["moved"] += moved
+        counts["changed"] += moved or new.gripper.attached != state.gripper.attached
+        return new
+
+    monkeypatch.setattr(runner, "step", step)
+    results = run(manifest, catalog, stub("conform"), max_steps=50)
+    trials = len(manifest.trials)
+    assert all(r.error is None for r in results)
+    assert counts["steps"] == 50 * trials
+    assert counts["render_raster"] <= trials + counts["moved"]
+    assert counts["check_success"] <= trials + counts["changed"]
+
+
+@pytest.mark.parametrize(
+    "name, privileged",
+    [("oracle", True), ("oracle", False), ("random_target", True),
+     ("instruction_brittle", True)],
+)
+def test_reused_observation_equals_a_fresh_one(catalog, manifest, name, privileged):
+    """A replica world checks every observation the episode loop passes on.
+
+    The builtin policy inside acts on the replica's fresh privileged
+    observation, so an unprivileged episode moves objects too.
+    """
+    task = manifest.spec.task
+    checked = Counter()
+
+    class Checked:
+        def __init__(self):
+            self.privileged = privileged
+
+        def reset(self, ctx):
+            self.inner = runner._BUILTIN_CLASSES[name]()
+            self.inner.reset(ctx)
+            self.state = sim.init_world(config, catalog, 80)
+
+        def act(self, obs):
+            fresh = sim.observe(
+                self.state, config.env, obs.instruction, privileged=True, render=True
+            )
+            assert obs.step_count == fresh.step_count
+            assert obs.object_snapshots == (
+                fresh.object_snapshots if privileged else None
+            )
+            assert np.array_equal(obs.raster, fresh.raster)
+            assert not obs.raster.flags.writeable
+            action = self.inner.act(fresh)
+            moved = sim.step(self.state, action)
+            checked["moved"] += _poses(moved) != _poses(self.state)
+            self.state = moved
+            return action
+
+    for trial in manifest.trials:
+        meta = manifest.scene_meta[trial.scene_index]
+        config = manifest.scenes[trial.scene_index]
+        ctx = runner.ResetContext(
+            task=task,
+            target_a_index=meta.target_a_index,
+            target_b_index=meta.target_b_index,
+            basic_instruction=meta.basic_instruction,
+            instruction=trial.instruction_text,
+            trial_seed=trial.trial_seed,
+            object_heights=tuple(
+                catalog.get(op.model_id).height_m for op in config.adds
+            ),
+        )
+        goal = TaskGoal(task, meta.target_a_index, meta.target_b_index)
+        runner.run_episode(config, catalog, Checked(), ctx, goal, 80, True)
+    assert checked["moved"] > 0
