@@ -389,16 +389,13 @@ def load_manifest(path) -> CampaignManifest:
 def _provider_embedder(embed_provider, texts: list[str]):
     cleaned = [" ".join(t.split()) for t in texts]
     vectors = embed_provider.embed_batch(cleaned)
-    memo = {
-        text: EmbeddingVector(values=tuple(vec))
-        for text, vec in zip(cleaned, vectors)
-    }
+    memo = {text: EmbeddingVector(vec) for text, vec in zip(cleaned, vectors)}
 
     def embed(text: str) -> EmbeddingVector:
         hit = memo.get(text)
         if hit is not None:
             return hit
-        return EmbeddingVector(values=tuple(embed_provider.embed_batch([text])[0]))
+        return EmbeddingVector(embed_provider.embed_batch([text])[0])
 
     return embed
 

@@ -148,10 +148,6 @@ class PartialPlanFailure(BenchtopError):
 # ---- sim / runner ----------------------------------------------------------
 
 
-class EpisodeOver(BenchtopError):
-    code = "episode_over"
-
-
 class PolicyTimeout(BenchtopError):
     code = "policy_timeout"
 

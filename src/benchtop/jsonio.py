@@ -1,9 +1,11 @@
 """Canonical JSON and the one codec every artifact goes through.
 
 Canonical form: sorted keys, compact separators, floats with exactly six
-decimals. Two serializations of equal values are byte-identical, which is
-what the determinism contracts (byte-identical manifests, results, reports)
-rest on.
+decimals. Strings are escaped as ``json.dumps`` escapes them by default
+(ASCII only), so apart from the floats the output is what ``json.dumps(v,
+sort_keys=True, separators=(",", ":"))`` writes. Two serializations of
+equal values are byte-identical, which is what the determinism contracts
+(byte-identical manifests, results, reports) rest on.
 
 The codec maps frozen dataclasses to JSON values and back:
 
@@ -36,6 +38,7 @@ import types
 import typing
 from collections.abc import Callable
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .errors import NoJsonFound, SchemaViolation
@@ -54,7 +57,19 @@ def canonical_dumps(value: Any) -> str:
 
 
 def _emit(value: Any, out: list[str]) -> None:
-    if value is None:
+    # Exact types first, since they are nearly every value; then the
+    # isinstance checks, which also take subclasses (bool before int, and
+    # str-valued Enum members as their string).
+    tp = type(value)
+    if tp is str:
+        out.append(_quote(value))
+    elif tp is float:
+        out.append(_float_text(value))
+    elif tp is dict:
+        _emit_object(value, out)
+    elif tp is list or tp is tuple:
+        _emit_array(value, out)
+    elif value is None:
         out.append("null")
     elif value is True:
         out.append("true")
@@ -63,33 +78,41 @@ def _emit(value: Any, out: list[str]) -> None:
     elif isinstance(value, int):
         out.append(str(value))
     elif isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite float not serializable: {value!r}")
-        out.append(f"{value:.6f}")
+        out.append(_float_text(value))
     elif isinstance(value, str):
-        out.append(json.dumps(value))
+        out.append(_quote(value))
     elif isinstance(value, dict):
-        out.append("{")
-        first = True
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise ValueError(f"non-string key not serializable: {key!r}")
-            if not first:
-                out.append(",")
-            first = False
-            out.append(json.dumps(key))
-            out.append(":")
-            _emit(value[key], out)
-        out.append("}")
+        _emit_object(value, out)
     elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(value):
-            if i:
-                out.append(",")
-            _emit(item, out)
-        out.append("]")
+        _emit_array(value, out)
     else:
         raise ValueError(f"unsupported type for canonical JSON: {type(value)!r}")
+
+
+def _float_text(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite float not serializable: {value!r}")
+    return f"{value:.6f}"
+
+
+def _emit_object(value: dict, out: list[str]) -> None:
+    sep = "{"
+    for key in sorted(value):
+        if not isinstance(key, str):
+            raise ValueError(f"non-string key not serializable: {key!r}")
+        out.append(f"{sep}{_quote(key)}:")
+        sep = ","
+        _emit(value[key], out)
+    out.append("}" if sep == "," else "{}")
+
+
+def _emit_array(value: list | tuple, out: list[str]) -> None:
+    sep = "["
+    for item in value:
+        out.append(sep)
+        sep = ","
+        _emit(item, out)
+    out.append("]" if sep == "," else "[]")
 
 
 def first_json(

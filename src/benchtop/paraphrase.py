@@ -6,10 +6,20 @@ is deliberately simple and dependency-free: a 512-dimension bag-of-words
 histogram where each token's bin is its FNV-1a 64-bit hash mod 512. It is a
 stand-in for a real sentence encoder with the same interface, so anything
 exposing ``embed_batch`` can be swapped in.
+
+An ``EmbeddingVector`` holds one read-only float64 array, converted once,
+and ``cosine_similarity`` works on the arrays as they are. For the bundled
+embedder this is exact: every component is a small whole-number count, so
+the dot product and both squared norms are whole numbers far below 2**53,
+which float64 holds exactly whatever the order of summation. The square
+roots and the final division are single correctly rounded operations, so
+similarities come out bit for bit as a pure-Python count would give them.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -50,32 +60,54 @@ def fnv1a_64(data: bytes) -> int:
     return h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingVector:
-    values: tuple[float, ...]
+    """One embedding, kept as a read-only 1-D float64 array.
+
+    ``values`` may be any sequence of numbers; it is copied into the array
+    once. Two vectors are equal when their values are.
+    """
+
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        values = np.array(self.values, dtype=np.float64)
+        if values.ndim != 1:
+            raise ValueError(f"an embedding is 1-D, got shape {values.shape}")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EmbeddingVector):
+            return NotImplemented
+        return bool(np.array_equal(self.values, other.values))
+
+    __hash__ = None
 
     @property
     def dim(self) -> int:
         return len(self.values)
 
 
+@functools.lru_cache(maxsize=4096)
+def _token_bin(token: str) -> int:
+    return fnv1a_64(token.encode("utf-8")) % EMBED_DIM
+
+
 def baseline_embed(text: str) -> EmbeddingVector:
     tokens = tokenize(text)
     if not tokens:
         raise ValueError("cannot embed blank text")
-    counts = [0.0] * EMBED_DIM
-    for tok in tokens:
-        counts[fnv1a_64(tok.encode("utf-8")) % EMBED_DIM] += 1.0
-    return EmbeddingVector(values=tuple(counts))
+    bins = [_token_bin(tok) for tok in tokens]
+    return EmbeddingVector(np.bincount(bins, minlength=EMBED_DIM))
 
 
 def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
-    va = np.asarray(a.values, dtype=np.float64)
-    vb = np.asarray(b.values, dtype=np.float64)
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
+    va, vb = a.values, b.values
+    na = math.sqrt(np.dot(va, va))
+    nb = math.sqrt(np.dot(vb, vb))
     if na == 0.0 or nb == 0.0:
         raise ZeroVector("cosine similarity undefined for a zero vector")
     return float(np.dot(va, vb) / (na * nb))

@@ -24,9 +24,10 @@ respawned before the next episode on its worker.
 
 Every policy, builtin or wire client, offers ``privileged``, ``reset(ctx)``
 and ``act(obs)``, and one episode loop drives them all. ``run_campaign``
-starts ``parallelism`` workers on a thread pool. Each takes the next trial
-index from a shared iterator and fills that slot of the results, so results
-keep manifest order. A worker owns at most one wire client, which it closes
+builds each scene's start world once, and the scene's trials share it
+(world states are immutable). It then starts ``parallelism`` workers on a
+thread pool. Each takes the next trial index from a shared iterator and
+fills that slot of the results, so results keep manifest order. A worker owns at most one wire client, which it closes
 after a failed trial and when it exits. An exception raised by a trial
 stops the workers from taking more trials and propagates. Builtin policies
 are constructed fresh per trial and seeded from the trial seed, so results
@@ -53,6 +54,7 @@ from .campaign import CampaignManifest, EnvVariant, InstructionKind, SourceMix
 from .catalog import Catalog
 from .errors import PolicyProtocolError, PolicyTimeout, UsageError
 from .jsonio import loads
+from .scene import EnvSetupOp
 from .sim import (
     ACTION_DELTA_LIMIT,
     DEFAULT_MAX_STEPS,
@@ -63,6 +65,7 @@ from .sim import (
     Observation,
     Task,
     TaskGoal,
+    WorldState,
     check_success,
     init_world,
     observe,
@@ -342,9 +345,18 @@ class _ObserveEncoder:
         return f'{self._prefix}{obs.step_count},"type":"observe"}}'
 
 
+def _not_json(constant: str):
+    raise ValueError(f"{constant} is not JSON")
+
+
 def _decode_act(line: str) -> Action:
+    """The action in one reply line; anything off-protocol is an error.
+
+    ``NaN`` and ``Infinity`` are not JSON, and a number too large for a float
+    is not a finite delta, so both fail the reply.
+    """
     try:
-        raw = json.loads(line)
+        raw = json.loads(line, parse_constant=_not_json)
     except ValueError as exc:
         raise PolicyProtocolError(f"policy sent non-JSON line: {line[:80]!r}") from exc
     if not isinstance(raw, dict):
@@ -363,12 +375,18 @@ def _decode_act(line: str) -> Action:
     ):
         raise PolicyProtocolError("delta_position must be a list of 3 numbers")
     try:
+        dx, dy, dz = (float(v) for v in delta)
+    except OverflowError:  # an integer beyond the float range
+        dx = dy = dz = math.inf
+    if not all(map(math.isfinite, (dx, dy, dz))):
+        raise PolicyProtocolError("delta_position must be finite")
+    try:
         gripper = GripperCommand(raw["gripper"])
     except (ValueError, TypeError):
         raise PolicyProtocolError(
             f"gripper must be OPEN, CLOSE, or HOLD, got {raw['gripper']!r}"
         ) from None
-    return Action.make(float(delta[0]), float(delta[1]), float(delta[2]), gripper)
+    return Action.make(dx, dy, dz, gripper)
 
 
 class SubprocessPolicyClient:
@@ -490,10 +508,12 @@ class HttpPolicyClient:
 
 
 def run_episode(
-    config, catalog: Catalog, policy, ctx: ResetContext, goal: TaskGoal,
-    max_steps: int, render: bool,
+    start: WorldState, env: EnvSetupOp, policy, ctx: ResetContext,
+    goal: TaskGoal, max_steps: int, render: bool,
 ) -> tuple[bool, int, str | None]:
-    """Play one episode; a policy timeout or protocol error fails only it.
+    """Play one episode from ``start``, in a scene set up as ``env``.
+
+    A policy timeout or protocol error fails only this episode.
 
     Work is redone only when the world has changed. A new observation
     (snapshots and raster) is built only when ``step`` returned a new
@@ -501,7 +521,7 @@ def run_episode(
     count. Success is rechecked only when the objects or the attachment
     changed, the only inputs ``check_success`` reads.
     """
-    state = init_world(config, catalog, max_steps)
+    state = start
     try:
         policy.reset(ctx)
         if check_success(state, goal):
@@ -512,7 +532,7 @@ def run_episode(
             if state.objects is not seen:
                 seen = state.objects
                 obs = observe(
-                    state, config.env, ctx.instruction,
+                    state, env, ctx.instruction,
                     privileged=policy.privileged, render=render,
                 )
             else:
@@ -540,15 +560,17 @@ def run_campaign(
     max_steps: int = DEFAULT_MAX_STEPS,
     act_timeout_s: float = DEFAULT_ACT_TIMEOUT_S,
 ) -> list[EpisodeResult]:
-    """Execute every trial in the manifest, in manifest order."""
+    """Execute every trial in the manifest, in manifest order.
+
+    Each scene's start world is built once, before any trial runs, and every
+    trial of the scene starts from it.
+    """
     if parallelism < 1:
         raise UsageError(f"parallelism must be >= 1, got {parallelism}")
     manifest.validate(catalog)
     task = manifest.spec.task
-    heights = [
-        tuple(catalog.get(op.model_id).height_m for op in scene.adds)
-        for scene in manifest.scenes
-    ]
+    starts = [init_world(scene, catalog) for scene in manifest.scenes]
+    heights = [tuple(o.height_m for o in start.objects) for start in starts]
     render = endpoint.kind is not PolicyKind.BUILTIN
     results: list[EpisodeResult | None] = [None] * len(manifest.trials)
     indices = iter(range(len(results)))
@@ -571,8 +593,8 @@ def run_campaign(
             target_b_index=meta.target_b_index,
         )
         success, steps, error = run_episode(
-            manifest.scenes[trial.scene_index], catalog, policy, ctx, goal,
-            max_steps, render,
+            starts[trial.scene_index], manifest.scenes[trial.scene_index].env,
+            policy, ctx, goal, max_steps, render,
         )
         return EpisodeResult(
             scene_index=trial.scene_index,

@@ -7,10 +7,10 @@ reproduce identical trajectories bit for bit.
 
 Mechanics, in full:
 
-- Per-axis motion is clamped to +-0.05 m per step, and the gripper is
-  confined to the workspace box. While holding an object the gripper's lower
-  z bound rises to the object's half-height so the load can never dip below
-  the table surface.
+- Per-axis motion is bounded to +-0.05 m per step (``Action.make`` clamps
+  every delta), and the gripper is confined to the workspace box. While
+  holding an object the gripper's lower z bound rises to the object's
+  half-height so the load can never dip below the table surface.
 - CLOSE grasps the nearest graspable object whose center lies within the
   2 cm grasp radius, provided the gripper is at or above the object's
   half-height (grasps come from at/above the center, never from below).
@@ -42,13 +42,13 @@ Two contracts let callers reuse what they derived from a state:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .catalog import Catalog
-from .errors import EpisodeOver, InvalidConfig
+from .errors import InvalidConfig
 from .scene import (
     _EPS,
     REST_TOL,
@@ -96,6 +96,12 @@ def _clamp(v: float, lo: float, hi: float) -> float:
 
 @dataclass(frozen=True, slots=True)
 class Action:
+    """One gripper command. Build actions with ``make``.
+
+    ``make`` clamps every delta to +-``ACTION_DELTA_LIMIT``, and ``step``
+    relies on that: it does not clamp the deltas again.
+    """
+
     delta_position: tuple[float, float, float]
     gripper: GripperCommand = GripperCommand.HOLD
 
@@ -146,7 +152,6 @@ class WorldState:
     objects: tuple[WorldObject, ...]
     gripper: Gripper
     step_count: int
-    max_steps: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,9 +175,7 @@ class TaskGoal:
     target_b_index: int | None = None
 
 
-def init_world(
-    config: SceneConfig, catalog: Catalog, max_steps: int = DEFAULT_MAX_STEPS
-) -> WorldState:
+def init_world(config: SceneConfig, catalog: Catalog) -> WorldState:
     violations = validate_config(config, catalog)
     if violations:
         raise InvalidConfig(
@@ -201,7 +204,6 @@ def init_world(
         objects=tuple(objects),
         gripper=Gripper(position=GRIPPER_HOME, open=True, attached=None),
         step_count=0,
-        max_steps=max_steps,
     )
 
 
@@ -223,7 +225,11 @@ def _placed(
     if obj.pose.position_m == position:
         return objects
     out = list(objects)
-    out[index] = replace(obj, pose=Pose(position_m=position, yaw_rad=obj.pose.yaw_rad))
+    out[index] = WorldObject(
+        obj.model_id, Pose(position_m=position, yaw_rad=obj.pose.yaw_rad),
+        obj.height_m, obj.fx, obj.fy, obj.graspable, obj.container,
+        obj.support_surface,
+    )
     return tuple(out)
 
 
@@ -271,17 +277,12 @@ def _landing(
 
 
 def step(state: WorldState, action: Action) -> WorldState:
-    """Advance one tick. Raises EpisodeOver past the step budget.
+    """Advance one tick. The caller bounds the number of steps.
 
     The new state's ``objects`` is ``state.objects`` itself, the same tuple,
     exactly when no object's pose changed.
     """
-    if state.step_count >= state.max_steps:
-        raise EpisodeOver(f"episode exceeded {state.max_steps} steps")
-    lim = ACTION_DELTA_LIMIT
-    dx = _clamp(action.delta_position[0], -lim, lim)
-    dy = _clamp(action.delta_position[1], -lim, lim)
-    dz = _clamp(action.delta_position[2], -lim, lim)
+    dx, dy, dz = action.delta_position
 
     g = state.gripper
     attached = g.attached
@@ -315,7 +316,6 @@ def step(state: WorldState, action: Action) -> WorldState:
         objects=objects,
         gripper=Gripper(position=pos, open=is_open, attached=attached),
         step_count=state.step_count + 1,
-        max_steps=state.max_steps,
     )
 
 

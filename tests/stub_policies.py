@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Stdio stub policies for wire-protocol tests.
 
-Usage: stub_policies.py {conform|garbage|extra_field|sleep|quit|bad_utf8|split}
+Usage: stub_policies.py {conform|garbage|extra_field|sleep|quit|bad_utf8|nan|split}
        stub_policies.py record PATH
 
 The conform stub is strict in both directions: if an incoming observe
 message does not have exactly the documented fields it answers with a
 deliberately broken reply, which shows up as a failed trial in the tests.
-``bad_utf8`` answers with bytes that are not UTF-8; ``split`` answers like
+``bad_utf8`` answers with bytes that are not UTF-8; ``nan`` answers with a
+``NaN`` delta, which Python's json module accepts but JSON has not; ``split``
+answers like
 ``conform`` but writes each reply in two flushes with a pause between them.
 ``record`` answers like ``conform`` and appends every line it receives,
 exactly as received, to the file PATH.
@@ -52,6 +54,10 @@ def main() -> int:
                 b'"gripper":"HOLD"}\n'
             )
             sys.stdout.buffer.flush()
+            continue
+        if behavior == "nan":
+            print('{"type":"act","delta_position":[NaN,0.0,-0.05],'
+                  '"gripper":"HOLD"}', flush=True)
             continue
         if behavior == "extra_field":
             reply = {

@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benchtop.errors import SchemaViolation
@@ -82,6 +82,49 @@ def test_canonical_form_is_a_fixed_point(value):
 @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
 def test_quantize_idempotent(x):
     assert quantize(quantize(x)) == quantize(x)
+
+
+class Tone(str, Enum):
+    PLAIN = "plain"
+    QUOTED = 'say "hi" \\ now'
+    CONTROL = "tab\there\nbell\x07nul\x00del\x7f"
+    WIDE = "caf\u00e9 \u676f\u5b50 \U0001f37d"
+
+
+# Floats are left out: canonical floats have six decimals, json.dumps' do not.
+_float_free = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(min_value=-(10**30), max_value=10**30),
+        st.text(),
+        st.sampled_from(Tone),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(), inner, max_size=4),
+        st.dictionaries(st.sampled_from(Tone), inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300)
+@given(_float_free)
+def test_canonical_dumps_writes_what_json_dumps_writes(value):
+    expected = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    assert canonical_dumps(value) == expected
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, False, 0, 1, [True, 1, False, 0], {"1": True, "0": 0}, Tone.QUOTED,
+     {Tone.WIDE: Tone.CONTROL}, "\ud800 lone surrogate", ""],
+)
+def test_canonical_dumps_on_edge_values(value):
+    expected = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    assert canonical_dumps(value) == expected
 
 
 # ---- the dataclass codec ----------------------------------------------------

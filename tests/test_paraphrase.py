@@ -1,10 +1,14 @@
 import math
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benchtop.campaign import INSTRUCTION_TEMPLATES
+from benchtop.catalog import load_default_catalog, tokenize
 from benchtop.errors import DimensionMismatch, NoJsonFound, ZeroVector
 from benchtop.jsonio import canonical_dumps, encode, loads, quantize
 from benchtop.paraphrase import (
@@ -90,6 +94,58 @@ def test_cosine_dimension_mismatch():
 def test_cosine_zero_vector():
     with pytest.raises(ZeroVector):
         cosine_similarity(EmbeddingVector((0.0, 0.0)), EmbeddingVector((1.0, 0.0)))
+
+
+def test_embedding_values_are_a_read_only_copy():
+    source = np.array([1.0, 2.0, 3.0])
+    vec = EmbeddingVector(source)
+    source[0] = 9.0
+    assert vec.values.dtype == np.float64
+    assert list(vec.values) == [1.0, 2.0, 3.0]
+    with pytest.raises(ValueError):
+        vec.values[0] = 5.0
+    with pytest.raises(ValueError):
+        baseline_embed("pick up the mug").values[0] = 5.0
+
+
+def test_embeddings_are_equal_by_value():
+    assert EmbeddingVector((1.0, 2.0)) == EmbeddingVector([1, 2])
+    assert EmbeddingVector((1.0, 2.0)) != EmbeddingVector((2.0, 1.0))
+    assert EmbeddingVector((1.0,)) != EmbeddingVector((1.0, 0.0))
+
+
+def _count_cosine(a: str, b: str) -> float:
+    """Cosine over plain integer token counts, divided as the module divides."""
+    def counts(text):
+        return Counter(fnv1a_64(t.encode("utf-8")) % EMBED_DIM for t in tokenize(text))
+
+    ca, cb = counts(a), counts(b)
+    dot = sum(n * cb[k] for k, n in ca.items())
+    na = math.sqrt(sum(n * n for n in ca.values()))
+    nb = math.sqrt(sum(n * n for n in cb.values()))
+    return dot / (na * nb)
+
+
+def _catalog_instructions():
+    names = [m.display_name for m in load_default_catalog().models]
+    for a, b in zip(names, names[1:] + names[:1]):
+        for template in INSTRUCTION_TEMPLATES.values():
+            yield template.format(a=a, b=b)
+
+
+def test_similarities_equal_an_integer_count_reference_exactly():
+    k = len(PARAPHRASE_TEMPLATES)
+    checked = 0
+    for original in _catalog_instructions():
+        result = validate_candidates(original, builtin_paraphrases(original, k), k)
+        assert len(result.candidates) == k
+        for cand in result.candidates:
+            exact = _count_cosine(original, cand.text)
+            embedded = (baseline_embed(original), baseline_embed(cand.text))
+            assert cosine_similarity(*embedded) == exact
+            assert cand.similarity == quantize(exact)
+            checked += 1
+    assert checked == len(load_default_catalog().models) * len(INSTRUCTION_TEMPLATES) * k
 
 
 # ---- candidate validation -------------------------------------------------

@@ -73,6 +73,8 @@ FAILURES = {
     "'%%% this is not json\\n'",
     "extra_field": "PolicyProtocolError: policy reply has wrong fields: "
     "['debug', 'delta_position', 'gripper', 'type']",
+    "nan": "PolicyProtocolError: policy sent non-JSON line: "
+    "'{\"type\":\"act\",\"delta_position\":[NaN,0.0,-0.05],\"gripper\":\"HOLD\"}\\n'",
     "quit": "PolicyProtocolError: policy process closed its stdout",
     "sleep": "PolicyTimeout: policy did not reply within 0.3s",
     # bytes that are not UTF-8 are replaced, as an HTTP reply's would be
@@ -93,6 +95,23 @@ def test_wire_failure_fails_its_trial_and_the_next_gets_a_new_client(
     assert not any(r.success for r in results)
     assert len(started) == len(short.trials)
     assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "delta, message",
+    [
+        ("[NaN,0.0,0.0]", "policy sent non-JSON line"),
+        ("[0.0,-Infinity,0.0]", "policy sent non-JSON line"),
+        ("[0.0,0.0,Infinity]", "policy sent non-JSON line"),
+        ("[1e999,0.0,0.0]", "delta_position must be finite"),
+        ("[0.0,-1" + "0" * 400 + ",0.0]", "delta_position must be finite"),
+    ],
+    ids=["nan", "minus_infinity", "infinity", "overflow", "huge_integer"],
+)
+def test_non_finite_delta_is_a_protocol_error(delta, message):
+    line = f'{{"type":"act","delta_position":{delta},"gripper":"HOLD"}}\n'
+    with pytest.raises(PolicyProtocolError, match=message):
+        runner._decode_act(line)
 
 
 def test_reply_written_in_two_parts_is_read_as_one(catalog, short):
@@ -235,7 +254,7 @@ def test_reused_observation_equals_a_fresh_one(catalog, manifest, name, privileg
         def reset(self, ctx):
             self.inner = runner._BUILTIN_CLASSES[name]()
             self.inner.reset(ctx)
-            self.state = sim.init_world(config, catalog, 80)
+            self.state = sim.init_world(config, catalog)
 
         def act(self, obs):
             fresh = sim.observe(
@@ -268,5 +287,6 @@ def test_reused_observation_equals_a_fresh_one(catalog, manifest, name, privileg
             ),
         )
         goal = TaskGoal(task, meta.target_a_index, meta.target_b_index)
-        runner.run_episode(config, catalog, Checked(), ctx, goal, 80, True)
+        start = sim.init_world(config, catalog)
+        runner.run_episode(start, config.env, Checked(), ctx, goal, 80, True)
     assert checked["moved"] > 0

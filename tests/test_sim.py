@@ -44,10 +44,11 @@ CATALOG = load_default_catalog()
 GRASPABLE = [m for m in CATALOG.models if m.graspable]
 SURFACES = [m for m in CATALOG.models if m.support_surface or m.container]
 
+# Deltas reach past the limit, so Action.make's clamp is exercised too.
 actions = st.builds(
-    Action,
-    delta_position=st.tuples(*[st.floats(-0.08, 0.08)] * 3),
-    gripper=st.sampled_from(GripperCommand),
+    Action.make,
+    *[st.floats(-0.08, 0.08)] * 3,
+    st.sampled_from(GripperCommand),
 )
 
 
@@ -97,6 +98,15 @@ def test_gripper_stays_inside_the_workspace(config, action_list):
         if held is not None:
             assert z >= TABLE_HEIGHT + state.objects[held].height_m / 2.0
             assert state.objects[held].pose.position_m == state.gripper.position
+
+
+@settings(max_examples=60, deadline=None)
+@given(planned_scenes(), st.lists(actions, max_size=60))
+def test_no_step_moves_the_gripper_more_than_the_delta_limit(config, action_list):
+    states = trajectory(config, action_list)
+    for old, new in zip(states, states[1:]):
+        for before, after in zip(old.gripper.position, new.gripper.position):
+            assert abs(after - before) <= ACTION_DELTA_LIMIT + 1e-12
 
 
 def same_tuple_exactly_when_no_pose_changed(old, new):
