@@ -187,18 +187,21 @@ def _cmd_run(args) -> int:
 def _cmd_report(args) -> int:
     results = load_results(args.results)
     table = aggregate(results, Factor(args.group_by))
+    # checked before writing, so a bad factor or slack leaves no report behind
+    outcome = (
+        trend_check(table, Trend.NON_INCREASING, args.slack)
+        if args.check_trend else None
+    )
     _write_out(emit(table, ReportFormat(args.format)), args.out)
-    if args.check_trend:
-        outcome = trend_check(table, Trend.NON_INCREASING, args.slack)
-        if not outcome.passed:
-            for v in outcome.violations:
-                _error_line(
-                    "trend",
-                    f"{v.policy_id}: rate rises from {v.rate_a:.1f} at "
-                    f"{v.level_a} to {v.rate_b:.1f} at {v.level_b} "
-                    f"(slack {args.slack})",
-                )
-            return 1
+    if outcome is not None and not outcome.passed:
+        for v in outcome.violations:
+            _error_line(
+                "trend",
+                f"{v.policy_id}: rate rises from {v.rate_a:.1f} at "
+                f"{v.level_a} to {v.rate_b:.1f} at {v.level_b} "
+                f"(slack {args.slack})",
+            )
+        return 1
     return 0
 
 

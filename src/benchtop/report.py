@@ -13,6 +13,7 @@ pair of levels rises by more than the slack.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
@@ -172,8 +173,8 @@ def trend_check(
         raise UsageError(
             f"trend check requires an ordered factor, got {table.group_by.value}"
         )
-    if slack < 0:
-        raise UsageError(f"slack must be non-negative, got {slack}")
+    if not 0.0 <= slack < math.inf:  # NaN fails every comparison
+        raise UsageError(f"slack must be finite and non-negative, got {slack}")
     violations = []
     for row in table.rows:
         for i in range(len(table.levels) - 1):

@@ -25,13 +25,26 @@ respawned before the next episode on its worker.
 Every policy, builtin or wire client, offers ``privileged``, ``reset(ctx)``
 and ``act(obs)``, and one episode loop drives them all. ``run_campaign``
 builds each scene's start world once, and the scene's trials share it
-(world states are immutable). It then starts ``parallelism`` workers on a
-thread pool. Each takes the next trial index from a shared iterator and
-fills that slot of the results, so results keep manifest order. A worker owns at most one wire client, which it closes
-after a failed trial and when it exits. An exception raised by a trial
-stops the workers from taking more trials and propagates. Builtin policies
-are constructed fresh per trial and seeded from the trial seed, so results
-are identical regardless of the parallelism level.
+(world states are immutable).
+
+Trials become jobs. Each builtin class also offers ``episode_key(ctx)``,
+which names every input the policy reads beyond the scene; the episode is
+deterministic in the scene and the key. Trials of one scene with equal keys
+form one job, so the oracle plays each scene once however many
+instructions the scene has. Wire trials never share: an external policy
+reads the instruction, the factor a campaign varies, so each wire trial is
+its own job. A job is played by its first trial in manifest order, and
+every trial of the job gets that outcome with its own instruction, kind and
+seed.
+
+``run_campaign`` starts ``parallelism`` workers on a thread pool. Each
+takes the next job from a shared iterator, so no two workers play the same
+episode, and results are assembled in manifest order afterwards. A worker
+owns at most one wire client, which it closes after a failed job and when
+it exits. An exception raised by a job stops the workers from taking more
+jobs and propagates. Builtin policies are constructed fresh per job and
+seeded from the trial seed, so results are identical regardless of the
+parallelism level.
 """
 
 from __future__ import annotations
@@ -234,7 +247,19 @@ class _OracleBrain:
 
 
 class OraclePolicy:
+    """Solves the task from privileged object poses.
+
+    Every builtin class has ``episode_key(ctx)``, and the key must determine
+    every input the policy reads beyond the scene: trials of one scene with
+    equal keys share one episode. The oracle reads nothing beyond the
+    scene, so its key is ``()``.
+    """
+
     privileged = True
+
+    @staticmethod
+    def episode_key(ctx: ResetContext) -> tuple:
+        return ()
 
     def reset(self, ctx: ResetContext) -> None:
         self._brain = _OracleBrain(ctx, ctx.target_a_index)
@@ -258,7 +283,17 @@ def _random_action(rng: random.Random) -> Action:
 
 
 class RandomPolicy:
+    """Uniform action noise drawn from the trial seed.
+
+    The episode key must determine every input read beyond the scene. Every
+    action comes from the trial seed, so the key is the seed.
+    """
+
     privileged = False
+
+    @staticmethod
+    def episode_key(ctx: ResetContext) -> int:
+        return ctx.trial_seed
 
     def reset(self, ctx: ResetContext) -> None:
         self._rng = random.Random(ctx.trial_seed)
@@ -267,41 +302,55 @@ class RandomPolicy:
         return _random_action(self._rng)
 
 
+def _random_target(ctx: ResetContext) -> int:
+    """The object index a ``random_target`` trial aims at."""
+    return random.Random(ctx.trial_seed).randrange(len(ctx.object_heights))
+
+
 class RandomTargetPolicy:
-    """Oracle mechanics pointed at a uniformly random object."""
+    """Oracle mechanics pointed at a uniformly random object.
+
+    The episode key must determine every input read beyond the scene. The
+    trial seed is read only to draw the target, so the key is the target
+    index.
+    """
 
     privileged = True
 
+    episode_key = staticmethod(_random_target)
+
     def reset(self, ctx: ResetContext) -> None:
-        self._ctx = ctx
-        self._rng = random.Random(ctx.trial_seed)
-        self._brain: _OracleBrain | None = None
+        self._brain = _OracleBrain(ctx, _random_target(ctx))
 
     def act(self, obs: Observation) -> Action:
-        if self._brain is None:
-            index = self._rng.randrange(len(obs.object_snapshots))
-            self._brain = _OracleBrain(self._ctx, index)
         return self._brain.next_action(obs.object_snapshots)
 
 
 class InstructionBrittlePolicy:
-    """Competent only on the exact instruction it was planned with."""
+    """Competent only on the exact instruction it was planned with.
+
+    The episode key must determine every input read beyond the scene. On
+    the literal instruction the policy is the oracle and reads nothing else,
+    key ``("oracle",)``; on any other it plays noise from the trial seed,
+    key the seed.
+    """
 
     privileged = True
 
+    @staticmethod
+    def episode_key(ctx: ResetContext) -> tuple | int:
+        if ctx.instruction == ctx.basic_instruction:
+            return ("oracle",)
+        return ctx.trial_seed
+
     def reset(self, ctx: ResetContext) -> None:
-        self._ctx = ctx
         self._rng = random.Random(ctx.trial_seed)
-        self._mode: str | None = None
-        self._brain: _OracleBrain | None = None
+        self._brain = None
+        if ctx.instruction == ctx.basic_instruction:
+            self._brain = _OracleBrain(ctx, ctx.target_a_index)
 
     def act(self, obs: Observation) -> Action:
-        if self._mode is None:
-            literal = obs.instruction == self._ctx.basic_instruction
-            self._mode = "oracle" if literal else "random"
-            if literal:
-                self._brain = _OracleBrain(self._ctx, self._ctx.target_a_index)
-        if self._mode == "oracle":
+        if self._brain is not None:
             return self._brain.next_action(obs.object_snapshots)
         return _random_action(self._rng)
 
@@ -563,22 +612,32 @@ def run_campaign(
     """Execute every trial in the manifest, in manifest order.
 
     Each scene's start world is built once, before any trial runs, and every
-    trial of the scene starts from it.
+    trial of the scene starts from it. Builtin trials of one scene with equal
+    ``episode_key`` form one job, played once by the first of them in
+    manifest order; every wire trial is its own job.
     """
     if parallelism < 1:
         raise UsageError(f"parallelism must be >= 1, got {parallelism}")
+    if max_steps < 1:
+        raise UsageError(f"max_steps must be >= 1, got {max_steps}")
+    if not 0.0 < act_timeout_s <= threading.TIMEOUT_MAX:
+        raise UsageError(
+            f"act_timeout_s must be in (0, {threading.TIMEOUT_MAX}] seconds, "
+            f"got {act_timeout_s}"
+        )
     manifest.validate(catalog)
     task = manifest.spec.task
+    trials = manifest.trials
     starts = [init_world(scene, catalog) for scene in manifest.scenes]
     heights = [tuple(o.height_m for o in start.objects) for start in starts]
-    render = endpoint.kind is not PolicyKind.BUILTIN
-    results: list[EpisodeResult | None] = [None] * len(manifest.trials)
-    indices = iter(range(len(results)))
-    lock = threading.Lock()
-
-    def run_trial(trial, policy) -> EpisodeResult:
+    goals = [
+        TaskGoal(task, meta.target_a_index, meta.target_b_index)
+        for meta in manifest.scene_meta
+    ]
+    contexts = []
+    for trial in trials:
         meta = manifest.scene_meta[trial.scene_index]
-        ctx = ResetContext(
+        contexts.append(ResetContext(
             task=task,
             target_a_index=meta.target_a_index,
             target_b_index=meta.target_b_index,
@@ -586,17 +645,68 @@ def run_campaign(
             instruction=trial.instruction_text,
             trial_seed=trial.trial_seed,
             object_heights=heights[trial.scene_index],
-        )
-        goal = TaskGoal(
-            task=task,
-            target_a_index=meta.target_a_index,
-            target_b_index=meta.target_b_index,
-        )
-        success, steps, error = run_episode(
-            starts[trial.scene_index], manifest.scenes[trial.scene_index].env,
-            policy, ctx, goal, max_steps, render,
-        )
-        return EpisodeResult(
+        ))
+    render = endpoint.kind is not PolicyKind.BUILTIN
+    if endpoint.kind is PolicyKind.BUILTIN:
+        policy_class = _BUILTIN_CLASSES[endpoint.address]
+        keys = [
+            (trial.scene_index, policy_class.episode_key(ctx))
+            for trial, ctx in zip(trials, contexts)
+        ]
+    else:
+        keys = range(len(trials))  # an external policy reads the instruction
+    player: dict = {}  # job key -> index of the trial that plays it
+    for j, key in enumerate(keys):
+        player.setdefault(key, j)
+    outcomes: list[tuple[bool, int, str | None] | None] = [None] * len(trials)
+    jobs = iter(player.values())
+    lock = threading.Lock()
+
+    def worker() -> None:
+        client = None
+        try:
+            while True:
+                with lock:
+                    j = next(jobs, None)
+                if j is None:
+                    return
+                if endpoint.kind is PolicyKind.BUILTIN:
+                    policy = policy_class()
+                else:
+                    if client is None:
+                        client_class = (
+                            SubprocessPolicyClient
+                            if endpoint.kind is PolicyKind.SUBPROCESS
+                            else HttpPolicyClient
+                        )
+                        client = client_class(endpoint.address, act_timeout_s)
+                    policy = client
+                s = trials[j].scene_index
+                outcome = outcomes[j] = run_episode(
+                    starts[s], manifest.scenes[s].env, policy, contexts[j],
+                    goals[s], max_steps, render,
+                )
+                if client is not None and outcome[2] is not None:
+                    client.close()
+                    client = None
+        finally:
+            if client is not None:
+                client.close()
+
+    workers = min(parallelism, len(player))
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        futures = [pool.submit(worker) for _ in range(workers)]
+        try:
+            for future in as_completed(futures):
+                future.result()
+        finally:
+            with lock:
+                jobs = iter(())  # no more jobs after a failure or an interrupt
+    results = []
+    for trial, key in zip(trials, keys):
+        meta = manifest.scene_meta[trial.scene_index]
+        success, steps, error = outcomes[player[key]]
+        results.append(EpisodeResult(
             scene_index=trial.scene_index,
             instruction=trial.instruction_text,
             instruction_kind=trial.instruction_kind,
@@ -608,42 +718,5 @@ def run_campaign(
             policy_id=endpoint.policy_id,
             trial_seed=trial.trial_seed,
             error=error,
-        )
-
-    def worker() -> None:
-        client = None
-        try:
-            while True:
-                with lock:
-                    j = next(indices, None)
-                if j is None:
-                    return
-                if endpoint.kind is PolicyKind.BUILTIN:
-                    policy = _BUILTIN_CLASSES[endpoint.address]()
-                else:
-                    if client is None:
-                        client_class = (
-                            SubprocessPolicyClient
-                            if endpoint.kind is PolicyKind.SUBPROCESS
-                            else HttpPolicyClient
-                        )
-                        client = client_class(endpoint.address, act_timeout_s)
-                    policy = client
-                result = results[j] = run_trial(manifest.trials[j], policy)
-                if client is not None and result.error is not None:
-                    client.close()
-                    client = None
-        finally:
-            if client is not None:
-                client.close()
-
-    workers = min(parallelism, len(results))
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        futures = [pool.submit(worker) for _ in range(workers)]
-        try:
-            for future in as_completed(futures):
-                future.result()
-        finally:
-            with lock:
-                indices = iter(())  # no more trials after a failure or an interrupt
+        ))
     return results

@@ -48,7 +48,6 @@ from enum import Enum
 import numpy as np
 
 from .catalog import Catalog
-from .errors import InvalidConfig
 from .scene import (
     _EPS,
     REST_TOL,
@@ -57,7 +56,6 @@ from .scene import (
     Pose,
     SceneConfig,
     footprint_half_extents,
-    validate_config,
 )
 
 GRIPPER_HOME = (0.0, 0.0, 0.3)
@@ -176,12 +174,11 @@ class TaskGoal:
 
 
 def init_world(config: SceneConfig, catalog: Catalog) -> WorldState:
-    violations = validate_config(config, catalog)
-    if violations:
-        raise InvalidConfig(
-            "; ".join(str(v) for v in violations[:4])
-            + ("" if len(violations) <= 4 else f" (+{len(violations) - 4} more)")
-        )
+    """The start world of ``config``, which must pass ``validate_config``.
+
+    The config is not checked again here: ``CampaignManifest.validate``
+    checks every scene, with its JSON path, before a run builds its worlds.
+    """
     objects = []
     for op in config.adds:
         model = catalog.get(op.model_id)

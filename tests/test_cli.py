@@ -1,6 +1,8 @@
 """Malformed artifacts end in one JSON error line, never a traceback."""
 
 import json
+import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,8 +23,8 @@ def _edit(doc, keys, value):
         doc[keys[-1]] = value
 
 
-def _expect_error(capsys, argv, code) -> str:
-    assert main(argv) == 1
+def _expect_error(capsys, argv, code, exit_code=1) -> str:
+    assert main(argv) == exit_code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     lines = err.splitlines()
@@ -105,3 +107,60 @@ def test_missing_input_file_is_an_io_error(tmp_path, capsys, argv):
     missing = str(tmp_path / "missing.json")
     argv = [arg.replace(_MISSING, missing) for arg in argv]
     assert missing in _expect_error(capsys, argv, "io_error")
+
+
+_CONFORM = "subprocess:" + shlex.join(
+    [sys.executable, str(Path(__file__).parent / "stub_policies.py"), "conform"]
+)
+
+
+@pytest.mark.parametrize(
+    "policy, flags",
+    [
+        ("builtin:oracle", ["--max-steps", "0"]),
+        ("builtin:oracle", ["--max-steps", "-1"]),
+        (_CONFORM, ["--act-timeout", "inf"]),
+        (_CONFORM, ["--act-timeout", "nan"]),
+        (_CONFORM, ["--act-timeout", "0"]),
+        (_CONFORM, ["--act-timeout", "-1"]),
+    ],
+    ids=["steps_0", "steps_minus_1", "timeout_inf", "timeout_nan", "timeout_0",
+         "timeout_minus_1"],
+)
+def test_run_rejects_a_bad_limit(tmp_path, capsys, policy, flags):
+    out = tmp_path / "results.jsonl"
+    argv = ["run", "--manifest", str(GOLDEN / "put_on.manifest.json"),
+            "--policy", policy, "--out", str(out), *flags]
+    message = _expect_error(capsys, argv, "usage", exit_code=2)
+    assert flags[0][2:].replace("-", "_") in message
+    assert not out.exists()
+
+
+def _rising_results(path: Path) -> None:
+    """One object: 0 of 2 trials succeed; two objects: 2 of 2."""
+    rows = [json.loads(line) for line in
+            (GOLDEN / "put_on.random.results.jsonl").read_text().splitlines()[:4]]
+    for i, row in enumerate(rows):
+        row.update(object_count=1 + i // 2, success=i >= 2)
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+
+
+@pytest.mark.parametrize(
+    "slack, code", [("0", 1), ("nan", 2), ("inf", 2), ("-1", 2)]
+)
+def test_trend_check_fails_a_rising_trend_and_rejects_a_bad_slack(
+    tmp_path, capsys, slack, code
+):
+    results = tmp_path / "results.jsonl"
+    _rising_results(results)
+    argv = ["report", "--results", str(results), "--check-trend", "--slack", slack,
+            "--out", str(tmp_path / "report.csv")]
+    _expect_error(capsys, argv, "trend" if code == 1 else "usage", exit_code=code)
+
+
+def test_trend_check_on_an_unordered_factor_writes_no_report(tmp_path, capsys):
+    report = tmp_path / "report.csv"
+    argv = ["report", "--results", str(GOLDEN / "put_on.random.results.jsonl"),
+            "--check-trend", "--group-by", "instruction_kind", "--out", str(report)]
+    assert "ordered factor" in _expect_error(capsys, argv, "usage", exit_code=2)
+    assert not report.exists()

@@ -145,3 +145,10 @@ def test_trend_check_needs_an_ordered_factor():
 def test_trend_check_rejects_a_negative_slack():
     with pytest.raises(UsageError, match="non-negative"):
         trend_check(_falling(), slack=-0.1)
+
+
+@pytest.mark.parametrize("slack", [float("nan"), float("inf")])
+def test_trend_check_rejects_a_slack_that_is_not_finite(slack):
+    # a NaN slack made every comparison false, so a rising trend passed
+    with pytest.raises(UsageError, match="finite"):
+        trend_check(_rising(), slack=slack)

@@ -17,15 +17,16 @@ import pytest
 from stub_policies import OBSERVE_FIELDS
 
 from benchtop import runner, sim
-from benchtop.campaign import load_manifest
+from benchtop.campaign import CampaignSpec, Factors, load_manifest, plan_campaign
 from benchtop.errors import PolicyProtocolError
 from benchtop.runner import (
     BUILTIN_POLICIES,
+    EpisodeResult,
     HttpPolicyClient,
     parse_policy_endpoint,
     run_campaign,
 )
-from benchtop.sim import GripperCommand, Observation, TaskGoal
+from benchtop.sim import DEFAULT_MAX_STEPS, GripperCommand, Observation, Task, TaskGoal
 
 HERE = Path(__file__).parent
 HOLD_REPLY = {"type": "act", "delta_position": [0.01, 0.0, 0.0], "gripper": "HOLD"}
@@ -52,6 +53,32 @@ def manifest():
 @pytest.fixture(scope="module")
 def short(manifest):
     return replace(manifest, trials=manifest.trials[:3])
+
+
+@pytest.fixture(scope="module")
+def wide(catalog):
+    """``plan --task put_on --n 15 --k 5 --object-count-range 1 2``."""
+    spec = CampaignSpec(
+        task=Task.PUT_ON, n_scenes=15, k_instructions=5,
+        factors=Factors(object_count_range=(1, 2)),
+    )
+    return plan_campaign(spec, catalog)
+
+
+def _context(manifest, catalog, trial):
+    meta = manifest.scene_meta[trial.scene_index]
+    return runner.ResetContext(
+        task=manifest.spec.task,
+        target_a_index=meta.target_a_index,
+        target_b_index=meta.target_b_index,
+        basic_instruction=meta.basic_instruction,
+        instruction=trial.instruction_text,
+        trial_seed=trial.trial_seed,
+        object_heights=tuple(
+            catalog.get(op.model_id).height_m
+            for op in manifest.scenes[trial.scene_index].adds
+        ),
+    )
 
 
 @pytest.fixture
@@ -191,7 +218,8 @@ def test_trial_exception_stops_the_campaign_and_propagates(
     monkeypatch.setattr(runner.OraclePolicy, "reset", reset)
     with pytest.raises(RuntimeError, match="policy bug"):
         run(manifest, catalog, "builtin:oracle", parallelism=2)
-    assert len(resets) < len(manifest.trials)
+    # the oracle plays one episode per scene
+    assert len(resets) < len(manifest.scenes)
 
 
 def _poses(state):
@@ -275,18 +303,78 @@ def test_reused_observation_equals_a_fresh_one(catalog, manifest, name, privileg
     for trial in manifest.trials:
         meta = manifest.scene_meta[trial.scene_index]
         config = manifest.scenes[trial.scene_index]
-        ctx = runner.ResetContext(
-            task=task,
-            target_a_index=meta.target_a_index,
-            target_b_index=meta.target_b_index,
-            basic_instruction=meta.basic_instruction,
-            instruction=trial.instruction_text,
-            trial_seed=trial.trial_seed,
-            object_heights=tuple(
-                catalog.get(op.model_id).height_m for op in config.adds
-            ),
-        )
+        ctx = _context(manifest, catalog, trial)
         goal = TaskGoal(task, meta.target_a_index, meta.target_b_index)
         start = sim.init_world(config, catalog)
         runner.run_episode(start, config.env, Checked(), ctx, goal, 80, True)
     assert checked["moved"] > 0
+
+
+def _played_alone(manifest, catalog, name):
+    """Every trial of ``manifest`` played on its own, with nothing shared."""
+    results = []
+    for trial in manifest.trials:
+        meta = manifest.scene_meta[trial.scene_index]
+        config = manifest.scenes[trial.scene_index]
+        goal = TaskGoal(manifest.spec.task, meta.target_a_index, meta.target_b_index)
+        success, steps, error = runner.run_episode(
+            sim.init_world(config, catalog), config.env,
+            runner._BUILTIN_CLASSES[name](), _context(manifest, catalog, trial),
+            goal, DEFAULT_MAX_STEPS, False,
+        )
+        results.append(EpisodeResult(
+            scene_index=trial.scene_index,
+            instruction=trial.instruction_text,
+            instruction_kind=trial.instruction_kind,
+            success=success,
+            steps_used=steps,
+            object_count=meta.object_count,
+            source_mix=meta.source_mix,
+            env_variant=meta.env_variant,
+            policy_id=name,
+            trial_seed=trial.trial_seed,
+            error=error,
+        ))
+    return results
+
+
+@pytest.mark.parametrize("name", BUILTIN_POLICIES)
+@pytest.mark.parametrize("fixture", ["manifest", "wide"])
+def test_shared_episodes_equal_every_trial_played_alone(
+    catalog, request, fixture, name
+):
+    manifest = request.getfixturevalue(fixture)
+    expected = _played_alone(manifest, catalog, name)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # workers interleave far more often
+    try:
+        for parallelism in (1, 2, 4):
+            got = run(manifest, catalog, f"builtin:{name}", parallelism=parallelism)
+            assert got == expected, parallelism
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+@pytest.mark.parametrize(
+    "policy, episodes",
+    [("builtin:oracle", 4), ("builtin:random", 12), (stub("conform"), 12)],
+    ids=["oracle", "random", "conform"],
+)
+def test_each_distinct_episode_is_played_once(
+    catalog, manifest, monkeypatch, policy, episodes, parallelism
+):
+    """Four scenes of three trials: the oracle plays one episode per scene,
+    and a seeded or wire policy one per trial."""
+    played = []
+    original = runner.run_episode
+
+    def counted(start, env, policy, ctx, *args):
+        played.append(ctx.trial_seed)
+        return original(start, env, policy, ctx, *args)
+
+    monkeypatch.setattr(runner, "run_episode", counted)
+    results = run(manifest, catalog, policy, parallelism=parallelism, max_steps=20)
+    assert len(played) == episodes
+    assert len(set(played)) == episodes
+    assert len(results) == len(manifest.trials)
