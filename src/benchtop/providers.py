@@ -1,4 +1,5 @@
-"""HTTP chat/embedding providers with record-replay fixtures.
+"""HTTP chat/embedding providers with record-replay fixtures, and the one
+HTTP transport of the program.
 
 Three modes:
 
@@ -16,22 +17,53 @@ to the same file regardless of dict ordering in the caller.
 The API key is read from an environment variable (name configurable); it is
 sent as a bearer header on live traffic and is never written to fixtures or
 any other file.
+
+``HttpTransport`` POSTs over ``http.client`` and keeps idle connections
+open for the next request. ``HttpProvider`` and the runner's ``http:``
+policy client both use it. It reads the environment once, when it is built
+for a URL, and resolves it by the rules of the ``requests`` library:
+
+- The proxy is ``urllib.request.getproxies()``'s entry for the URL's scheme,
+  else its ``all`` entry (``ALL_PROXY``). ``NO_PROXY`` bypasses it for
+  ``*``, for a host suffix, and for a CIDR block that holds an IPv4 host.
+  An ``http://`` URL goes through the proxy as an absolute-form request, an
+  ``https://`` URL through a CONNECT tunnel, and credentials in the proxy
+  URL are sent as ``Proxy-Authorization``. The proxy itself is spoken to in
+  plain HTTP.
+- TLS is verified against ``REQUESTS_CA_BUNDLE``, else ``CURL_CA_BUNDLE``,
+  else the ``ssl`` module's default context.
+- The URL host's entry in ``NETRC`` (default ``~/.netrc``), else
+  credentials in the URL, are sent as Basic auth.
+
+What differs from ``requests``: redirects are not followed, so a provider
+fails a 3xx reply as a client error and a policy as a protocol error; the
+default CA store is the system's, not certifi's; replies are not asked for
+with ``gzip``; and a bearer API key wins over a netrc entry, where
+``requests`` let netrc replace it.
 """
 
 from __future__ import annotations
 
+import base64
+import functools
 import hashlib
+import http.client
+import ipaddress
+import json
+import netrc
 import os
 import random
+import select
+import ssl
 import tempfile
 import threading
 import time
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Protocol
-
-import requests
 
 from .errors import (
     HttpStatusError,
@@ -95,21 +127,170 @@ class EmbeddingProvider(Protocol):
     def embed_batch(self, texts: list[str]) -> list[list[float]]: ...
 
 
-def resolved_session(url: str) -> requests.Session:
-    """A session for ``url`` with the environment's settings read once.
+def _basic_auth(user: str, password: str) -> str:
+    token = base64.b64encode(f"{user}:{password}".encode("latin-1"))
+    return "Basic " + token.decode("ascii")
 
-    A session that trusts the environment re-reads the proxy variables,
-    ``NO_PROXY``, the CA bundle variables and netrc on every request. Here
-    requests' own rules resolve them for ``url`` once; the session then
-    uses the result and no longer looks at the environment.
+
+def _bypasses_proxy(host: str, port: int | None) -> bool:
+    """Whether ``NO_PROXY`` exempts ``host``, by the rules of ``requests``.
+
+    ``urllib.request.proxy_bypass`` covers ``*`` and dotted suffixes but
+    not CIDR blocks, so an IPv4 host is also matched against those here.
     """
-    session = requests.Session()
-    settings = session.merge_environment_settings(url, {}, None, None, None)
-    session.proxies = settings["proxies"]
-    session.verify = settings["verify"]
-    session.auth = requests.utils.get_netrc_auth(url)
-    session.trust_env = False
-    return session
+    no_proxy = os.environ.get("no_proxy") or os.environ.get("NO_PROXY") or ""
+    entries = [entry for entry in no_proxy.replace(" ", "").split(",") if entry]
+    try:
+        address = ipaddress.IPv4Address(host)
+    except ValueError:
+        address = None
+    host_port = f"{host}:{port}" if port else host
+    for entry in entries:
+        if address is None:
+            if host.endswith(entry) or host_port.endswith(entry):
+                return True
+        elif "/" in entry:
+            try:
+                if address in ipaddress.IPv4Network(entry, strict=False):
+                    return True
+            except ValueError:
+                pass
+        elif host == entry:
+            return True
+    try:
+        return bool(urllib.request.proxy_bypass(host))
+    except (TypeError, OSError):
+        return False
+
+
+def _netrc_auth(host: str) -> tuple[str, str] | None:
+    """The login and password for ``host`` in ``NETRC`` or ``~/.netrc``."""
+    path = os.environ.get("NETRC")
+    for candidate in (path,) if path is not None else ("~/.netrc", "~/_netrc"):
+        candidate = os.path.expanduser(candidate)
+        if not os.path.exists(candidate):
+            continue
+        try:
+            entry = netrc.netrc(candidate).authenticators(host)
+        except (netrc.NetrcParseError, OSError):
+            return None
+        return (entry[0] or entry[1], entry[2]) if entry else None
+    return None
+
+
+def _tls_context() -> ssl.SSLContext:
+    bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+    if bundle and os.path.isdir(bundle):
+        return ssl.create_default_context(capath=bundle)
+    return ssl.create_default_context(cafile=bundle)
+
+
+class HttpTransport:
+    """POSTs to one origin over kept-alive ``http.client`` connections.
+
+    The proxy, CA bundle and credentials are resolved once, for the URL
+    given at construction (see the module docstring); every URL posted to
+    must have its scheme, host and port. Idle connections wait in a list
+    under a lock, so threads may share one transport. A connection whose
+    socket has become readable was closed by the server and is dropped
+    instead of reused. ``post`` raises ``TimeoutError`` when the server does
+    not answer within ``timeout_s``, and another ``OSError`` or an
+    ``http.client.HTTPException`` when the exchange fails.
+    """
+
+    def __init__(self, url: str, timeout_s: float) -> None:
+        parts = urllib.parse.urlsplit(url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(f"not an http:// or https:// URL: {url!r}")
+        tls = parts.scheme == "https"
+        host, port = parts.hostname, parts.port or (443 if tls else 80)
+        self._headers = {"Content-Type": "application/json"}
+        auth = _netrc_auth(host)
+        if auth is None and parts.username:
+            auth = (
+                urllib.parse.unquote(parts.username),
+                urllib.parse.unquote(parts.password or ""),
+            )
+        if auth is not None:
+            self._headers["Authorization"] = _basic_auth(*auth)
+        proxies = urllib.request.getproxies()
+        proxy = proxies.get(parts.scheme) or proxies.get("all")
+        if proxy and _bypasses_proxy(host, parts.port):
+            proxy = None
+        self._target_prefix = ""  # a request's target is this plus its path
+        self._tunnel = None
+        if proxy:
+            proxy_parts = urllib.parse.urlsplit(
+                proxy if "://" in proxy else "http://" + proxy
+            )
+            proxy_headers = {}
+            if proxy_parts.username:
+                proxy_headers["Proxy-Authorization"] = _basic_auth(
+                    urllib.parse.unquote(proxy_parts.username),
+                    urllib.parse.unquote(proxy_parts.password or ""),
+                )
+            if tls:
+                self._tunnel = (host, port, proxy_headers)
+            else:
+                self._target_prefix = "http://" + parts.netloc.rpartition("@")[2]
+                self._headers.update(proxy_headers)
+            host, port = proxy_parts.hostname, proxy_parts.port or 80
+        if tls:
+            self._connect = functools.partial(
+                http.client.HTTPSConnection, host, port,
+                timeout=timeout_s, context=_tls_context(),
+            )
+        else:
+            self._connect = functools.partial(
+                http.client.HTTPConnection, host, port, timeout=timeout_s
+            )
+        self._idle: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
+
+    def _connection(self) -> http.client.HTTPConnection:
+        with self._lock:
+            while self._idle:
+                conn = self._idle.pop()
+                if not select.select([conn.sock], [], [], 0)[0]:
+                    return conn
+                conn.close()
+        conn = self._connect()
+        if self._tunnel is not None:
+            conn.set_tunnel(*self._tunnel)
+        return conn
+
+    def post(
+        self, url: str, body: bytes, headers: dict[str, str] | None = None
+    ) -> tuple[int, bytes]:
+        """POST ``body`` to ``url``; the reply's status and body."""
+        parts = urllib.parse.urlsplit(url)
+        target = self._target_prefix + (parts.path or "/")
+        if parts.query:
+            target += "?" + parts.query
+        conn = self._connection()
+        try:
+            conn.request(
+                "POST", target, body,
+                {**self._headers, **headers} if headers else self._headers,
+            )
+            response = conn.getresponse()
+            data = response.read()
+        except BaseException:
+            conn.close()
+            raise
+        if response.will_close:
+            conn.close()
+        else:
+            with self._lock:
+                self._idle.append(conn)
+        return response.status, data
+
+    def close(self) -> None:
+        """Close the idle connections."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
 
 def fixture_key(endpoint: str, payload: dict) -> str:
@@ -123,7 +304,7 @@ class HttpProvider:
     def __init__(self, config: ProviderConfig) -> None:
         self.config = config
         self._semaphore = threading.Semaphore(config.max_concurrent_requests)
-        self._session = resolved_session(config.base_url)
+        self._transport = HttpTransport(config.base_url, config.timeout_s)
 
     # -- fixture plumbing ---------------------------------------------------
 
@@ -134,8 +315,6 @@ class HttpProvider:
     def _read_fixture(self, key: str) -> dict:
         path = self._fixture_path(key)
         try:
-            import json
-
             with open(path, encoding="utf-8") as fh:
                 return json.load(fh)["response_body"]
         except FileNotFoundError:
@@ -160,14 +339,12 @@ class HttpProvider:
     # -- transport ----------------------------------------------------------
 
     def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
         key = os.environ.get(self.config.api_key_env_var)
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
-        return headers
+        return {"Authorization": f"Bearer {key}"} if key else {}
 
     def _http_post(self, endpoint: str, payload: dict) -> dict:
         url = self.config.base_url.rstrip("/") + endpoint
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
         attempts = self.config.max_retries + 1
         last_error: Exception | None = None
         for attempt in range(attempts):
@@ -176,31 +353,22 @@ class HttpProvider:
                 time.sleep(delay + random.uniform(0.0, self.config.backoff_s))
             try:
                 with self._semaphore:
-                    resp = self._session.post(
-                        url,
-                        json=payload,
-                        headers=self._headers(),
-                        timeout=self.config.timeout_s,
-                    )
-            except requests.Timeout as exc:
+                    status, data = self._transport.post(url, body, self._headers())
+            except TimeoutError as exc:
                 last_error = ProviderTimeout(f"timeout talking to {url}")
                 last_error.__cause__ = exc
                 continue
-            except requests.ConnectionError as exc:
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = HttpStatusError(0, f"connection error talking to {url}")
                 last_error.__cause__ = exc
                 continue
-            if resp.status_code == 429 or resp.status_code >= 500:
-                last_error = HttpStatusError(
-                    resp.status_code, f"HTTP {resp.status_code} from {url}"
-                )
+            if status == 429 or status >= 500:
+                last_error = HttpStatusError(status, f"HTTP {status} from {url}")
                 continue
-            if resp.status_code >= 400:
-                raise HttpStatusError(
-                    resp.status_code, f"HTTP {resp.status_code} from {url}"
-                )
+            if status >= 300:  # redirects are not followed
+                raise HttpStatusError(status, f"HTTP {status} from {url}")
             try:
-                return resp.json()
+                return json.loads(data)
             except ValueError as exc:
                 raise MalformedResponse(f"non-JSON response from {url}") from exc
         raise RetriesExhausted(

@@ -11,16 +11,18 @@ Policies come in three kinds:
   stdin/stdout. Replies are read on the stepping thread, which waits on the
   pipe with ``select`` until the act deadline, so this kind needs POSIX
   pipes.
-- ``http:<url>`` POSTs the same messages to an HTTP endpoint.
+- ``http:<url>`` POSTs the same messages to an HTTP endpoint, over the
+  kept-alive connections of ``providers.HttpTransport``.
 
 Wire messages are fixed-shape. Each step the runner sends
 ``{"type": "observe", "instruction": ..., "raster_base64": ..., "step": ...}``
 and expects ``{"type": "act", "delta_position": [x, y, z], "gripper":
 "OPEN"|"CLOSE"|"HOLD"}`` back, with exactly those fields. Before each
-episode the runner sends ``{"type": "reset"}``; no reply is read. Replies
-that are late, malformed, or mis-shaped fail that trial with an error
-annotation; the campaign itself keeps going, and the external policy is
-respawned before the next episode on its worker.
+episode the runner sends ``{"type": "reset"}``; a subprocess sends no reply
+to it, and over HTTP it gets a reply like any message, whose status must
+be 2xx. Replies that are late, malformed, or mis-shaped fail that trial
+with an error annotation; the campaign itself keeps going, and the external
+policy is respawned before the next episode on its worker.
 
 Every policy, builtin or wire client, offers ``privileged``, ``reset(ctx)``
 and ``act(obs)``, and one episode loop drives them all. ``run_campaign``
@@ -50,6 +52,7 @@ parallelism level.
 from __future__ import annotations
 
 import base64
+import http.client
 import json
 import math
 import os
@@ -67,6 +70,7 @@ from .campaign import CampaignManifest, EnvVariant, InstructionKind, SourceMix
 from .catalog import Catalog
 from .errors import PolicyProtocolError, PolicyTimeout, UsageError
 from .jsonio import loads
+from .providers import HttpTransport
 from .scene import EnvSetupOp
 from .sim import (
     ACTION_DELTA_LIMIT,
@@ -444,8 +448,8 @@ class SubprocessPolicyClient:
     Replies are read on the calling thread: ``select`` waits on the child's
     stdout until the act deadline and ``os.read`` takes whatever has
     arrived, so a reply may come in any number of pieces. Bytes that are not
-    UTF-8 are replaced, as ``HttpPolicyClient`` gets them from ``requests``,
-    so such a reply fails as a protocol error. This needs POSIX pipes.
+    UTF-8 are replaced, as ``HttpPolicyClient`` decodes its replies, so such
+    a reply fails as a protocol error. This needs POSIX pipes.
     """
 
     privileged = False
@@ -510,47 +514,43 @@ class SubprocessPolicyClient:
 
 
 class HttpPolicyClient:
+    """A policy behind an HTTP endpoint: each message is one POST.
+
+    A reply that is not 2xx fails the trial as a protocol error; redirects
+    are not followed.
+    """
+
     privileged = False
 
     def __init__(self, url: str, act_timeout_s: float) -> None:
-        from .providers import resolved_session
-
         self.url = url
         self.act_timeout_s = act_timeout_s
-        self._session = resolved_session(url)
+        self._transport = HttpTransport(url, act_timeout_s)
         self._encoder = _ObserveEncoder()
 
-    def reset(self, ctx: ResetContext) -> None:
-        import requests
-
+    def _post(self, body: bytes, timeout_message: str) -> bytes:
         try:
-            self._session.post(
-                self.url, json={"type": "reset"}, timeout=self.act_timeout_s
-            )
-        except requests.Timeout:
-            raise PolicyTimeout("policy reset timed out") from None
-        except requests.ConnectionError as exc:
+            status, data = self._transport.post(self.url, body)
+        except TimeoutError:
+            raise PolicyTimeout(timeout_message) from None
+        except (OSError, http.client.HTTPException) as exc:
             raise PolicyProtocolError(f"cannot reach policy at {self.url}") from exc
+        if not 200 <= status < 300:
+            raise PolicyProtocolError(f"policy replied HTTP {status}")
+        return data
+
+    def reset(self, ctx: ResetContext) -> None:
+        self._post(b'{"type": "reset"}', "policy reset timed out")
 
     def act(self, obs: Observation) -> Action:
-        import requests
-
-        try:
-            resp = self._session.post(
-                self.url, data=self._encoder.encode(obs),
-                headers={"Content-Type": "application/json"},
-                timeout=self.act_timeout_s,
-            )
-        except requests.Timeout:
-            raise PolicyTimeout(
-                f"policy did not reply within {self.act_timeout_s}s"
-            ) from None
-        except requests.ConnectionError as exc:
-            raise PolicyProtocolError(f"cannot reach policy at {self.url}") from exc
-        return _decode_act(resp.text)
+        data = self._post(
+            self._encoder.encode(obs).encode("utf-8"),
+            f"policy did not reply within {self.act_timeout_s}s",
+        )
+        return _decode_act(data.decode("utf-8", errors="replace"))
 
     def close(self) -> None:
-        self._session.close()
+        self._transport.close()
 
 
 # ---- episode and campaign execution ---------------------------------------

@@ -1,4 +1,6 @@
+import base64
 import json
+import sys
 import threading
 import time
 
@@ -232,3 +234,195 @@ def test_proxy_settings_are_read_once_at_construction(stub_server, monkeypatch):
     assert state["count"] == 0
     assert direct.chat(REQ) == "ok"
     assert state["count"] == 1
+
+
+def test_redirect_is_a_client_error_and_is_not_followed(stub_server):
+    url, state = stub_server(lambda p, q, c: (302, {"moved": "elsewhere"}))
+    provider = HttpProvider(_config(url, max_retries=3))
+    with pytest.raises(HttpStatusError) as err:
+        provider.chat(REQ)
+    assert err.value.status == 302
+    assert state["count"] == 1
+
+
+def test_timeout_ends_in_retries_exhausted(stub_server):
+    def respond(path, payload, call):
+        time.sleep(0.5)
+        return 200, _chat_body("too late")
+
+    url, state = stub_server(respond)
+    provider = HttpProvider(_config(url, timeout_s=0.1, max_retries=1))
+    with pytest.raises(RetriesExhausted, match="timeout talking to"):
+        provider.chat(REQ)
+    assert state["count"] == 2
+
+
+def test_request_bodies_are_the_json_of_the_payload(stub_server):
+    def respond(path, payload, call):
+        if path == "/v1/embeddings":
+            return 200, {"data": [{"index": 0, "embedding": [1.0]}]}
+        return 200, _chat_body("ok")
+
+    url, state = stub_server(respond)
+    provider = HttpProvider(_config(url))
+    request = ChatRequest(
+        system='sys "quoted"\\', few_shot=(("q1", "a1"),),
+        user="put the café cup ☃ on\nthe plate", temperature=0.7,
+    )
+    provider.chat(request)
+    provider.embed_batch(["café"])
+    chat_payload = {
+        "model": "m",
+        "messages": [
+            {"role": "system", "content": request.system},
+            {"role": "user", "content": "q1"},
+            {"role": "assistant", "content": "a1"},
+            {"role": "user", "content": request.user},
+        ],
+        "temperature": 0.7,
+    }
+    embed_payload = {"model": "m", "input": ["café"]}
+    assert state["bodies"] == [
+        json.dumps(chat_payload, allow_nan=False).encode("utf-8"),
+        json.dumps(embed_payload, allow_nan=False).encode("utf-8"),
+    ]
+    assert state["last_headers"]["Content-Type"] == "application/json"
+
+
+def test_calls_share_one_kept_alive_connection(stub_server):
+    url, state = stub_server(
+        lambda p, q, c: (200, _chat_body(f"reply {c}")), protocol="HTTP/1.1"
+    )
+    provider = HttpProvider(_config(url))
+    assert [provider.chat(REQ) for _ in range(6)] == [f"reply {c}" for c in range(1, 7)]
+    assert state["count"] == 6
+    assert state["connections"] == 1
+
+
+def test_a_server_that_closes_after_each_reply_still_works(stub_server):
+    url, state = stub_server(lambda p, q, c: (200, _chat_body(f"reply {c}")))
+    provider = HttpProvider(_config(url, max_retries=0))
+    assert [provider.chat(REQ) for _ in range(6)] == [f"reply {c}" for c in range(1, 7)]
+    assert state["connections"] == 6
+
+
+def test_a_connection_the_server_closed_while_idle_is_replaced(stub_server):
+    url, state = stub_server(
+        lambda p, q, c: (200, _chat_body("ok")),
+        protocol="HTTP/1.1", idle_timeout_s=0.05,
+    )
+    provider = HttpProvider(_config(url, max_retries=0))
+    assert provider.chat(REQ) == "ok"
+    time.sleep(0.3)  # the server times the idle connection out and closes it
+    assert provider.chat(REQ) == "ok"
+    assert state["connections"] == 2
+
+
+def test_threads_share_connections_without_losing_any(stub_server):
+    url, state = stub_server(
+        lambda p, q, c: (200, _chat_body("ok")), protocol="HTTP/1.1"
+    )
+    provider = HttpProvider(_config(url, max_concurrent_requests=3, max_retries=0))
+    replies = []
+
+    def calls():
+        for _ in range(10):
+            replies.append(provider.chat(REQ))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=calls) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert replies == ["ok"] * 80
+    assert state["count"] == 80
+    assert state["connections"] <= 3
+
+
+@pytest.mark.usefixtures("closed_proxy")
+@pytest.mark.parametrize(
+    "no_proxy, proxied",
+    [
+        ("127.0.0.0/8", False),
+        ("10.0.0.0/8, 127.0.0.1/32", False),
+        ("*", False),
+        ("10.0.0.0/8", True),
+        ("127.0.0.2", True),
+    ],
+)
+def test_no_proxy_matches_cidr_blocks(stub_server, monkeypatch, no_proxy, proxied):
+    url, state = stub_server(lambda p, q, c: (200, _chat_body("ok")))
+    monkeypatch.setenv("NO_PROXY", no_proxy)
+    provider = HttpProvider(_config(url, max_retries=0))
+    if proxied:
+        with pytest.raises(RetriesExhausted, match="connection error"):
+            provider.chat(REQ)
+    else:
+        assert provider.chat(REQ) == "ok"
+    assert state["count"] == (0 if proxied else 1)
+
+
+@pytest.mark.usefixtures("closed_proxy")
+def test_all_proxy_alone_routes_http_through_the_proxy(stub_server, monkeypatch):
+    proxy, state = stub_server(lambda p, q, c: (200, _chat_body("via proxy")))
+    monkeypatch.delenv("HTTP_PROXY")
+    monkeypatch.setenv("ALL_PROXY", proxy.replace("//", "//pat:p%40ss@"))
+    provider = HttpProvider(_config("http://benchtop.invalid:8080/api/", max_retries=0))
+    assert provider.chat(REQ) == "via proxy"
+    assert state["paths"] == ["http://benchtop.invalid:8080/api/v1/chat/completions"]
+    headers = state["last_headers"]
+    assert headers["Host"] == "benchtop.invalid:8080"
+    assert headers["Proxy-Authorization"] == (
+        "Basic " + base64.b64encode(b"pat:p@ss").decode("ascii")
+    )
+
+
+@pytest.mark.usefixtures("closed_proxy")
+def test_https_goes_through_a_connect_tunnel(stub_server, monkeypatch):
+    proxy, state = stub_server(lambda p, q, c: (200, _chat_body("never")))
+    monkeypatch.setenv("HTTPS_PROXY", proxy.replace("//", "//pat:secret@"))
+    provider = HttpProvider(_config("https://benchtop.invalid", max_retries=0))
+    with pytest.raises(RetriesExhausted, match="connection error"):
+        provider.chat(REQ)  # the stub refuses the tunnel
+    assert state["tunnels"] == [(
+        "benchtop.invalid:443",
+        "Basic " + base64.b64encode(b"pat:secret").decode("ascii"),
+    )]
+    assert state["count"] == 0
+
+
+@pytest.mark.parametrize(
+    "netrc_login, url_userinfo, api_key, expected",
+    [
+        ("alice", "", None, ("Basic", b"alice:s3cret")),
+        ("alice", "bob:pw@", None, ("Basic", b"alice:s3cret")),
+        ("alice", "", "sekrit-token", ("Bearer", b"sekrit-token")),
+        (None, "b%40b:p%3Aw@", None, ("Basic", b"b@b:p:w")),
+    ],
+    ids=["netrc", "netrc_over_url", "api_key_over_netrc", "url"],
+)
+def test_basic_auth_from_netrc_or_url_unless_an_api_key_is_set(
+    stub_server, tmp_path, monkeypatch, netrc_login, url_userinfo, api_key, expected
+):
+    netrc_file = tmp_path / "netrc"
+    if netrc_login is not None:
+        netrc_file.write_text(
+            f"machine 127.0.0.1 login {netrc_login} password s3cret\n"
+        )
+    monkeypatch.setenv("NETRC", str(netrc_file))
+    if api_key is None:
+        monkeypatch.delenv("PROVIDER_API_KEY", raising=False)
+    else:
+        monkeypatch.setenv("PROVIDER_API_KEY", api_key)
+    url, state = stub_server(lambda p, q, c: (200, _chat_body("ok")))
+    HttpProvider(_config(url.replace("//", "//" + url_userinfo))).chat(REQ)
+    scheme, credentials = expected
+    if scheme == "Basic":
+        credentials = base64.b64encode(credentials)
+    assert state["last_auth"] == f"{scheme} {credentials.decode('ascii')}"

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from stub_policies import OBSERVE_FIELDS
+from test_wire import reference
 
 from benchtop import runner, sim
 from benchtop.campaign import CampaignSpec, Factors, load_manifest, plan_campaign
@@ -81,18 +82,23 @@ def _context(manifest, catalog, trial):
     )
 
 
-@pytest.fixture
-def started(monkeypatch):
-    """Records each subprocess policy client the runner starts."""
+def _record_clients(monkeypatch, name):
+    """Records each client of the class ``runner.<name>`` the runner starts."""
     clients = []
 
-    class Counted(runner.SubprocessPolicyClient):
+    class Counted(getattr(runner, name)):
         def __init__(self, *args):
             super().__init__(*args)
             clients.append(self)
 
-    monkeypatch.setattr(runner, "SubprocessPolicyClient", Counted)
+    monkeypatch.setattr(runner, name, Counted)
     return clients
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Records each subprocess policy client the runner starts."""
+    return _record_clients(monkeypatch, "SubprocessPolicyClient")
 
 
 FAILURES = {
@@ -199,6 +205,68 @@ def test_http_policy_reads_proxy_settings_once(stub_server, monkeypatch):
     assert state["count"] == 0
     assert direct.act(obs).gripper is GripperCommand.HOLD
     assert state["count"] == 1
+
+
+@pytest.fixture
+def http_started(monkeypatch):
+    """Records each HTTP policy client the runner starts."""
+    return _record_clients(monkeypatch, "HttpPolicyClient")
+
+
+@pytest.mark.parametrize(
+    "failing, status, sleep_s, error",
+    [
+        ("reset", 503, 0.0, "PolicyProtocolError: policy replied HTTP 503"),
+        ("observe", 500, 0.0, "PolicyProtocolError: policy replied HTTP 500"),
+        ("observe", 404, 0.0, "PolicyProtocolError: policy replied HTTP 404"),
+        ("observe", 301, 0.0, "PolicyProtocolError: policy replied HTTP 301"),
+        ("reset", 200, 0.5, "PolicyTimeout: policy reset timed out"),
+        ("observe", 200, 0.5, "PolicyTimeout: policy did not reply within 0.15s"),
+    ],
+    ids=["reset_503", "act_500", "act_404", "act_301", "reset_slow", "act_slow"],
+)
+def test_http_failure_fails_its_trial_and_the_next_gets_a_new_client(
+    catalog, short, http_started, stub_server, failing, status, sleep_s, error
+):
+    def respond(path, payload, call):
+        if payload["type"] != failing:
+            return 200, HOLD_REPLY
+        time.sleep(sleep_s)
+        return status, {"error": "boom"} if status != 200 else HOLD_REPLY
+
+    url, _ = stub_server(respond)
+    results = run(short, catalog, f"http:{url}", act_timeout_s=0.15)
+    assert [r.error for r in results] == [error] * len(short.trials)
+    assert not any(r.success for r in results)
+    assert len(http_started) == len(short.trials)
+
+
+def test_http_policy_messages_and_kept_alive_connection(
+    catalog, manifest, short, stub_server
+):
+    url, state = stub_server(lambda path, payload, call: (200, HOLD_REPLY),
+                             protocol="HTTP/1.1")
+    client = HttpPolicyClient(url, 5.0)
+    raster = np.arange(24, dtype=np.uint8).reshape(2, 4, 3)
+    observations = [
+        Observation('put the "café" cup on the plate \u2014 now', None, raster, 0),
+        Observation('put the "café" cup on the plate \u2014 now', None, raster, 1),
+        Observation("pick up the cup", None, None, 7),
+    ]
+    try:
+        client.reset(_context(manifest, catalog, manifest.trials[0]))
+        for obs in observations:
+            assert client.act(obs).gripper is GripperCommand.HOLD
+    finally:
+        client.close()
+    assert state["bodies"] == [b'{"type": "reset"}'] + [
+        reference(obs).encode("utf-8") for obs in observations
+    ]
+    assert state["connections"] == 1
+    # a campaign's worker keeps its client, and so its connection, across trials
+    results = run(short, catalog, f"http:{url}", max_steps=20)
+    assert all(r.error is None for r in results)
+    assert state["connections"] == 2
 
 
 def test_trial_exception_stops_the_campaign_and_propagates(
