@@ -14,6 +14,7 @@ file), 2 for usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from datetime import datetime, timezone
 
@@ -78,16 +79,18 @@ def _add_provider_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _provider_from_args(args) -> HttpProvider | None:
+def _provider_from_args(args):
+    """A context manager that gives the flags' provider, or ``None`` offline,
+    and closes the provider on exit."""
     if args.offline or not args.provider_url:
-        return None
+        return contextlib.nullcontext()
     config = ProviderConfig(
         base_url=args.provider_url,
         model_name=args.provider_model,
         mode=ProviderMode(args.provider_mode),
         fixtures_dir=args.fixtures_dir,
     )
-    return HttpProvider(config)
+    return contextlib.closing(HttpProvider(config))
 
 
 def _created_at(provider: HttpProvider | None) -> str | None:
@@ -113,21 +116,21 @@ def _write_out(text: str, out: str | None) -> None:
 
 def _cmd_gen_scene(args) -> int:
     catalog = _load_catalog(args)
-    provider = _provider_from_args(args)
-    if provider is None:
-        config = fallback_generate(args.desc, catalog, args.seed)
-    else:
-        config = generate_scene(args.desc, provider, catalog, args.seed)
+    with _provider_from_args(args) as provider:
+        if provider is None:
+            config = fallback_generate(args.desc, catalog, args.seed)
+        else:
+            config = generate_scene(args.desc, provider, catalog, args.seed)
     _write_out(canonical_dumps(encode(config)) + "\n", args.out)
     return 0
 
 
 def _cmd_paraphrase(args) -> int:
-    provider = _provider_from_args(args)
-    if provider is None:
-        candidates = builtin_paraphrases(args.instruction, args.k)
-    else:
-        candidates = generate_paraphrases(args.instruction, args.k, provider)
+    with _provider_from_args(args) as provider:
+        if provider is None:
+            candidates = builtin_paraphrases(args.instruction, args.k)
+        else:
+            candidates = generate_paraphrases(args.instruction, args.k, provider)
     instruction_set = validate_candidates(
         args.instruction, candidates, args.k, args.threshold
     )
@@ -140,7 +143,6 @@ _SOURCE_FLAGS = {"seen": Source.SEEN_SET.value, "unseen": Source.UNSEEN_SET.valu
 
 def _cmd_plan(args) -> int:
     catalog = _load_catalog(args)
-    provider = _provider_from_args(args)
     lo, hi = args.object_count_range
     spec = CampaignSpec(
         task=Task(args.task),
@@ -156,13 +158,14 @@ def _cmd_plan(args) -> int:
         master_seed=args.seed,
         threshold=args.threshold,
     )
-    manifest = plan_campaign(
-        spec,
-        catalog,
-        chat_provider=provider,
-        embed_provider=None,
-        created_at=_created_at(provider),
-    )
+    with _provider_from_args(args) as provider:
+        manifest = plan_campaign(
+            spec,
+            catalog,
+            chat_provider=provider,
+            embed_provider=None,
+            created_at=_created_at(provider),
+        )
     _write_out(manifest.dumps() + "\n", args.out)
     return 0
 

@@ -332,14 +332,17 @@ def generate_scene(
 ) -> SceneConfig:
     """Compile a description to a valid scene via a chat provider.
 
-    The object reply is re-requested up to 3 times with the parse error
-    appended; after pose filling, any objects whose LLM-specified poses
-    fail validation are re-sampled once before raising ValidationFailed.
+    A mention the catalog cannot resolve raises ``UnresolvableMention``
+    before any chat call, as in ``fallback_generate``. The object reply is
+    re-requested up to 3 times with the parse error appended; after pose
+    filling, any objects whose LLM-specified poses fail validation are
+    re-sampled once before raising ValidationFailed.
     """
     from .providers import ChatRequest
 
     if isinstance(description, str):
         description = parse_description(description)
+    mentioned_ids = {m.id for m in resolve_mentions(description, catalog)}
     rng = random.Random(description_seed(seed))
     bundle = build_object_prompt(description, catalog)
     user_text = bundle.user_text
@@ -365,11 +368,6 @@ def generate_scene(
     if ops is None:
         raise ValidationFailed(f"provider never produced usable ops: {last_error}")
 
-    mentioned_ids = set()
-    for spec in description.object_specs:
-        model = catalog.resolve(spec.mention)
-        if model is not None:
-            mentioned_ids.add(model.id)
     present = {op.model_id for op in ops}
     missing = mentioned_ids - present
     if missing:

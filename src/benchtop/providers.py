@@ -306,6 +306,10 @@ class HttpProvider:
         self._semaphore = threading.Semaphore(config.max_concurrent_requests)
         self._transport = HttpTransport(config.base_url, config.timeout_s)
 
+    def close(self) -> None:
+        """Close the kept-alive connections."""
+        self._transport.close()
+
     # -- fixture plumbing ---------------------------------------------------
 
     def _fixture_path(self, key: str) -> Path:

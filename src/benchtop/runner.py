@@ -29,24 +29,25 @@ and ``act(obs)``, and one episode loop drives them all. ``run_campaign``
 builds each scene's start world once, and the scene's trials share it
 (world states are immutable).
 
-Trials become jobs. Each builtin class also offers ``episode_key(ctx)``,
-which names every input the policy reads beyond the scene; the episode is
-deterministic in the scene and the key. Trials of one scene with equal keys
-form one job, so the oracle plays each scene once however many
-instructions the scene has. Wire trials never share: an external policy
-reads the instruction, the factor a campaign varies, so each wire trial is
-its own job. A job is played by its first trial in manifest order, and
-every trial of the job gets that outcome with its own instruction, kind and
-seed.
+Trials become jobs. The four builtins are two behaviours: ``OraclePolicy``
+(scripted mechanics aimed at one object) and ``RandomPolicy`` (noise from
+one seed). ``builtin_episode(name, ctx)`` maps a builtin name and a trial to
+the class and argument it plays; the episode is deterministic in the scene
+and that pair, so the pair is also the job key and cannot disagree with
+what is played. Trials of one scene with equal pairs form one job, so the
+oracle plays each scene once however many instructions the scene has. Wire
+trials never share: an external policy reads the instruction, the factor a
+campaign varies, so each wire trial is its own job. A job is played by its
+first trial in manifest order, and every trial of the job gets that outcome
+with its own instruction, kind and seed.
 
 ``run_campaign`` starts ``parallelism`` workers on a thread pool. Each
 takes the next job from a shared iterator, so no two workers play the same
 episode, and results are assembled in manifest order afterwards. A worker
 owns at most one wire client, which it closes after a failed job and when
 it exits. An exception raised by a job stops the workers from taking more
-jobs and propagates. Builtin policies are constructed fresh per job and
-seeded from the trial seed, so results are identical regardless of the
-parallelism level.
+jobs and propagates. Each builtin job builds its policy fresh from its key,
+so results are identical regardless of the parallelism level.
 """
 
 from __future__ import annotations
@@ -180,38 +181,43 @@ def load_results(path) -> list[EpisodeResult]:
 # ---- builtin policies -----------------------------------------------------
 
 
-class _OracleBrain:
-    """Scripted pick-and-place controller over privileged snapshots.
+class OraclePolicy:
+    """Scripted pick-and-place aimed at object ``target``, from privileged
+    object poses.
 
     Tracks its own commanded gripper position from the home pose; every
-    target it chooses is interior to the workspace, so dead reckoning
+    point it steers to is interior to the workspace, so dead reckoning
     matches the simulator exactly.
     """
 
-    def __init__(self, ctx: ResetContext, a_index: int) -> None:
+    privileged = True
+
+    def __init__(self, target: int) -> None:
+        self.target = target
+
+    def reset(self, ctx: ResetContext) -> None:
         self.ctx = ctx
-        self.a_index = a_index
         self.pos = GRIPPER_HOME
         self.stage = "approach"
 
     def _step_toward(
-        self, target: tuple[float, float, float]
+        self, point: tuple[float, float, float]
     ) -> tuple[tuple[float, float, float], bool]:
         lim = ACTION_DELTA_LIMIT
-        dx = max(-lim, min(lim, target[0] - self.pos[0]))
-        dy = max(-lim, min(lim, target[1] - self.pos[1]))
-        dz = max(-lim, min(lim, target[2] - self.pos[2]))
+        dx = max(-lim, min(lim, point[0] - self.pos[0]))
+        dy = max(-lim, min(lim, point[1] - self.pos[1]))
+        dz = max(-lim, min(lim, point[2] - self.pos[2]))
         arrived = (
-            abs(target[0] - self.pos[0]) <= lim
-            and abs(target[1] - self.pos[1]) <= lim
-            and abs(target[2] - self.pos[2]) <= lim
+            abs(point[0] - self.pos[0]) <= lim
+            and abs(point[1] - self.pos[1]) <= lim
+            and abs(point[2] - self.pos[2]) <= lim
         )
         self.pos = (self.pos[0] + dx, self.pos[1] + dy, self.pos[2] + dz)
         return (dx, dy, dz), arrived
 
-    def _carry_target(self, snaps) -> tuple[float, float, float]:
+    def _carry_point(self, snaps) -> tuple[float, float, float]:
         ctx = self.ctx
-        half_a = ctx.object_heights[self.a_index] / 2.0
+        half_a = ctx.object_heights[self.target] / 2.0
         if ctx.task is Task.PICK_UP:
             return (self.pos[0], self.pos[1], PICK_HEIGHT + half_a + _CARRY_MARGIN)
         assert ctx.target_b_index is not None
@@ -225,22 +231,19 @@ class _OracleBrain:
             else:
                 x, y = _NEAR_OFFSET, 0.0
             return (x, y, max(half_a + _CARRY_MARGIN, _MIN_CARRY_Z))
-        top_b = b[2] + self.ctx.object_heights[ctx.target_b_index] / 2.0
+        top_b = b[2] + ctx.object_heights[ctx.target_b_index] / 2.0
         return (b[0], b[1], top_b + half_a + _DROP_CLEARANCE)
 
-    def next_action(self, snaps) -> Action:
-        if self.a_index >= len(snaps):
-            return Action.make(0.0, 0.0, 0.0, GripperCommand.HOLD)
+    def act(self, obs: Observation) -> Action:
+        snaps = obs.object_snapshots
         if self.stage == "approach":
-            target = snaps[self.a_index].pose.position_m
-            delta, arrived = self._step_toward(target)
+            delta, arrived = self._step_toward(snaps[self.target].pose.position_m)
             if arrived:
                 self.stage = "carry"
                 return Action.make(*delta, GripperCommand.CLOSE)
             return Action.make(*delta, GripperCommand.HOLD)
         if self.stage == "carry":
-            target = self._carry_target(snaps)
-            delta, arrived = self._step_toward(target)
+            delta, arrived = self._step_toward(self._carry_point(snaps))
             if arrived:
                 self.stage = "done"
                 if self.ctx.task is Task.PICK_UP:
@@ -250,121 +253,46 @@ class _OracleBrain:
         return Action.make(0.0, 0.0, 0.0, GripperCommand.HOLD)
 
 
-class OraclePolicy:
-    """Solves the task from privileged object poses.
-
-    Every builtin class has ``episode_key(ctx)``, and the key must determine
-    every input the policy reads beyond the scene: trials of one scene with
-    equal keys share one episode. The oracle reads nothing beyond the
-    scene, so its key is ``()``.
-    """
-
-    privileged = True
-
-    @staticmethod
-    def episode_key(ctx: ResetContext) -> tuple:
-        return ()
-
-    def reset(self, ctx: ResetContext) -> None:
-        self._brain = _OracleBrain(ctx, ctx.target_a_index)
-
-    def act(self, obs: Observation) -> Action:
-        return self._brain.next_action(obs.object_snapshots)
-
-
 _GRIPPER_CHOICES = (GripperCommand.OPEN, GripperCommand.CLOSE, GripperCommand.HOLD)
 
 
-def _random_action(rng: random.Random) -> Action:
-    """Uniform action noise: three deltas, then a gripper command."""
-    lim = ACTION_DELTA_LIMIT
-    return Action.make(
-        rng.uniform(-lim, lim),
-        rng.uniform(-lim, lim),
-        rng.uniform(-lim, lim),
-        rng.choice(_GRIPPER_CHOICES),
-    )
-
-
 class RandomPolicy:
-    """Uniform action noise drawn from the trial seed.
-
-    The episode key must determine every input read beyond the scene. Every
-    action comes from the trial seed, so the key is the seed.
-    """
+    """Uniform action noise drawn from ``seed``: each action is three
+    deltas, then a gripper command."""
 
     privileged = False
 
-    @staticmethod
-    def episode_key(ctx: ResetContext) -> int:
-        return ctx.trial_seed
+    def __init__(self, seed: int) -> None:
+        self.seed = seed
 
     def reset(self, ctx: ResetContext) -> None:
-        self._rng = random.Random(ctx.trial_seed)
+        self._rng = random.Random(self.seed)
 
     def act(self, obs: Observation) -> Action:
-        return _random_action(self._rng)
+        rng, lim = self._rng, ACTION_DELTA_LIMIT
+        return Action.make(
+            rng.uniform(-lim, lim),
+            rng.uniform(-lim, lim),
+            rng.uniform(-lim, lim),
+            rng.choice(_GRIPPER_CHOICES),
+        )
 
 
-def _random_target(ctx: ResetContext) -> int:
-    """The object index a ``random_target`` trial aims at."""
-    return random.Random(ctx.trial_seed).randrange(len(ctx.object_heights))
+def builtin_episode(name: str, ctx: ResetContext) -> tuple[type, int]:
+    """What builtin policy ``name`` plays on ``ctx``: a class and the one
+    argument it is built with.
 
-
-class RandomTargetPolicy:
-    """Oracle mechanics pointed at a uniformly random object.
-
-    The episode key must determine every input read beyond the scene. The
-    trial seed is read only to draw the target, so the key is the target
-    index.
+    Beyond the scene, an episode reads only that pair, so the pair is also
+    the episode's job key.
     """
-
-    privileged = True
-
-    episode_key = staticmethod(_random_target)
-
-    def reset(self, ctx: ResetContext) -> None:
-        self._brain = _OracleBrain(ctx, _random_target(ctx))
-
-    def act(self, obs: Observation) -> Action:
-        return self._brain.next_action(obs.object_snapshots)
-
-
-class InstructionBrittlePolicy:
-    """Competent only on the exact instruction it was planned with.
-
-    The episode key must determine every input read beyond the scene. On
-    the literal instruction the policy is the oracle and reads nothing else,
-    key ``("oracle",)``; on any other it plays noise from the trial seed,
-    key the seed.
-    """
-
-    privileged = True
-
-    @staticmethod
-    def episode_key(ctx: ResetContext) -> tuple | int:
-        if ctx.instruction == ctx.basic_instruction:
-            return ("oracle",)
-        return ctx.trial_seed
-
-    def reset(self, ctx: ResetContext) -> None:
-        self._rng = random.Random(ctx.trial_seed)
-        self._brain = None
-        if ctx.instruction == ctx.basic_instruction:
-            self._brain = _OracleBrain(ctx, ctx.target_a_index)
-
-    def act(self, obs: Observation) -> Action:
-        if self._brain is not None:
-            return self._brain.next_action(obs.object_snapshots)
-        return _random_action(self._rng)
-
-
-_BUILTIN_CLASSES = {
-    "oracle": OraclePolicy,
-    "random": RandomPolicy,
-    "random_target": RandomTargetPolicy,
-    "instruction_brittle": InstructionBrittlePolicy,
-}
+    if name == "random":
+        return RandomPolicy, ctx.trial_seed
+    if name == "random_target":
+        count = len(ctx.object_heights)
+        return OraclePolicy, random.Random(ctx.trial_seed).randrange(count)
+    if name == "instruction_brittle" and ctx.instruction != ctx.basic_instruction:
+        return RandomPolicy, ctx.trial_seed
+    return OraclePolicy, ctx.target_a_index
 
 
 # ---- wire clients ---------------------------------------------------------
@@ -612,9 +540,10 @@ def run_campaign(
     """Execute every trial in the manifest, in manifest order.
 
     Each scene's start world is built once, before any trial runs, and every
-    trial of the scene starts from it. Builtin trials of one scene with equal
-    ``episode_key`` form one job, played once by the first of them in
-    manifest order; every wire trial is its own job.
+    trial of the scene starts from it. A builtin trial's job key is its scene
+    index and ``builtin_episode(name, ctx)``; trials with equal keys form one
+    job, played once by the first of them in manifest order with the policy
+    ``cls(arg)`` that the key names. Every wire trial is its own job.
     """
     if parallelism < 1:
         raise UsageError(f"parallelism must be >= 1, got {parallelism}")
@@ -648,9 +577,8 @@ def run_campaign(
         ))
     render = endpoint.kind is not PolicyKind.BUILTIN
     if endpoint.kind is PolicyKind.BUILTIN:
-        policy_class = _BUILTIN_CLASSES[endpoint.address]
         keys = [
-            (trial.scene_index, policy_class.episode_key(ctx))
+            (trial.scene_index, builtin_episode(endpoint.address, ctx))
             for trial, ctx in zip(trials, contexts)
         ]
     else:
@@ -671,7 +599,8 @@ def run_campaign(
                 if j is None:
                     return
                 if endpoint.kind is PolicyKind.BUILTIN:
-                    policy = policy_class()
+                    policy_class, arg = keys[j][1]
+                    policy = policy_class(arg)
                 else:
                     if client is None:
                         client_class = (

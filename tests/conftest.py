@@ -107,7 +107,10 @@ def stub_server():
         server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
         # a kept-alive connection blocks its handler until the client closes it
         server.block_on_close = protocol == "HTTP/1.0"
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        # shutdown() waits for the serve loop's next poll
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
         thread.start()
         servers.append(server)
         return f"http://127.0.0.1:{server.server_port}", state

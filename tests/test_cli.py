@@ -164,3 +164,49 @@ def test_trend_check_on_an_unordered_factor_writes_no_report(tmp_path, capsys):
             "--check-trend", "--group-by", "instruction_kind", "--out", str(report)]
     assert "ordered factor" in _expect_error(capsys, argv, "usage", exit_code=2)
     assert not report.exists()
+
+
+def _chat_reply(text):
+    return {"choices": [{"message": {"role": "assistant", "content": text}}]}
+
+
+_OBJECTS = '[{"model_id": "apple", "pose": null}, {"model_id": "sponge", "pose": null}]'
+_NULL_ENV = '{"lighting": null, "camera": null}'
+_DESC = "2 objects, one is an apple"
+
+
+@pytest.mark.parametrize(
+    "argv, status, exit_code",
+    [
+        (["gen-scene", "--desc", _DESC], 200, 0),
+        (["gen-scene", "--desc", _DESC], 400, 1),
+        (["gen-scene", "--desc", "2 objects, one is a unicorn"], 200, 1),
+        (["paraphrase", "--instruction", "pick up the apple", "--k", "2"], 400, 1),
+        (["plan", "--task", "pick_up", "--n", "1", "--k", "1"], 400, 1),
+    ],
+    ids=["gen-scene", "gen-scene-http-error", "gen-scene-unresolvable",
+         "paraphrase-http-error", "plan-http-error"],
+)
+def test_each_provider_command_closes_its_provider(
+    stub_server, monkeypatch, tmp_path, capsys, argv, status, exit_code
+):
+    from benchtop import providers
+
+    replies = [_OBJECTS, _NULL_ENV]
+    url, _ = stub_server(
+        lambda path, payload, call: (status, _chat_reply(replies[call - 1])),
+        protocol="HTTP/1.1",
+    )
+    closed = []
+    original = providers.HttpTransport.close
+
+    def close(self):
+        closed.append(self)
+        original(self)
+
+    monkeypatch.setattr(providers.HttpTransport, "close", close)
+    out = str(tmp_path / "out.json")
+    assert main(argv + ["--provider-url", url, "--out", out]) == exit_code
+    assert len(closed) == 1
+    if exit_code:
+        assert len(capsys.readouterr().err.splitlines()) == 1

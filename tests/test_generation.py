@@ -269,9 +269,16 @@ def test_fallback_env_from_description(catalog):
     assert cfg.env.camera.position_m == (0.0, -0.4, 0.8)
 
 
-def test_fallback_unresolvable_mention(catalog):
+@pytest.mark.parametrize("path", ["fallback", "provider"])
+def test_fallback_unresolvable_mention(catalog, path):
+    provider = ScriptedChatProvider(replies=[_ops_reply("apple", "sponge"), NULL_ENV])
+    description = "2 objects, one is a quantum flux"
     with pytest.raises(UnresolvableMention):
-        fallback_generate("2 objects, one is a quantum flux", catalog, seed=0)
+        if path == "fallback":
+            fallback_generate(description, catalog, seed=0)
+        else:
+            generate_scene(description, provider, catalog, seed=0)
+    assert provider.calls == []
 
 
 def test_fallback_all_models_mentioned_is_an_error(catalog):

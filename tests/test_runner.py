@@ -348,7 +348,8 @@ def test_reused_observation_equals_a_fresh_one(catalog, manifest, name, privileg
             self.privileged = privileged
 
         def reset(self, ctx):
-            self.inner = runner._BUILTIN_CLASSES[name]()
+            policy_class, arg = runner.builtin_episode(name, ctx)
+            self.inner = policy_class(arg)
             self.inner.reset(ctx)
             self.state = sim.init_world(config, catalog)
 
@@ -385,9 +386,10 @@ def _played_alone(manifest, catalog, name):
         meta = manifest.scene_meta[trial.scene_index]
         config = manifest.scenes[trial.scene_index]
         goal = TaskGoal(manifest.spec.task, meta.target_a_index, meta.target_b_index)
+        ctx = _context(manifest, catalog, trial)
+        policy_class, arg = runner.builtin_episode(name, ctx)
         success, steps, error = runner.run_episode(
-            sim.init_world(config, catalog), config.env,
-            runner._BUILTIN_CLASSES[name](), _context(manifest, catalog, trial),
+            sim.init_world(config, catalog), config.env, policy_class(arg), ctx,
             goal, DEFAULT_MAX_STEPS, False,
         )
         results.append(EpisodeResult(
@@ -426,14 +428,18 @@ def test_shared_episodes_equal_every_trial_played_alone(
 @pytest.mark.parametrize("parallelism", [1, 4])
 @pytest.mark.parametrize(
     "policy, episodes",
-    [("builtin:oracle", 4), ("builtin:random", 12), (stub("conform"), 12)],
-    ids=["oracle", "random", "conform"],
+    [("builtin:oracle", 4), ("builtin:random", 12), ("builtin:random_target", 7),
+     ("builtin:instruction_brittle", 12), (stub("conform"), 12)],
+    ids=["oracle", "random", "random_target", "instruction_brittle", "conform"],
 )
 def test_each_distinct_episode_is_played_once(
     catalog, manifest, monkeypatch, policy, episodes, parallelism
 ):
     """Four scenes of three trials: the oracle plays one episode per scene,
-    and a seeded or wire policy one per trial."""
+    and a seeded or wire policy one per trial. ``random_target`` plays one
+    per distinct target in a scene (seven), and ``instruction_brittle`` the
+    oracle on each scene's one basic instruction plus one seeded episode
+    per paraphrase (4 + 8)."""
     played = []
     original = runner.run_episode
 
