@@ -34,9 +34,7 @@ from .generation import fallback_generate, generate_scene, parse_description
 from .jsonio import canonical_dumps, encode, loads, quantize
 from .paraphrase import (
     DEFAULT_SIMILARITY_THRESHOLD,
-    EmbeddingVector,
     InstructionSet,
-    baseline_embed,
     builtin_paraphrases,
     generate_paraphrases,
     validate_candidates,
@@ -386,26 +384,11 @@ def load_manifest(path) -> CampaignManifest:
 # ---- planning -------------------------------------------------------------
 
 
-def _provider_embedder(embed_provider, texts: list[str]):
-    cleaned = [" ".join(t.split()) for t in texts]
-    vectors = embed_provider.embed_batch(cleaned)
-    memo = {text: EmbeddingVector(vec) for text, vec in zip(cleaned, vectors)}
-
-    def embed(text: str) -> EmbeddingVector:
-        hit = memo.get(text)
-        if hit is not None:
-            return hit
-        return EmbeddingVector(embed_provider.embed_batch([text])[0])
-
-    return embed
-
-
 def plan_campaign(
     spec: CampaignSpec,
     catalog: Catalog,
     *,
     chat_provider=None,
-    embed_provider=None,
     created_at: str | None = None,
 ) -> CampaignManifest:
     """Plan every scene and trial of a campaign.
@@ -491,12 +474,7 @@ def plan_campaign(
                     candidates = builtin_paraphrases(basic, want)
                 else:
                     candidates = generate_paraphrases(basic, want, chat_provider)
-                embed = baseline_embed
-                if embed_provider is not None:
-                    embed = _provider_embedder(embed_provider, [basic] + candidates)
-                iset = validate_candidates(
-                    basic, candidates, want, spec.threshold, embed
-                )
+                iset = validate_candidates(basic, candidates, want, spec.threshold)
                 instruction_sets.append(iset)
                 valid = iset.valid_texts
                 texts.extend((t, InstructionKind.PARAPHRASED) for t in valid)

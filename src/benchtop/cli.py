@@ -30,7 +30,9 @@ from .errors import BenchtopError
 from .generation import fallback_generate, generate_scene
 from .jsonio import canonical_dumps, encode
 from .paraphrase import (
+    DEFAULT_SIMILARITY_THRESHOLD,
     builtin_paraphrases,
+    check_paraphrase_args,
     generate_paraphrases,
     validate_candidates,
 )
@@ -126,6 +128,8 @@ def _cmd_gen_scene(args) -> int:
 
 
 def _cmd_paraphrase(args) -> int:
+    # checked before the provider is built, so a bad flag costs no request
+    check_paraphrase_args(args.k, args.threshold)
     with _provider_from_args(args) as provider:
         if provider is None:
             candidates = builtin_paraphrases(args.instruction, args.k)
@@ -160,11 +164,7 @@ def _cmd_plan(args) -> int:
     )
     with _provider_from_args(args) as provider:
         manifest = plan_campaign(
-            spec,
-            catalog,
-            chat_provider=provider,
-            embed_provider=None,
-            created_at=_created_at(provider),
+            spec, catalog, chat_provider=provider, created_at=_created_at(provider)
         )
     _write_out(manifest.dumps() + "\n", args.out)
     return 0
@@ -224,7 +224,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("paraphrase", help="expand and validate an instruction")
     p.add_argument("--instruction", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--threshold", type=float, default=0.8)
+    p.add_argument("--threshold", type=float, default=DEFAULT_SIMILARITY_THRESHOLD)
     p.add_argument("--out", default=None)
     _add_provider_flags(p)
     p.set_defaults(func=_cmd_paraphrase)
@@ -245,7 +245,7 @@ def build_parser() -> _Parser:
     p.add_argument("--camera-mutation", action="store_true")
     p.add_argument("--no-paraphrases", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threshold", type=float, default=0.8)
+    p.add_argument("--threshold", type=float, default=DEFAULT_SIMILARITY_THRESHOLD)
     p.add_argument("--catalog", default=None)
     p.add_argument("--out", default=None)
     _add_provider_flags(p)

@@ -2,9 +2,9 @@
 
 Two compilation paths produce the same artifact:
 
-- ``generate_scene`` prompts a chat provider for the object list (and
-  optionally the environment), parses the JSON ops out of the reply,
-  re-prompting with the parse error up to three times, then fills any
+- ``generate_scene`` asks a chat provider for the object list (and
+  optionally the environment) and parses the JSON out of the reply, asking
+  at most three times with the last parse error appended, then fills any
   missing poses by collision-free sampling and repairs residual validator
   violations before giving up.
 - ``fallback_generate`` is fully offline: a small grammar pulls the object
@@ -17,9 +17,10 @@ Both attach provenance so downstream reports can split results on it.
 
 from __future__ import annotations
 
+import contextlib
 import random
 import re
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .catalog import Catalog, ObjectModel
 from .errors import (
@@ -33,6 +34,7 @@ from .errors import (
     ValidationFailed,
 )
 from .jsonio import decode, first_json, quantize
+from .providers import ChatRequest
 from .scene import (
     CameraPose,
     EnvSetupOp,
@@ -133,13 +135,6 @@ def parse_description(text: str) -> SceneDescription:
 # ---- prompting ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PromptBundle:
-    system_text: str
-    few_shot: tuple[tuple[str, str], ...]
-    user_text: str
-
-
 _OBJECT_SYSTEM = (
     "You configure tabletop manipulation scenes. Given a scene description, "
     "reply with a JSON array of object add operations and nothing else. Each "
@@ -181,7 +176,7 @@ _ENV_FEW_SHOT: tuple[tuple[str, str], ...] = (
 )
 
 
-def build_object_prompt(description: SceneDescription, catalog: Catalog) -> PromptBundle:
+def build_object_prompt(description: SceneDescription, catalog: Catalog) -> ChatRequest:
     lines = [f"- {model.display_name}" for model in catalog.models]
     user = (
         "Available objects:\n"
@@ -191,17 +186,33 @@ def build_object_prompt(description: SceneDescription, catalog: Catalog) -> Prom
         + f"\nRespond with a JSON array of exactly {description.object_count} "
         "add operations."
     )
-    return PromptBundle(
-        system_text=_OBJECT_SYSTEM, few_shot=_OBJECT_FEW_SHOT, user_text=user
-    )
+    return ChatRequest(system=_OBJECT_SYSTEM, few_shot=_OBJECT_FEW_SHOT, user=user)
 
 
-def build_env_prompt(description: SceneDescription) -> PromptBundle:
-    return PromptBundle(
-        system_text=_ENV_SYSTEM,
+def build_env_prompt(description: SceneDescription) -> ChatRequest:
+    return ChatRequest(
+        system=_ENV_SYSTEM,
         few_shot=_ENV_FEW_SHOT,
-        user_text="Scene description: " + description.raw_text,
+        user="Scene description: " + description.raw_text,
     )
+
+
+_OPS_ERRORS = (NoJsonFound, SchemaViolation, UnknownModel, CountMismatch)
+_ENV_ERRORS = (NoJsonFound, SchemaViolation)
+
+
+def _ask(provider, request: ChatRequest, parse, retry_on):
+    """``parse`` of the first reply it accepts in ``MAX_PROMPT_ATTEMPTS``
+    chat calls, each retry appending the last rejection to ``request.user``;
+    raises the last call's rejection."""
+    asked = request
+    for _ in range(MAX_PROMPT_ATTEMPTS - 1):
+        try:
+            return parse(provider.chat(asked))
+        except retry_on as exc:
+            rejection = f"\n\nYour previous reply was rejected: {exc}. Try again."
+            asked = replace(request, user=request.user + rejection)
+    return parse(provider.chat(asked))
 
 
 def parse_llm_ops(
@@ -333,40 +344,28 @@ def generate_scene(
     """Compile a description to a valid scene via a chat provider.
 
     A mention the catalog cannot resolve raises ``UnresolvableMention``
-    before any chat call, as in ``fallback_generate``. The object reply is
-    re-requested up to 3 times with the parse error appended; after pose
-    filling, any objects whose LLM-specified poses fail validation are
-    re-sampled once before raising ValidationFailed.
+    before any chat call, as in ``fallback_generate``. The provider is asked
+    for the objects and then, unless the description sets the lighting or
+    the camera, for the environment. Each ask makes at most 3 chat calls,
+    and each retry appends the previous reply's parse error to the prompt.
+    Objects that never parse raise ValidationFailed; an environment that
+    never parses leaves the default one. After pose filling, any objects
+    whose LLM-specified poses fail validation are re-sampled once before
+    raising ValidationFailed.
     """
-    from .providers import ChatRequest
-
     if isinstance(description, str):
         description = parse_description(description)
     mentioned_ids = {m.id for m in resolve_mentions(description, catalog)}
     rng = random.Random(description_seed(seed))
-    bundle = build_object_prompt(description, catalog)
-    user_text = bundle.user_text
-    ops: list[ObjectAddOp] | None = None
-    last_error: Exception | None = None
-    for _ in range(MAX_PROMPT_ATTEMPTS):
-        reply = provider.chat(
-            ChatRequest(
-                system=bundle.system_text,
-                few_shot=bundle.few_shot,
-                user=user_text,
-            )
+    try:
+        ops = _ask(
+            provider,
+            build_object_prompt(description, catalog),
+            lambda reply: parse_llm_ops(reply, catalog, description.object_count),
+            _OPS_ERRORS,
         )
-        try:
-            ops = parse_llm_ops(reply, catalog, description.object_count)
-            break
-        except (NoJsonFound, SchemaViolation, UnknownModel, CountMismatch) as exc:
-            last_error = exc
-            user_text = (
-                bundle.user_text
-                + f"\n\nYour previous reply was rejected: {exc}. Try again."
-            )
-    if ops is None:
-        raise ValidationFailed(f"provider never produced usable ops: {last_error}")
+    except _OPS_ERRORS as exc:
+        raise ValidationFailed(f"provider never produced usable ops: {exc}") from exc
 
     present = {op.model_id for op in ops}
     missing = mentioned_ids - present
@@ -375,26 +374,12 @@ def generate_scene(
             f"provider scene omits described objects: {sorted(missing)}"
         )
 
-    env_bundle = build_env_prompt(description)
     env = _env_from_description(description)
     if description.lighting is None and description.camera is None:
-        env_text = env_bundle.user_text
-        for _ in range(MAX_PROMPT_ATTEMPTS):
-            reply = provider.chat(
-                ChatRequest(
-                    system=env_bundle.system_text,
-                    few_shot=env_bundle.few_shot,
-                    user=env_text,
-                )
+        with contextlib.suppress(*_ENV_ERRORS):
+            env = _ask(
+                provider, build_env_prompt(description), parse_llm_env, _ENV_ERRORS
             )
-            try:
-                env = parse_llm_env(reply)
-                break
-            except (NoJsonFound, SchemaViolation) as exc:
-                env_text = (
-                    env_bundle.user_text
-                    + f"\n\nYour previous reply was rejected: {exc}. Try again."
-                )
 
     filled = _fill_poses(ops, catalog, rng)
     config = SceneConfig(

@@ -1,11 +1,12 @@
 """Instruction paraphrase generation and embedding-based validation.
 
-Candidates (from an LLM provider or the builtin template list) are filtered
-by cosine similarity against the original instruction. The bundled embedder
-is deliberately simple and dependency-free: a 512-dimension bag-of-words
-histogram where each token's bin is its FNV-1a 64-bit hash mod 512. It is a
-stand-in for a real sentence encoder with the same interface, so anything
-exposing ``embed_batch`` can be swapped in.
+Candidates (asked of a chat provider, or taken from the builtin template
+list) are filtered by cosine similarity against the original instruction.
+The bundled embedder, the only one, is deliberately simple and
+dependency-free: a 512-dimension bag-of-words histogram where each token's
+bin is its FNV-1a 64-bit hash mod 512. Providers only chat; a learned
+sentence encoder would replace ``baseline_embed`` once a model or an
+embeddings service is part of the program.
 
 An ``EmbeddingVector`` holds one read-only float64 array, converted once,
 and ``cosine_similarity`` works on the arrays as they are. For the bundled
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ import numpy as np
 from .catalog import tokenize
 from .errors import DimensionMismatch, NoJsonFound, ZeroVector
 from .jsonio import first_json, quantize
+from .providers import ChatRequest
 
 EMBED_DIM = 512
 
@@ -158,8 +160,6 @@ def generate_paraphrases(original: str, k: int, provider) -> list[str]:
     Re-prompts up to 3 times if the reply is unparseable or comes back
     short after dedup; returns what was collected either way.
     """
-    from .providers import ChatRequest
-
     if k < 0:
         raise ValueError("k must be non-negative")
     if k == 0:
@@ -201,12 +201,19 @@ def generate_paraphrases(original: str, k: int, provider) -> list[str]:
     return collected
 
 
+def check_paraphrase_args(k: int, threshold: float) -> None:
+    """Raise ``ValueError`` unless ``k >= 0`` and ``0 < threshold <= 1``."""
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
+    if k < 0:
+        raise ValueError("k must be non-negative")
+
+
 def validate_candidates(
     original: str,
     candidates: Sequence[str],
     k: int,
     threshold: float = DEFAULT_SIMILARITY_THRESHOLD,
-    embed: Callable[[str], EmbeddingVector] = baseline_embed,
 ) -> InstructionSet:
     """Score candidates against the original and mark which pass.
 
@@ -215,11 +222,8 @@ def validate_candidates(
     before the threshold comparison so a round-tripped instruction set
     re-checks to exactly the same flags.
     """
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    ref = embed(original)
+    check_paraphrase_args(k, threshold)
+    ref = baseline_embed(original)
     seen = {_normalize(original)}
     scored: list[Candidate] = []
     for cand in candidates:
@@ -231,7 +235,7 @@ def validate_candidates(
             continue
         seen.add(norm)
         try:
-            sim = quantize(cosine_similarity(ref, embed(cleaned)))
+            sim = quantize(cosine_similarity(ref, baseline_embed(cleaned)))
         except (ValueError, ZeroVector):
             sim = 0.0
         scored.append(Candidate(text=cleaned, similarity=sim, valid=sim >= threshold))

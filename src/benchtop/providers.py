@@ -1,5 +1,5 @@
-"""HTTP chat/embedding providers with record-replay fixtures, and the one
-HTTP transport of the program.
+"""The HTTP chat provider with record-replay fixtures, and the one HTTP
+transport of the program. Chat is all the program asks of a provider.
 
 Three modes:
 
@@ -63,7 +63,6 @@ import urllib.request
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Protocol
 
 from .errors import (
     HttpStatusError,
@@ -96,7 +95,6 @@ class ProviderConfig:
     max_retries: int = 3
     max_concurrent_requests: int = 4
     backoff_s: float = 0.25
-    embed_page_size: int = 128
 
     def __post_init__(self) -> None:
         if self.max_retries < 0 or self.max_retries > MAX_RETRIES_CAP:
@@ -105,8 +103,6 @@ class ProviderConfig:
             )
         if self.max_concurrent_requests < 1:
             raise InvalidConfig("max_concurrent_requests must be >= 1")
-        if self.embed_page_size < 1:
-            raise InvalidConfig("embed_page_size must be >= 1")
         if self.mode is not ProviderMode.LIVE and not self.fixtures_dir:
             raise InvalidConfig(f"{self.mode.value} mode requires fixtures_dir")
 
@@ -117,14 +113,6 @@ class ChatRequest:
     few_shot: tuple[tuple[str, str], ...]
     user: str
     temperature: float = 0.0
-
-
-class ChatProvider(Protocol):
-    def chat(self, request: ChatRequest) -> str: ...
-
-
-class EmbeddingProvider(Protocol):
-    def embed_batch(self, texts: list[str]) -> list[list[float]]: ...
 
 
 def _basic_auth(user: str, password: str) -> str:
@@ -299,7 +287,7 @@ def fixture_key(endpoint: str, payload: dict) -> str:
 
 
 class HttpProvider:
-    """Chat + embedding client over a JSON HTTP API."""
+    """Chat client over a JSON HTTP API."""
 
     def __init__(self, config: ProviderConfig) -> None:
         self.config = config
@@ -409,25 +397,6 @@ class HttpProvider:
         if not isinstance(content, str):
             raise MalformedResponse("chat content is not a string")
         return content
-
-    def embed_batch(self, texts: list[str]) -> list[list[float]]:
-        out: list[list[float]] = []
-        page_size = self.config.embed_page_size
-        for start in range(0, len(texts), page_size):
-            page = texts[start : start + page_size]
-            payload = {"model": self.config.model_name, "input": page}
-            body = self._roundtrip("/v1/embeddings", payload)
-            try:
-                rows = sorted(body["data"], key=lambda r: r["index"])
-                vectors = [[float(v) for v in row["embedding"]] for row in rows]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise MalformedResponse("embedding response malformed") from exc
-            if len(vectors) != len(page):
-                raise MalformedResponse(
-                    f"embedding response has {len(vectors)} rows for {len(page)} inputs"
-                )
-            out.extend(vectors)
-        return out
 
 
 @dataclass

@@ -210,3 +210,27 @@ def test_each_provider_command_closes_its_provider(
     assert len(closed) == 1
     if exit_code:
         assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (["--threshold", "1.5"], "threshold"),
+        (["--threshold", "nan"], "threshold"),
+        (["--threshold", "0"], "threshold"),
+        (["--k", "-1"], "k"),
+    ],
+    ids=["threshold_above_one", "threshold_nan", "threshold_0", "k_minus_1"],
+)
+def test_paraphrase_checks_its_flags_before_any_request(
+    stub_server, tmp_path, capsys, flags, name
+):
+    url, state = stub_server(lambda path, payload, call: (200, _chat_reply("[]")))
+    fixtures = tmp_path / "fixtures"
+    out = tmp_path / "out.json"
+    argv = ["paraphrase", "--instruction", "pick up the apple", "--k", "3",
+            "--provider-url", url, "--provider-mode", "record",
+            "--fixtures-dir", str(fixtures), "--out", str(out), *flags]
+    assert _expect_error(capsys, argv, "usage", exit_code=2).startswith(name)
+    assert state["count"] == 0
+    assert not fixtures.exists() and not out.exists()

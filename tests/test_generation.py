@@ -22,7 +22,7 @@ from benchtop.generation import (
 )
 from benchtop.providers import ScriptedChatProvider
 from benchtop.jsonio import canonical_dumps, encode
-from benchtop.scene import Provenance, validate_config
+from benchtop.scene import Provenance, default_env, validate_config
 
 
 # ---- description grammar --------------------------------------------------
@@ -72,19 +72,19 @@ def test_object_prompt_lists_every_model_once(catalog):
     d = parse_description("2 objects, one is an apple")
     bundle = build_object_prompt(d, catalog)
     for model in catalog.models:
-        assert bundle.user_text.count(f"- {model.display_name}\n") >= 1
+        assert bundle.user.count(f"- {model.display_name}\n") >= 1
     # one line per model plus the description block
-    lines = [l for l in bundle.user_text.splitlines() if l.startswith("- ")]
+    lines = [l for l in bundle.user.splitlines() if l.startswith("- ")]
     assert len(lines) == len(catalog.models)
-    assert d.raw_text in bundle.user_text
-    assert "exactly 2" in bundle.user_text
+    assert d.raw_text in bundle.user
+    assert "exactly 2" in bundle.user
     assert len(bundle.few_shot) >= 2
 
 
 def test_env_prompt_carries_description():
     d = parse_description("2 objects with lighting 1.2")
     bundle = build_env_prompt(d)
-    assert d.raw_text in bundle.user_text
+    assert d.raw_text in bundle.user
     assert len(bundle.few_shot) >= 2
 
 
@@ -162,20 +162,53 @@ def test_generate_scene_happy_path(catalog):
     assert len(provider.calls) == 2
 
 
+def _rejection(parse, reply) -> str:
+    """The text a retry appends after ``reply`` fails ``parse``."""
+    errors = (NoJsonFound, SchemaViolation, UnknownModel, CountMismatch)
+    with pytest.raises(errors) as err:
+        parse(reply)
+    return f"\n\nYour previous reply was rejected: {err.value}. Try again."
+
+
 def test_generate_scene_reprompts_on_garbage(catalog):
+    unknown = _ops_reply("antigravity unit")
     provider = ScriptedChatProvider(
-        replies=["no json here", _ops_reply("apple"), NULL_ENV]
+        replies=["no json here", unknown, _ops_reply("apple"), NULL_ENV]
     )
     cfg = generate_scene("1 object, one is an apple", provider, catalog, seed=2)
     assert validate_config(cfg, catalog) == []
-    # the retry prompt carries the failure back to the model
-    assert "rejected" in provider.calls[1].user
+    # each retry appends the last failure to the first prompt
+    first, second, third, env = provider.calls
+    parse = lambda reply: parse_llm_ops(reply, catalog, 1)
+    assert second.user == first.user + _rejection(parse, "no json here")
+    assert third.user == first.user + _rejection(parse, unknown)
+    assert first.system == second.system == third.system != env.system
+    assert first.few_shot == second.few_shot == third.few_shot
 
 
 def test_generate_scene_gives_up_after_three(catalog):
     provider = ScriptedChatProvider(replies=["bad", "worse", "nope", NULL_ENV])
-    with pytest.raises(ValidationFailed):
+    with pytest.raises(ValidationFailed, match="^provider never produced usable ops"):
         generate_scene("1 object, one is an apple", provider, catalog, seed=2)
+    # no environment call follows
+    assert len(provider.calls) == 3
+    assert len({call.system for call in provider.calls}) == 1
+    assert provider.replies == [NULL_ENV]
+
+
+def test_three_garbage_env_replies_keep_the_default_env(catalog):
+    bad_shape = '{"lighting": {"brightness": 1}, "camera": null}'
+    provider = ScriptedChatProvider(
+        replies=[_ops_reply("apple"), "no env", bad_shape, "still none", NULL_ENV]
+    )
+    cfg = generate_scene("1 object, one is an apple", provider, catalog, seed=2)
+    assert cfg.env == default_env()
+    assert validate_config(cfg, catalog) == []
+    objects, first, second, third = provider.calls
+    assert second.user == first.user + _rejection(parse_llm_env, "no env")
+    assert third.user == first.user + _rejection(parse_llm_env, bad_shape)
+    assert first.system == second.system == third.system != objects.system
+    assert provider.replies == [NULL_ENV]
 
 
 def test_generate_scene_requires_mentions_present(catalog):

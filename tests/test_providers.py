@@ -39,6 +39,20 @@ def _config(base_url, **over):
 REQ = ChatRequest(system="sys", few_shot=(), user="hello")
 
 
+@pytest.fixture
+def make_provider():
+    """Builds ``HttpProvider``s from ``_config``'s arguments and closes them."""
+    built = []
+
+    def make(base_url, **over):
+        built.append(HttpProvider(_config(base_url, **over)))
+        return built[-1]
+
+    yield make
+    for provider in built:
+        provider.close()
+
+
 def test_fixture_key_ignores_dict_ordering():
     a = fixture_key("/v1/x", {"b": 1, "a": [1.5, 2.0]})
     b = fixture_key("/v1/x", {"a": [1.5, 2.0], "b": 1})
@@ -57,13 +71,13 @@ def test_config_validation(tmp_path):
     _config("http://x", mode=ProviderMode.RECORD, fixtures_dir=str(tmp_path))
 
 
-def test_live_chat(stub_server):
+def test_live_chat(stub_server, make_provider):
     url, _ = stub_server(lambda path, payload, call: (200, _chat_body("hi there")))
-    provider = HttpProvider(_config(url))
+    provider = make_provider(url)
     assert provider.chat(REQ) == "hi there"
 
 
-def test_chat_sends_few_shot_turns(stub_server):
+def test_chat_sends_few_shot_turns(stub_server, make_provider):
     captured = {}
 
     def respond(path, payload, call):
@@ -71,7 +85,7 @@ def test_chat_sends_few_shot_turns(stub_server):
         return 200, _chat_body("ok")
 
     url, _ = stub_server(respond)
-    provider = HttpProvider(_config(url))
+    provider = make_provider(url)
     provider.chat(
         ChatRequest(system="s", few_shot=(("q1", "a1"),), user="q2", temperature=0.0)
     )
@@ -80,45 +94,37 @@ def test_chat_sends_few_shot_turns(stub_server):
     assert captured["payload"]["temperature"] == 0.0
 
 
-def test_record_then_replay_round_trip(stub_server, tmp_path):
+def test_record_then_replay_round_trip(stub_server, make_provider, tmp_path):
     url, state = stub_server(lambda p, q, c: (200, _chat_body("recorded!")))
-    recorder = HttpProvider(
-        _config(url, mode=ProviderMode.RECORD, fixtures_dir=str(tmp_path))
-    )
+    recorder = make_provider(url, mode=ProviderMode.RECORD, fixtures_dir=str(tmp_path))
     assert recorder.chat(REQ) == "recorded!"
     assert state["count"] == 1
     files = list(tmp_path.glob("*.json"))
     assert len(files) == 1
 
     # replay against an address that cannot answer: must never be contacted
-    replayer = HttpProvider(
-        _config(
-            "http://127.0.0.1:9",
-            mode=ProviderMode.REPLAY,
-            fixtures_dir=str(tmp_path),
-        )
+    replayer = make_provider(
+        "http://127.0.0.1:9",
+        mode=ProviderMode.REPLAY,
+        fixtures_dir=str(tmp_path),
     )
     assert replayer.chat(REQ) == "recorded!"
     assert state["count"] == 1
 
 
-def test_replay_missing_fixture(tmp_path):
-    provider = HttpProvider(
-        _config(
-            "http://127.0.0.1:9",
-            mode=ProviderMode.REPLAY,
-            fixtures_dir=str(tmp_path),
-        )
+def test_replay_missing_fixture(tmp_path, make_provider):
+    provider = make_provider(
+        "http://127.0.0.1:9",
+        mode=ProviderMode.REPLAY,
+        fixtures_dir=str(tmp_path),
     )
     with pytest.raises(MissingFixture):
         provider.chat(REQ)
 
 
-def test_fixture_files_are_keyed_and_atomic(stub_server, tmp_path):
+def test_fixture_files_are_keyed_and_atomic(stub_server, make_provider, tmp_path):
     url, _ = stub_server(lambda p, q, c: (200, _chat_body("x")))
-    provider = HttpProvider(
-        _config(url, mode=ProviderMode.RECORD, fixtures_dir=str(tmp_path))
-    )
+    provider = make_provider(url, mode=ProviderMode.RECORD, fixtures_dir=str(tmp_path))
     provider.chat(REQ)
     leftovers = list(tmp_path.glob("*.tmp"))
     assert leftovers == []
@@ -128,64 +134,42 @@ def test_fixture_files_are_keyed_and_atomic(stub_server, tmp_path):
     assert stored["response_body"]["choices"][0]["message"]["content"] == "x"
 
 
-def test_retry_on_429_then_succeed(stub_server):
+def test_retry_on_429_then_succeed(stub_server, make_provider):
     def respond(path, payload, call):
         if call <= 2:
             return 429, {"error": "slow down"}
         return 200, _chat_body("third time lucky")
 
     url, state = stub_server(respond)
-    provider = HttpProvider(_config(url, max_retries=3))
+    provider = make_provider(url, max_retries=3)
     assert provider.chat(REQ) == "third time lucky"
     assert state["count"] == 3
 
 
-def test_retry_on_500_exhausts(stub_server):
+def test_retry_on_500_exhausts(stub_server, make_provider):
     url, state = stub_server(lambda p, q, c: (500, {"error": "boom"}))
-    provider = HttpProvider(_config(url, max_retries=2))
+    provider = make_provider(url, max_retries=2)
     with pytest.raises(RetriesExhausted):
         provider.chat(REQ)
     assert state["count"] == 3
 
 
-def test_client_errors_do_not_retry(stub_server):
+def test_client_errors_do_not_retry(stub_server, make_provider):
     url, state = stub_server(lambda p, q, c: (400, {"error": "bad request"}))
-    provider = HttpProvider(_config(url, max_retries=3))
+    provider = make_provider(url, max_retries=3)
     with pytest.raises(HttpStatusError) as err:
         provider.chat(REQ)
     assert err.value.status == 400
     assert state["count"] == 1
 
 
-def test_embed_pagination_preserves_order(stub_server):
-    pages = []
-
-    def respond(path, payload, call):
-        assert path == "/v1/embeddings"
-        texts = payload["input"]
-        pages.append(list(texts))
-        # reply rows shuffled; client must reorder by index
-        rows = [
-            {"index": i, "embedding": [float(len(t)), float(i)]}
-            for i, t in enumerate(texts)
-        ]
-        return 200, {"data": list(reversed(rows))}
-
-    url, _ = stub_server(respond)
-    provider = HttpProvider(_config(url, embed_page_size=2))
-    texts = ["a", "bb", "ccc", "dddd", "eeeee"]
-    out = provider.embed_batch(texts)
-    assert pages == [["a", "bb"], ["ccc", "dddd"], ["eeeee"]]
-    assert out == [[1.0, 0.0], [2.0, 1.0], [3.0, 0.0], [4.0, 1.0], [5.0, 0.0]]
-
-
-def test_concurrency_capped(stub_server):
+def test_concurrency_capped(stub_server, make_provider):
     def respond(path, payload, call):
         time.sleep(0.05)
         return 200, _chat_body("ok")
 
     url, state = stub_server(respond)
-    provider = HttpProvider(_config(url, max_concurrent_requests=2))
+    provider = make_provider(url, max_concurrent_requests=2)
     threads = [
         threading.Thread(target=lambda: provider.chat(REQ)) for _ in range(8)
     ]
@@ -197,16 +181,16 @@ def test_concurrency_capped(stub_server):
     assert state["high_water"] <= 2
 
 
-def test_api_key_sent_live_but_never_stored(stub_server, tmp_path, monkeypatch):
+def test_api_key_sent_live_but_never_stored(
+    stub_server, make_provider, tmp_path, monkeypatch
+):
     monkeypatch.setenv("TEST_PROVIDER_KEY", "sekrit-token")
     url, state = stub_server(lambda p, q, c: (200, _chat_body("ok")))
-    provider = HttpProvider(
-        _config(
-            url,
-            mode=ProviderMode.RECORD,
-            fixtures_dir=str(tmp_path),
-            api_key_env_var="TEST_PROVIDER_KEY",
-        )
+    provider = make_provider(
+        url,
+        mode=ProviderMode.RECORD,
+        fixtures_dir=str(tmp_path),
+        api_key_env_var="TEST_PROVIDER_KEY",
     )
     provider.chat(REQ)
     assert state["last_auth"] == "Bearer sekrit-token"
@@ -214,20 +198,22 @@ def test_api_key_sent_live_but_never_stored(stub_server, tmp_path, monkeypatch):
         assert "sekrit-token" not in path.read_text()
 
 
-def test_no_auth_header_without_key(stub_server, monkeypatch):
+def test_no_auth_header_without_key(stub_server, make_provider, monkeypatch):
     monkeypatch.delenv("PROVIDER_API_KEY", raising=False)
     url, state = stub_server(lambda p, q, c: (200, _chat_body("ok")))
-    provider = HttpProvider(_config(url))
+    provider = make_provider(url)
     provider.chat(REQ)
     assert state["last_auth"] is None
 
 
 @pytest.mark.usefixtures("closed_proxy")
-def test_proxy_settings_are_read_once_at_construction(stub_server, monkeypatch):
+def test_proxy_settings_are_read_once_at_construction(
+    stub_server, make_provider, monkeypatch
+):
     url, state = stub_server(lambda p, q, c: (200, _chat_body("ok")))
-    proxied = HttpProvider(_config(url, max_retries=0))
+    proxied = make_provider(url, max_retries=0)
     monkeypatch.setenv("NO_PROXY", "127.0.0.1")
-    direct = HttpProvider(_config(url, max_retries=0))
+    direct = make_provider(url, max_retries=0)
     monkeypatch.delenv("NO_PROXY")
     with pytest.raises(RetriesExhausted, match="connection error"):
         proxied.chat(REQ)
@@ -236,41 +222,35 @@ def test_proxy_settings_are_read_once_at_construction(stub_server, monkeypatch):
     assert state["count"] == 1
 
 
-def test_redirect_is_a_client_error_and_is_not_followed(stub_server):
+def test_redirect_is_a_client_error_and_is_not_followed(stub_server, make_provider):
     url, state = stub_server(lambda p, q, c: (302, {"moved": "elsewhere"}))
-    provider = HttpProvider(_config(url, max_retries=3))
+    provider = make_provider(url, max_retries=3)
     with pytest.raises(HttpStatusError) as err:
         provider.chat(REQ)
     assert err.value.status == 302
     assert state["count"] == 1
 
 
-def test_timeout_ends_in_retries_exhausted(stub_server):
+def test_timeout_ends_in_retries_exhausted(stub_server, make_provider):
     def respond(path, payload, call):
         time.sleep(0.5)
         return 200, _chat_body("too late")
 
     url, state = stub_server(respond)
-    provider = HttpProvider(_config(url, timeout_s=0.1, max_retries=1))
+    provider = make_provider(url, timeout_s=0.1, max_retries=1)
     with pytest.raises(RetriesExhausted, match="timeout talking to"):
         provider.chat(REQ)
     assert state["count"] == 2
 
 
-def test_request_bodies_are_the_json_of_the_payload(stub_server):
-    def respond(path, payload, call):
-        if path == "/v1/embeddings":
-            return 200, {"data": [{"index": 0, "embedding": [1.0]}]}
-        return 200, _chat_body("ok")
-
-    url, state = stub_server(respond)
-    provider = HttpProvider(_config(url))
+def test_request_bodies_are_the_json_of_the_payload(stub_server, make_provider):
+    url, state = stub_server(lambda p, q, c: (200, _chat_body("ok")))
+    provider = make_provider(url)
     request = ChatRequest(
         system='sys "quoted"\\', few_shot=(("q1", "a1"),),
         user="put the café cup ☃ on\nthe plate", temperature=0.7,
     )
     provider.chat(request)
-    provider.embed_batch(["café"])
     chat_payload = {
         "model": "m",
         "messages": [
@@ -281,48 +261,47 @@ def test_request_bodies_are_the_json_of_the_payload(stub_server):
         ],
         "temperature": 0.7,
     }
-    embed_payload = {"model": "m", "input": ["café"]}
-    assert state["bodies"] == [
-        json.dumps(chat_payload, allow_nan=False).encode("utf-8"),
-        json.dumps(embed_payload, allow_nan=False).encode("utf-8"),
-    ]
+    body = json.dumps(chat_payload, allow_nan=False).encode("utf-8")
+    assert state["bodies"] == [body]
     assert state["last_headers"]["Content-Type"] == "application/json"
 
 
-def test_calls_share_one_kept_alive_connection(stub_server):
+def test_calls_share_one_kept_alive_connection(stub_server, make_provider):
     url, state = stub_server(
         lambda p, q, c: (200, _chat_body(f"reply {c}")), protocol="HTTP/1.1"
     )
-    provider = HttpProvider(_config(url))
+    provider = make_provider(url)
     assert [provider.chat(REQ) for _ in range(6)] == [f"reply {c}" for c in range(1, 7)]
     assert state["count"] == 6
     assert state["connections"] == 1
 
 
-def test_a_server_that_closes_after_each_reply_still_works(stub_server):
+def test_a_server_that_closes_after_each_reply_still_works(stub_server, make_provider):
     url, state = stub_server(lambda p, q, c: (200, _chat_body(f"reply {c}")))
-    provider = HttpProvider(_config(url, max_retries=0))
+    provider = make_provider(url, max_retries=0)
     assert [provider.chat(REQ) for _ in range(6)] == [f"reply {c}" for c in range(1, 7)]
     assert state["connections"] == 6
 
 
-def test_a_connection_the_server_closed_while_idle_is_replaced(stub_server):
+def test_a_connection_the_server_closed_while_idle_is_replaced(
+    stub_server, make_provider
+):
     url, state = stub_server(
         lambda p, q, c: (200, _chat_body("ok")),
         protocol="HTTP/1.1", idle_timeout_s=0.05,
     )
-    provider = HttpProvider(_config(url, max_retries=0))
+    provider = make_provider(url, max_retries=0)
     assert provider.chat(REQ) == "ok"
     time.sleep(0.3)  # the server times the idle connection out and closes it
     assert provider.chat(REQ) == "ok"
     assert state["connections"] == 2
 
 
-def test_threads_share_connections_without_losing_any(stub_server):
+def test_threads_share_connections_without_losing_any(stub_server, make_provider):
     url, state = stub_server(
         lambda p, q, c: (200, _chat_body("ok")), protocol="HTTP/1.1"
     )
-    provider = HttpProvider(_config(url, max_concurrent_requests=3, max_retries=0))
+    provider = make_provider(url, max_concurrent_requests=3, max_retries=0)
     replies = []
 
     def calls():
@@ -356,10 +335,12 @@ def test_threads_share_connections_without_losing_any(stub_server):
         ("127.0.0.2", True),
     ],
 )
-def test_no_proxy_matches_cidr_blocks(stub_server, monkeypatch, no_proxy, proxied):
+def test_no_proxy_matches_cidr_blocks(
+    stub_server, make_provider, monkeypatch, no_proxy, proxied
+):
     url, state = stub_server(lambda p, q, c: (200, _chat_body("ok")))
     monkeypatch.setenv("NO_PROXY", no_proxy)
-    provider = HttpProvider(_config(url, max_retries=0))
+    provider = make_provider(url, max_retries=0)
     if proxied:
         with pytest.raises(RetriesExhausted, match="connection error"):
             provider.chat(REQ)
@@ -369,11 +350,13 @@ def test_no_proxy_matches_cidr_blocks(stub_server, monkeypatch, no_proxy, proxie
 
 
 @pytest.mark.usefixtures("closed_proxy")
-def test_all_proxy_alone_routes_http_through_the_proxy(stub_server, monkeypatch):
+def test_all_proxy_alone_routes_http_through_the_proxy(
+    stub_server, make_provider, monkeypatch
+):
     proxy, state = stub_server(lambda p, q, c: (200, _chat_body("via proxy")))
     monkeypatch.delenv("HTTP_PROXY")
     monkeypatch.setenv("ALL_PROXY", proxy.replace("//", "//pat:p%40ss@"))
-    provider = HttpProvider(_config("http://benchtop.invalid:8080/api/", max_retries=0))
+    provider = make_provider("http://benchtop.invalid:8080/api/", max_retries=0)
     assert provider.chat(REQ) == "via proxy"
     assert state["paths"] == ["http://benchtop.invalid:8080/api/v1/chat/completions"]
     headers = state["last_headers"]
@@ -384,10 +367,10 @@ def test_all_proxy_alone_routes_http_through_the_proxy(stub_server, monkeypatch)
 
 
 @pytest.mark.usefixtures("closed_proxy")
-def test_https_goes_through_a_connect_tunnel(stub_server, monkeypatch):
+def test_https_goes_through_a_connect_tunnel(stub_server, make_provider, monkeypatch):
     proxy, state = stub_server(lambda p, q, c: (200, _chat_body("never")))
     monkeypatch.setenv("HTTPS_PROXY", proxy.replace("//", "//pat:secret@"))
-    provider = HttpProvider(_config("https://benchtop.invalid", max_retries=0))
+    provider = make_provider("https://benchtop.invalid", max_retries=0)
     with pytest.raises(RetriesExhausted, match="connection error"):
         provider.chat(REQ)  # the stub refuses the tunnel
     assert state["tunnels"] == [(
@@ -408,7 +391,8 @@ def test_https_goes_through_a_connect_tunnel(stub_server, monkeypatch):
     ids=["netrc", "netrc_over_url", "api_key_over_netrc", "url"],
 )
 def test_basic_auth_from_netrc_or_url_unless_an_api_key_is_set(
-    stub_server, tmp_path, monkeypatch, netrc_login, url_userinfo, api_key, expected
+    stub_server, make_provider, tmp_path, monkeypatch,
+    netrc_login, url_userinfo, api_key, expected,
 ):
     netrc_file = tmp_path / "netrc"
     if netrc_login is not None:
@@ -421,7 +405,7 @@ def test_basic_auth_from_netrc_or_url_unless_an_api_key_is_set(
     else:
         monkeypatch.setenv("PROVIDER_API_KEY", api_key)
     url, state = stub_server(lambda p, q, c: (200, _chat_body("ok")))
-    HttpProvider(_config(url.replace("//", "//" + url_userinfo))).chat(REQ)
+    make_provider(url.replace("//", "//" + url_userinfo)).chat(REQ)
     scheme, credentials = expected
     if scheme == "Basic":
         credentials = base64.b64encode(credentials)
