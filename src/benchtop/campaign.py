@@ -25,7 +25,6 @@ from .catalog import Catalog, ObjectModel, Source
 from .errors import (
     BenchtopError,
     EmptyFilteredSet,
-    MissingSecondObject,
     PartialPlanFailure,
     SchemaViolation,
     UsageError,
@@ -166,14 +165,7 @@ INSTRUCTION_TEMPLATES = {
 
 
 def original_instruction(task: Task, a_name: str, b_name: str | None = None) -> str:
-    template = INSTRUCTION_TEMPLATES[task]
-    if "{b}" in template:
-        if b_name is None:
-            raise MissingSecondObject(
-                f"task {task.value} needs a second object"
-            )
-        return template.format(a=a_name, b=b_name)
-    return template.format(a=a_name)
+    return INSTRUCTION_TEMPLATES[task].format(a=a_name, b=b_name)
 
 
 # ---- environment mutation -------------------------------------------------
@@ -495,8 +487,6 @@ def plan_campaign(
                         trial_seed=ts,
                     )
                 )
-        except PartialPlanFailure:
-            raise
         except BenchtopError as exc:
             raise PartialPlanFailure(
                 f"planning failed at scene {i}: {exc}", scene_index=i

@@ -41,7 +41,6 @@ from .report import (
     DEFAULT_TREND_SLACK,
     Factor,
     ReportFormat,
-    Trend,
     aggregate,
     emit,
     trend_check,
@@ -191,10 +190,7 @@ def _cmd_report(args) -> int:
     results = load_results(args.results)
     table = aggregate(results, Factor(args.group_by))
     # checked before writing, so a bad factor or slack leaves no report behind
-    outcome = (
-        trend_check(table, Trend.NON_INCREASING, args.slack)
-        if args.check_trend else None
-    )
+    outcome = trend_check(table, args.slack) if args.check_trend else None
     _write_out(emit(table, ReportFormat(args.format)), args.out)
     if outcome is not None and not outcome.passed:
         for v in outcome.violations:
@@ -269,8 +265,11 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--format", choices=[f.value for f in ReportFormat], default="csv"
     )
-    p.add_argument("--check-trend", action="store_true")
-    p.add_argument("--slack", type=float, default=DEFAULT_TREND_SLACK)
+    p.add_argument("--check-trend", action="store_true", help=(
+        "exit 1 if a rate rises from one object count to the next by more "
+        "than --slack points"))
+    p.add_argument("--slack", type=float, default=DEFAULT_TREND_SLACK, help=(
+        "points a rate may rise under --check-trend (default %(default)s)"))
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_report)
 

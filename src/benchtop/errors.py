@@ -88,26 +88,11 @@ class ValidationFailed(BenchtopError):
     code = "validation_failed"
 
 
-# ---- paraphrase ------------------------------------------------------------
-
-
-class DimensionMismatch(BenchtopError):
-    code = "dimension_mismatch"
-
-
-class ZeroVector(BenchtopError):
-    code = "zero_vector"
-
-
 # ---- provider --------------------------------------------------------------
 
 
 class ProviderError(BenchtopError):
     code = "provider_error"
-
-
-class ProviderTimeout(ProviderError):
-    code = "provider_timeout"
 
 
 class HttpStatusError(ProviderError):
@@ -131,10 +116,6 @@ class MalformedResponse(ProviderError):
 
 
 # ---- batch -----------------------------------------------------------------
-
-
-class MissingSecondObject(BenchtopError):
-    code = "missing_second_object"
 
 
 class PartialPlanFailure(BenchtopError):

@@ -28,6 +28,7 @@ from .errors import (
     DescriptionParseError,
     EmptyFilteredSet,
     NoJsonFound,
+    PlacementExhausted,
     SchemaViolation,
     UnknownModel,
     UnresolvableMention,
@@ -46,6 +47,7 @@ from .scene import (
     SceneConfig,
     SceneDescription,
     default_env,
+    placement_capacity,
     sample_pose,
     validate_config,
 )
@@ -312,6 +314,12 @@ def fallback_generate(
     pool = [m for m in catalog.models if m.id not in mentioned_ids]
     if not pool:
         raise EmptyFilteredSet("the described objects take up the whole catalog")
+    capacity = placement_capacity(catalog)
+    if description.object_count > capacity:
+        raise PlacementExhausted(
+            f"{description.object_count} objects cannot fit on the table; "
+            f"at most {capacity} could"
+        )
     for _ in range(description.object_count - len(ops)):
         if not pool:
             pool = list(catalog.models)

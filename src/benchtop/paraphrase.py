@@ -8,26 +8,25 @@ bin is its FNV-1a 64-bit hash mod 512. Providers only chat; a learned
 sentence encoder would replace ``baseline_embed`` once a model or an
 embeddings service is part of the program.
 
-An ``EmbeddingVector`` holds one read-only float64 array, converted once,
-and ``cosine_similarity`` works on the arrays as they are. For the bundled
-embedder this is exact: every component is a small whole-number count, so
-the dot product and both squared norms are whole numbers far below 2**53,
-which float64 holds exactly whatever the order of summation. The square
-roots and the final division are single correctly rounded operations, so
-similarities come out bit for bit as a pure-Python count would give them.
+``baseline_embed`` returns a ``Counter`` from each bin to its token count,
+and ``cosine_similarity`` sums integer products over the bins both counters
+share. The dot product and both squared norms are therefore exact Python
+integers, far below 2**53 so each converts to float64 without loss. The two
+square roots, their product and the final division are the only rounded
+operations, always in that order, so a similarity depends only on the two
+token bags and never on token order or summation order.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
 from .catalog import tokenize
-from .errors import DimensionMismatch, NoJsonFound, ZeroVector
+from .errors import NoJsonFound
 from .jsonio import first_json, quantize
 from .providers import ChatRequest
 
@@ -62,57 +61,23 @@ def fnv1a_64(data: bytes) -> int:
     return h
 
 
-@dataclass(frozen=True, eq=False)
-class EmbeddingVector:
-    """One embedding, kept as a read-only 1-D float64 array.
-
-    ``values`` may be any sequence of numbers; it is copied into the array
-    once. Two vectors are equal when their values are.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=np.float64)
-        if values.ndim != 1:
-            raise ValueError(f"an embedding is 1-D, got shape {values.shape}")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EmbeddingVector):
-            return NotImplemented
-        return bool(np.array_equal(self.values, other.values))
-
-    __hash__ = None
-
-    @property
-    def dim(self) -> int:
-        return len(self.values)
-
-
 @functools.lru_cache(maxsize=4096)
 def _token_bin(token: str) -> int:
     return fnv1a_64(token.encode("utf-8")) % EMBED_DIM
 
 
-def baseline_embed(text: str) -> EmbeddingVector:
+def baseline_embed(text: str) -> Counter[int]:
     tokens = tokenize(text)
     if not tokens:
         raise ValueError("cannot embed blank text")
-    bins = [_token_bin(tok) for tok in tokens]
-    return EmbeddingVector(np.bincount(bins, minlength=EMBED_DIM))
+    return Counter(_token_bin(tok) for tok in tokens)
 
 
-def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
-    va, vb = a.values, b.values
-    na = math.sqrt(np.dot(va, va))
-    nb = math.sqrt(np.dot(vb, vb))
-    if na == 0.0 or nb == 0.0:
-        raise ZeroVector("cosine similarity undefined for a zero vector")
-    return float(np.dot(va, vb) / (na * nb))
+def cosine_similarity(a: Counter[int], b: Counter[int]) -> float:
+    dot = sum(n * b[k] for k, n in a.items())
+    na = math.sqrt(sum(n * n for n in a.values()))
+    nb = math.sqrt(sum(n * n for n in b.values()))
+    return dot / (na * nb)
 
 
 def _normalize(text: str) -> str:
@@ -192,8 +157,6 @@ def generate_paraphrases(original: str, k: int, provider) -> list[str]:
             collected.append(" ".join(item.split()))
             if len(collected) >= k:
                 return collected
-        if len(collected) >= k:
-            break
         prompt = (
             f"Need {k - len(collected)} more distinct rewrites of: {original}\n"
             "Reply with a JSON array of strings only."
@@ -236,7 +199,7 @@ def validate_candidates(
         seen.add(norm)
         try:
             sim = quantize(cosine_similarity(ref, baseline_embed(cleaned)))
-        except (ValueError, ZeroVector):
+        except ValueError:
             sim = 0.0
         scored.append(Candidate(text=cleaned, similarity=sim, valid=sim >= threshold))
     return InstructionSet(

@@ -69,7 +69,6 @@ from .errors import (
     InvalidConfig,
     MalformedResponse,
     MissingFixture,
-    ProviderTimeout,
     RetriesExhausted,
 )
 from .jsonio import canonical_dumps
@@ -338,7 +337,7 @@ class HttpProvider:
         url = self.config.base_url.rstrip("/") + endpoint
         body = json.dumps(payload, allow_nan=False).encode("utf-8")
         attempts = self.config.max_retries + 1
-        last_error: Exception | None = None
+        last_error = ""
         for attempt in range(attempts):
             if attempt > 0:
                 delay = self.config.backoff_s * (2 ** (attempt - 1))
@@ -346,16 +345,14 @@ class HttpProvider:
             try:
                 with self._semaphore:
                     status, data = self._transport.post(url, body, self._headers())
-            except TimeoutError as exc:
-                last_error = ProviderTimeout(f"timeout talking to {url}")
-                last_error.__cause__ = exc
+            except TimeoutError:
+                last_error = f"timeout talking to {url}"
                 continue
-            except (OSError, http.client.HTTPException) as exc:
-                last_error = HttpStatusError(0, f"connection error talking to {url}")
-                last_error.__cause__ = exc
+            except (OSError, http.client.HTTPException):
+                last_error = f"connection error talking to {url}"
                 continue
             if status == 429 or status >= 500:
-                last_error = HttpStatusError(status, f"HTTP {status} from {url}")
+                last_error = f"HTTP {status} from {url}"
                 continue
             if status >= 300:  # redirects are not followed
                 raise HttpStatusError(status, f"HTTP {status} from {url}")

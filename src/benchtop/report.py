@@ -5,10 +5,10 @@ The average column is the unweighted mean over the factor levels actually
 present, computed on unrounded rates; only display formatting rounds, and
 it rounds half away from zero to one decimal so 0.15 prints as 0.2.
 
-``trend_check`` tests a monotonicity expectation along an ordered factor
-with a slack allowance, for wiring into exit codes: a policy that should
-degrade as scenes get more cluttered fails the check only if some adjacent
-pair of levels rises by more than the slack.
+``trend_check`` expects rates not to rise along an ordered factor, with a
+slack allowance, for wiring into exit codes: a policy should not do better
+as scenes get more cluttered, so it fails the check only if its rate rises
+by more than the slack from some level to the next.
 """
 
 from __future__ import annotations
@@ -37,11 +37,6 @@ _CATEGORICAL_ORDER: dict[Factor, tuple[str, ...]] = {
 }
 
 ORDERED_FACTORS = frozenset({Factor.OBJECT_COUNT})
-
-
-class Trend(str, Enum):
-    NON_INCREASING = "non_increasing"
-    NON_DECREASING = "non_decreasing"
 
 
 DEFAULT_TREND_SLACK = 3.0
@@ -163,12 +158,9 @@ class TrendOutcome:
     violations: tuple[TrendViolation, ...]
 
 
-def trend_check(
-    table: ReportTable,
-    expectation: Trend = Trend.NON_INCREASING,
-    slack: float = DEFAULT_TREND_SLACK,
-) -> TrendOutcome:
-    """Check a monotonic trend across adjacent levels, with slack."""
+def trend_check(table: ReportTable, slack: float = DEFAULT_TREND_SLACK) -> TrendOutcome:
+    """Report every rise of more than ``slack`` points from one level to the
+    next; a pair with a missing rate is skipped."""
     if table.group_by not in ORDERED_FACTORS:
         raise UsageError(
             f"trend check requires an ordered factor, got {table.group_by.value}"
@@ -179,13 +171,7 @@ def trend_check(
     for row in table.rows:
         for i in range(len(table.levels) - 1):
             a, b = row.rates[i], row.rates[i + 1]
-            if a is None or b is None:
-                continue
-            if expectation is Trend.NON_INCREASING:
-                bad = a < b - slack
-            else:
-                bad = a > b + slack
-            if bad:
+            if a is not None and b is not None and a < b - slack:
                 violations.append(
                     TrendViolation(
                         policy_id=row.policy_id,

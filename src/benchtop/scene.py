@@ -199,6 +199,21 @@ def sample_pose(
     )
 
 
+def placement_capacity(catalog: Catalog) -> int:
+    """An upper bound on how many of ``catalog``'s objects fit on the table.
+
+    Footprints grown by half the margin (less ``_EPS``) on every side are
+    disjoint and lie within the table grown by as much (plus ``_EPS``). A
+    footprint's box is never smaller than the unrotated one.
+    """
+    gap = PLACEMENT_MARGIN - _EPS
+    smallest = min(
+        (m.dimensions_m[0] + gap) * (m.dimensions_m[1] + gap) for m in catalog.models
+    )
+    room = (2 * TABLE_HALF_X + 2 * _EPS + gap) * (2 * TABLE_HALF_Y + 2 * _EPS + gap)
+    return math.floor(room / smallest)
+
+
 # ---- validation ------------------------------------------------------------
 
 

@@ -1,0 +1,53 @@
+"""The error hierarchy: stable codes, exit codes, and no dead classes."""
+
+import ast
+import inspect
+from pathlib import Path
+
+import benchtop
+from benchtop import errors
+from benchtop.errors import BenchtopError, UsageError
+
+SOURCE = Path(benchtop.__file__).parent
+
+
+def _error_classes():
+    return [
+        cls
+        for _, cls in inspect.getmembers(errors, inspect.isclass)
+        if issubclass(cls, BenchtopError)
+    ]
+
+
+def _raised_names():
+    """Names of the classes that some ``raise`` statement constructs or names."""
+    names = set()
+    for path in SOURCE.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    names.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    names.add(exc.attr)
+    return names
+
+
+def test_codes_are_unique():
+    codes = [cls.code for cls in _error_classes()]
+    assert len(codes) == len(set(codes))
+
+
+def test_exit_code_two_means_a_usage_error():
+    for cls in _error_classes():
+        assert (cls.exit_code == 2) == issubclass(cls, UsageError), cls.__name__
+
+
+def test_every_leaf_error_is_raised_somewhere():
+    classes = _error_classes()
+    leaves = {
+        cls.__name__
+        for cls in classes
+        if not any(other is not cls and issubclass(other, cls) for other in classes)
+    }
+    assert leaves - _raised_names() == set()

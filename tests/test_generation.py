@@ -1,11 +1,13 @@
 import pytest
 
+from benchtop import generation
 from benchtop.catalog import Catalog, load_default_catalog
 from benchtop.errors import (
     CountMismatch,
     DescriptionParseError,
     EmptyFilteredSet,
     NoJsonFound,
+    PlacementExhausted,
     SchemaViolation,
     UnknownModel,
     UnresolvableMention,
@@ -324,3 +326,14 @@ def test_fallback_no_duplicate_models(catalog):
     cfg = fallback_generate("5 objects, one is an apple", catalog, seed=21)
     ids = [op.model_id for op in cfg.adds]
     assert len(set(ids)) == len(ids)
+
+
+def test_fallback_rejects_a_count_past_the_table_capacity_before_placing(
+    catalog, monkeypatch
+):
+    def no_sampling(*args):
+        raise AssertionError("sample_pose was called")
+
+    monkeypatch.setattr(generation, "sample_pose", no_sampling)
+    with pytest.raises(PlacementExhausted, match="600 objects cannot fit"):
+        fallback_generate("600 objects", catalog, seed=0)

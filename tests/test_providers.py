@@ -149,7 +149,7 @@ def test_retry_on_429_then_succeed(stub_server, make_provider):
 def test_retry_on_500_exhausts(stub_server, make_provider):
     url, state = stub_server(lambda p, q, c: (500, {"error": "boom"}))
     provider = make_provider(url, max_retries=2)
-    with pytest.raises(RetriesExhausted):
+    with pytest.raises(RetriesExhausted, match=r"after 3 attempts: HTTP 500 from "):
         provider.chat(REQ)
     assert state["count"] == 3
 

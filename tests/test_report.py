@@ -7,7 +7,6 @@ from benchtop.errors import EmptyResults, UsageError
 from benchtop.report import (
     Factor,
     ReportFormat,
-    Trend,
     TrendViolation,
     aggregate,
     emit,
@@ -108,32 +107,39 @@ def _rising():
     return aggregate(results("p", 1, 1, 2) + results("p", 2, 1, 1), Factor.OBJECT_COUNT)
 
 
+def _falling_then_rising():
+    # 100% with one object, 50% with two, 100% again with three
+    return aggregate(
+        results("p", 1, 1, 1) + results("p", 2, 1, 2) + results("p", 3, 1, 1),
+        Factor.OBJECT_COUNT,
+    )
+
+
 @pytest.mark.parametrize(
-    "table, expectation",
-    [(_rising, Trend.NON_INCREASING), (_falling, Trend.NON_DECREASING)],
-    ids=["rise", "fall"],
+    "table, rise",
+    [(_rising, (1, 2)), (_falling_then_rising, (2, 3))],
+    ids=["rise", "fall_then_rise"],
 )
-def test_trend_check_passes_at_the_slack_and_fails_just_past_it(table, expectation):
+def test_trend_check_passes_at_the_slack_and_fails_just_past_it(table, rise):
     table = table()
-    assert trend_check(table, expectation, slack=50.0).passed
-    outcome = trend_check(table, expectation, slack=49.99)
+    assert trend_check(table, slack=50.0).passed
+    outcome = trend_check(table, slack=49.99)
     assert not outcome.passed
-    a, b = table.rows[0].rates
+    a, b = (table.rows[0].rates[table.levels.index(level)] for level in rise)
     assert outcome.violations == (
-        TrendViolation(policy_id="p", level_a=1, level_b=2, rate_a=a, rate_b=b),
+        TrendViolation(policy_id="p", level_a=rise[0], level_b=rise[1], rate_a=a, rate_b=b),
     )
 
 
 def test_trend_check_accepts_the_expected_direction_with_no_slack():
-    assert trend_check(_falling(), Trend.NON_INCREASING, slack=0.0).passed
-    assert trend_check(_rising(), Trend.NON_DECREASING, slack=0.0).passed
+    assert trend_check(_falling(), slack=0.0).passed
 
 
 def test_trend_check_skips_pairs_with_a_missing_rate():
     table = aggregate(
         results("p", 1, 0, 1) + results("q", 2, 1, 1), Factor.OBJECT_COUNT
     )
-    assert trend_check(table, Trend.NON_INCREASING, slack=0.0).passed
+    assert trend_check(table, slack=0.0).passed
 
 
 def test_trend_check_needs_an_ordered_factor():

@@ -21,6 +21,7 @@ from benchtop.scene import (
     SceneConfig,
     default_env,
     footprint_half_extents,
+    placement_capacity,
     sample_pose,
     validate_config,
     with_env,
@@ -166,6 +167,26 @@ def test_crowded_table_exhausts_placement(toy_catalog):
     placed = [ObjectAddOp(model_id="big_slab", pose=Pose(position_m=(0.0, 0.0, 0.01)))]
     with pytest.raises(PlacementExhausted):
         sample_pose(rng, placed, big, cat)
+
+
+def test_placement_capacity_of_the_default_catalog(catalog):
+    assert placement_capacity(catalog) == 516
+
+
+def test_placement_capacity_bounds_a_tight_valid_packing():
+    # 9 cm squares 1 cm apart: six by four fit with a centimetre to spare
+    side = 0.09
+    cells = [(col, row) for col in range(6) for row in range(4)]
+    tiles = Catalog(
+        models=tuple(_model(f"tile_{c}_{r}", dims=(side, side, 0.02)) for c, r in cells),
+        version="1",
+    )
+    adds = [
+        _resting(tiles.get(f"tile_{c}_{r}"), -0.255 + 0.1 * c, -0.155 + 0.1 * r)
+        for c, r in cells
+    ]
+    assert validate_config(_config(adds), tiles) == []
+    assert placement_capacity(tiles) == 25
 
 
 # ---- validation -----------------------------------------------------------
