@@ -17,7 +17,9 @@ Policies come in three kinds:
 Wire messages are fixed-shape. Each step the runner sends
 ``{"type": "observe", "instruction": ..., "raster_base64": ..., "step": ...}``
 and expects ``{"type": "act", "delta_position": [x, y, z], "gripper":
-"OPEN"|"CLOSE"|"HOLD"}`` back, with exactly those fields. Before each
+"OPEN"|"CLOSE"|"HOLD"}`` back, with exactly those fields. ``raster_base64``
+is the base64 of the raster's 4,096 bytes, 64 x 64 pixels in row-major
+order, and is empty when the observation has no raster. Before each
 episode the runner sends ``{"type": "reset"}``; a subprocess sends no reply
 to it, and over HTTP it gets a reply like any message, whose status must
 be 2xx. Replies that are late, malformed, or mis-shaped fail that trial
@@ -316,10 +318,10 @@ class _ObserveEncoder:
     def encode(self, obs: Observation) -> str:
         raster = obs.raster
         if raster is not self._raster or obs.instruction != self._instruction:
-            data = raster.tobytes() if raster is not None else b""
+            data = base64.b64encode(raster or b"").decode("ascii")
             self._prefix = (
                 '{"instruction":' + json.dumps(obs.instruction)
-                + ',"raster_base64":"' + base64.b64encode(data).decode("ascii")
+                + ',"raster_base64":"' + data
                 + '","step":'
             )
             self._instruction, self._raster = obs.instruction, raster
@@ -330,14 +332,18 @@ def _not_json(constant: str):
     raise ValueError(f"{constant} is not JSON")
 
 
+# ``json.loads`` with a keyword argument builds a new decoder on every call.
+_REPLY_DECODER = json.JSONDecoder(parse_constant=_not_json)
+
+
 def _decode_act(line: str) -> Action:
     """The action in one reply line; anything off-protocol is an error.
 
-    ``NaN`` and ``Infinity`` are not JSON, and a number too large for a float
-    is not a finite delta, so both fail the reply.
+    ``NaN``, ``Infinity`` and a leading byte-order mark are not JSON, and a
+    number too large for a float is not a finite delta, so all fail the reply.
     """
     try:
-        raw = json.loads(line, parse_constant=_not_json)
+        raw = _REPLY_DECODER.decode(line)
     except ValueError as exc:
         raise PolicyProtocolError(f"policy sent non-JSON line: {line[:80]!r}") from exc
     if not isinstance(raw, dict):

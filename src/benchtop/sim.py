@@ -35,8 +35,8 @@ Two contracts let callers reuse what they derived from a state:
   object's pose changed. Everything ``observe``, ``render_raster`` and
   ``check_success`` read about the objects is in that tuple, so a caller may
   keep their results while the tuple stays the same.
-- Read-only rasters: ``render_raster`` returns an array with
-  ``writeable=False``, so one raster can be shared by many observations.
+- Immutable rasters: ``render_raster`` returns ``bytes``, 64 x 64 pixels in
+  row-major order, so one raster can be shared by many observations.
 """
 
 from __future__ import annotations
@@ -44,8 +44,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .catalog import Catalog
 from .scene import (
@@ -162,7 +160,7 @@ class Snapshot:
 class Observation:
     instruction: str
     object_snapshots: tuple[Snapshot, ...] | None
-    raster: np.ndarray | None
+    raster: bytes | None
     step_count: int
 
 
@@ -319,15 +317,16 @@ def step(state: WorldState, action: Action) -> WorldState:
 # ---- observation ----------------------------------------------------------
 
 
-def render_raster(state: WorldState, env: EnvSetupOp) -> np.ndarray:
-    """Orthographic 64x64 grayscale render.
+def render_raster(state: WorldState, env: EnvSetupOp) -> bytes:
+    """Orthographic 64x64 grayscale render, one byte per pixel in row-major
+    order: pixel (row, col) is byte ``row * RASTER_WIDTH + col``.
 
     Each object is a filled rectangle (its projected AABB). The fill value is
     min(255, round(intensity * shade)) where shade is an integer derived from
     the object's depth along the view axis; background stays 0. Objects are
-    painted far to near.
+    painted far to near. A camera that looks at its own position sees only
+    background.
     """
-    img = np.zeros((RASTER_HEIGHT, RASTER_WIDTH), dtype=np.uint8)
     cam = env.camera
     px, py, pz = cam.position_m
     fx = cam.look_at_m[0] - px
@@ -335,8 +334,7 @@ def render_raster(state: WorldState, env: EnvSetupOp) -> np.ndarray:
     fz = cam.look_at_m[2] - pz
     norm = math.sqrt(fx * fx + fy * fy + fz * fz)
     if norm < _EPS:
-        img.setflags(write=False)
-        return img
+        return bytes(RASTER_WIDTH * RASTER_HEIGHT)
     fx, fy, fz = fx / norm, fy / norm, fz / norm
     ux, uy, uz = (0.0, 0.0, 1.0)
     if abs(fx * ux + fy * uy + fz * uz) > 0.999:
@@ -377,11 +375,21 @@ def render_raster(state: WorldState, env: EnvSetupOp) -> np.ndarray:
             continue
         layers.append((depth, r0, r1, c0, c1, value))
     layers.sort(key=lambda item: -item[0])
+    width = RASTER_WIDTH
+    img = bytearray(width * RASTER_HEIGHT)
     for _, r0, r1, c0, c1, value in layers:
-        img[max(r0, 0) : min(r1, RASTER_HEIGHT - 1) + 1,
-            max(c0, 0) : min(c1, RASTER_WIDTH - 1) + 1] = value
-    img.setflags(write=False)
-    return img
+        r0, r1 = max(r0, 0), min(r1, RASTER_HEIGHT - 1) + 1
+        c0, c1 = max(c0, 0), min(c1, width - 1) + 1
+        # Walk the shorter side: one slice per row, or one stride per column.
+        if c1 - c0 >= r1 - r0:
+            run = bytes((value,)) * (c1 - c0)
+            for row in range(r0 * width, r1 * width, width):
+                img[row + c0 : row + c1] = run
+        else:
+            run = bytes((value,)) * (r1 - r0)
+            for c in range(c0, c1):
+                img[r0 * width + c : r1 * width + c : width] = run
+    return bytes(img)
 
 
 def observe(

@@ -1,4 +1,4 @@
-"""The program speaks HTTP through the standard library alone."""
+"""The program runs on the standard library alone, HTTP included."""
 
 import json
 import os
@@ -13,9 +13,12 @@ ROOT = Path(__file__).resolve().parent.parent
 HTTP_STACK = ("requests", "urllib3", "certifi", "charset_normalizer", "idna")
 
 
-def test_importing_the_cli_loads_no_third_party_http_stack():
-    # Count only what the import adds: a site .pth file may load one of
-    # these before any program code runs.
+def _modules_added_by_importing_the_cli() -> set[str]:
+    """Top-level names of the modules a fresh ``import benchtop.cli`` adds.
+
+    Only what the import adds counts: a site .pth file may load third-party
+    modules before any program code runs.
+    """
     code = (
         "import json, sys; before = set(sys.modules); import benchtop.cli; "
         "print(json.dumps(sorted({m.split('.')[0] for m in set(sys.modules) - before})))"
@@ -25,7 +28,11 @@ def test_importing_the_cli_loads_no_third_party_http_stack():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True, timeout=60,
     ).stdout
-    added = set(json.loads(out))
+    return set(json.loads(out))
+
+
+def test_importing_the_cli_loads_no_third_party_http_stack():
+    added = _modules_added_by_importing_the_cli()
     assert "benchtop" in added
     assert added.isdisjoint(HTTP_STACK)
 
@@ -42,9 +49,13 @@ def test_no_source_file_imports_an_http_library():
     assert offenders == []
 
 
-def test_numpy_is_the_only_dependency():
+def test_the_program_has_no_dependency():
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:
-        dependencies = tomllib.load(fh)["project"]["dependencies"]
-    names = [re.split(r"[<>=!~;\[ ]", spec, maxsplit=1)[0] for spec in dependencies]
-    assert names == ["numpy"]
+        assert tomllib.load(fh)["project"]["dependencies"] == []
+
+
+def test_importing_the_cli_loads_only_the_standard_library():
+    added = _modules_added_by_importing_the_cli()
+    assert "benchtop" in added
+    assert added - {"benchtop"} <= set(sys.stdlib_module_names)

@@ -12,7 +12,6 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 from stub_policies import OBSERVE_FIELDS
 from test_wire import reference
@@ -147,6 +146,24 @@ def test_non_finite_delta_is_a_protocol_error(delta, message):
         runner._decode_act(line)
 
 
+REJECTED_REPLIES = {
+    "nan": b'{"type":"act","delta_position":[NaN,0.0,0.0],"gripper":"HOLD"}',
+    "infinity": b'{"type":"act","delta_position":[0.0,Infinity,0.0],"gripper":"HOLD"}',
+    "minus_infinity": b'{"type":"act","delta_position":[0,0,-Infinity],"gripper":"HOLD"}',
+    "bom": b'\xef\xbb\xbf{"type":"act","delta_position":[0,0,0],"gripper":"HOLD"}',
+}
+
+
+@pytest.mark.parametrize("mode", sorted(REJECTED_REPLIES))
+def test_reply_that_is_not_json_fails_its_trial(catalog, short, stub_server, mode):
+    url, _ = stub_server(lambda path, payload, call: (200, REJECTED_REPLIES[mode]))
+    results = run(short, catalog, f"http:{url}")
+    line = REJECTED_REPLIES[mode].decode("utf-8")  # a BOM decodes to "\ufeff"
+    assert [r.error for r in results] == [
+        f"PolicyProtocolError: policy sent non-JSON line: {line!r}"
+    ] * len(short.trials)
+
+
 def test_reply_written_in_two_parts_is_read_as_one(catalog, short):
     split = run(short, catalog, stub("split"), max_steps=10)
     conform = run(short, catalog, stub("conform"), max_steps=10)
@@ -247,7 +264,7 @@ def test_http_policy_messages_and_kept_alive_connection(
     url, state = stub_server(lambda path, payload, call: (200, HOLD_REPLY),
                              protocol="HTTP/1.1")
     client = HttpPolicyClient(url, 5.0)
-    raster = np.arange(24, dtype=np.uint8).reshape(2, 4, 3)
+    raster = bytes(range(24))
     observations = [
         Observation('put the "café" cup on the plate \u2014 now', None, raster, 0),
         Observation('put the "café" cup on the plate \u2014 now', None, raster, 1),
@@ -361,8 +378,7 @@ def test_reused_observation_equals_a_fresh_one(catalog, manifest, name, privileg
             assert obs.object_snapshots == (
                 fresh.object_snapshots if privileged else None
             )
-            assert np.array_equal(obs.raster, fresh.raster)
-            assert not obs.raster.flags.writeable
+            assert obs.raster == fresh.raster
             action = self.inner.act(fresh)
             moved = sim.step(self.state, action)
             checked["moved"] += _poses(moved) != _poses(self.state)

@@ -1,4 +1,5 @@
-import numpy as np
+import ctypes
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -25,12 +26,14 @@ _REFERENCE_SEQUENCE = [
 
 
 def _reference_splitmix64(x: int) -> int:
-    # independent implementation over numpy's wrapping uint64 arithmetic
-    with np.errstate(over="ignore"):
-        z = np.uint64(x) + np.uint64(_GOLDEN)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return int(z ^ (z >> np.uint64(31)))
+    # independent implementation: ctypes.c_uint64 wraps every result to 64 bits
+    def u64(v: int) -> int:
+        return ctypes.c_uint64(v).value
+
+    z = u64(x + _GOLDEN)
+    z = u64((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9)
+    z = u64((z ^ (z >> 27)) * 0x94D049BB133111EB)
+    return z ^ (z >> 31)
 
 
 def test_known_sequence():
