@@ -380,7 +380,8 @@ def render_raster(state: WorldState, env: EnvSetupOp) -> bytes:
     for _, r0, r1, c0, c1, value in layers:
         r0, r1 = max(r0, 0), min(r1, RASTER_HEIGHT - 1) + 1
         c0, c1 = max(c0, 0), min(c1, width - 1) + 1
-        # Walk the shorter side: one slice per row, or one stride per column.
+        # Walk the shorter side, so a rectangle costs min(rows, columns) slice
+        # assignments: one per row, or one strided per column.
         if c1 - c0 >= r1 - r0:
             run = bytes((value,)) * (c1 - c0)
             for row in range(r0 * width, r1 * width, width):

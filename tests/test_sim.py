@@ -3,7 +3,6 @@
 import copy
 import math
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
