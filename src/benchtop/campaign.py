@@ -27,6 +27,7 @@ from .errors import (
     EmptyFilteredSet,
     PartialPlanFailure,
     SchemaViolation,
+    UnresolvableMention,
     UsageError,
 )
 from .generation import fallback_generate, generate_scene, parse_description
@@ -376,6 +377,19 @@ def load_manifest(path) -> CampaignManifest:
 # ---- planning -------------------------------------------------------------
 
 
+def _target_index(
+    scene: SceneConfig, model: ObjectModel, skip: int | None = None
+) -> int:
+    """The index of ``scene``'s first add of ``model``, other than ``skip``."""
+    for j, op in enumerate(scene.adds):
+        if op.model_id == model.id and j != skip:
+            return j
+    # the description named the target, but its name resolved to another model
+    raise UnresolvableMention(
+        f"{model.display_name!r} does not resolve to {model.id!r}"
+    )
+
+
 def plan_campaign(
     spec: CampaignSpec,
     catalog: Catalog,
@@ -422,16 +436,10 @@ def plan_campaign(
                 env_rng = random.Random(env_seed(spec.master_seed, i))
                 scene = with_env(scene, mutate_env(scene.env, variant, env_rng))
 
-            a_index = next(
-                j for j, op in enumerate(scene.adds) if op.model_id == a_model.id
-            )
+            a_index = _target_index(scene, a_model)
             b_index = None
             if b_model is not None:
-                b_index = next(
-                    j
-                    for j, op in enumerate(scene.adds)
-                    if op.model_id == b_model.id and j != a_index
-                )
+                b_index = _target_index(scene, b_model, skip=a_index)
             basic = original_instruction(
                 spec.task,
                 a_model.display_name,

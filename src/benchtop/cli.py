@@ -36,7 +36,13 @@ from .paraphrase import (
     generate_paraphrases,
     validate_candidates,
 )
-from .providers import HttpProvider, ProviderConfig, ProviderMode
+from .providers import (
+    API_KEY_ENV_VAR,
+    MAX_RETRIES,
+    TIMEOUT_S,
+    HttpProvider,
+    ProviderMode,
+)
 from .report import (
     DEFAULT_TREND_SLACK,
     Factor,
@@ -65,14 +71,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_provider_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--provider-url", default=None)
+    parser.add_argument("--provider-url", default=None, help=(
+        f"base URL of the chat API; the {API_KEY_ENV_VAR} environment variable "
+        f"is sent as a bearer token, and a request times out after {TIMEOUT_S:g} s "
+        f"and is retried {MAX_RETRIES} times with backoff"))
     parser.add_argument("--provider-model", default="default-model")
     parser.add_argument(
         "--provider-mode",
         choices=[m.value for m in ProviderMode],
         default=ProviderMode.LIVE.value,
+        help="record and replay need --fixtures-dir (default %(default)s)",
     )
-    parser.add_argument("--fixtures-dir", default=None)
+    parser.add_argument("--fixtures-dir", default=None, help=(
+        "where record writes, and replay reads, one file per request"))
     parser.add_argument(
         "--offline",
         action="store_true",
@@ -85,18 +96,16 @@ def _provider_from_args(args):
     and closes the provider on exit."""
     if args.offline or not args.provider_url:
         return contextlib.nullcontext()
-    config = ProviderConfig(
-        base_url=args.provider_url,
-        model_name=args.provider_model,
-        mode=ProviderMode(args.provider_mode),
-        fixtures_dir=args.fixtures_dir,
+    provider = HttpProvider(
+        args.provider_url, args.provider_model,
+        ProviderMode(args.provider_mode), args.fixtures_dir,
     )
-    return contextlib.closing(HttpProvider(config))
+    return contextlib.closing(provider)
 
 
 def _created_at(provider: HttpProvider | None) -> str | None:
     # pinned in offline/replay runs so manifests are reproducible
-    if provider is None or provider.config.mode is ProviderMode.REPLAY:
+    if provider is None or provider.mode is ProviderMode.REPLAY:
         return None
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 

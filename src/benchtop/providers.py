@@ -3,7 +3,7 @@ transport of the program. Chat is all the program asks of a provider.
 
 Three modes:
 
-- LIVE: POST to the configured endpoint, nothing touches disk.
+- LIVE: POST to ``CHAT_ENDPOINT`` under the base URL, nothing touches disk.
 - RECORD: same network calls, but each response body is written to the
   fixtures directory keyed by a content hash of the request.
 - REPLAY: requests are served purely from fixtures; any miss raises
@@ -14,14 +14,15 @@ The fixture key is sha256 over the canonical JSON of
 ``{"endpoint": ..., "payload": ...}``, so any byte-identical request maps
 to the same file regardless of dict ordering in the caller.
 
-The API key is read from an environment variable (name configurable); it is
-sent as a bearer header on live traffic and is never written to fixtures or
-any other file.
+The API key is read from the ``PROVIDER_API_KEY`` environment variable; it
+is sent as a bearer header on live traffic and is never written to any file.
+A timeout (30 s), a connection error, a 429 or a 5xx is retried 3 times.
 
-``HttpTransport`` POSTs over ``http.client`` and keeps idle connections
-open for the next request. ``HttpProvider`` and the runner's ``http:``
-policy client both use it. It reads the environment once, when it is built
-for a URL, and resolves it by the rules of the ``requests`` library:
+``HttpTransport`` POSTs to one URL over ``http.client`` and keeps its
+connection open for the next request. It serves one caller at a time:
+``HttpProvider`` is called from one thread, and each ``run`` worker builds
+its own ``http:`` policy client. It reads the environment once, when it is
+built, and resolves it by the rules of the ``requests`` library:
 
 - The proxy is ``urllib.request.getproxies()``'s entry for the URL's scheme,
   else its ``all`` entry (``ALL_PROXY``). ``NO_PROXY`` bypasses it for
@@ -45,7 +46,6 @@ with ``gzip``; and a bearer API key wins over a netrc entry, where
 from __future__ import annotations
 
 import base64
-import functools
 import hashlib
 import http.client
 import ipaddress
@@ -56,11 +56,10 @@ import random
 import select
 import ssl
 import tempfile
-import threading
 import time
 import urllib.parse
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -73,37 +72,17 @@ from .errors import (
 )
 from .jsonio import canonical_dumps
 
-DEFAULT_API_KEY_ENV_VAR = "PROVIDER_API_KEY"
-MAX_RETRIES_CAP = 5
+API_KEY_ENV_VAR = "PROVIDER_API_KEY"
+TIMEOUT_S = 30.0
+MAX_RETRIES = 3
+BACKOFF_S = 0.25
+CHAT_ENDPOINT = "/v1/chat/completions"
 
 
 class ProviderMode(str, Enum):
     LIVE = "live"
     RECORD = "record"
     REPLAY = "replay"
-
-
-@dataclass(frozen=True)
-class ProviderConfig:
-    base_url: str
-    model_name: str
-    mode: ProviderMode = ProviderMode.LIVE
-    fixtures_dir: str | None = None
-    api_key_env_var: str = DEFAULT_API_KEY_ENV_VAR
-    timeout_s: float = 30.0
-    max_retries: int = 3
-    max_concurrent_requests: int = 4
-    backoff_s: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0 or self.max_retries > MAX_RETRIES_CAP:
-            raise InvalidConfig(
-                f"max_retries must be in [0, {MAX_RETRIES_CAP}], got {self.max_retries}"
-            )
-        if self.max_concurrent_requests < 1:
-            raise InvalidConfig("max_concurrent_requests must be >= 1")
-        if self.mode is not ProviderMode.LIVE and not self.fixtures_dir:
-            raise InvalidConfig(f"{self.mode.value} mode requires fixtures_dir")
 
 
 @dataclass(frozen=True)
@@ -173,15 +152,15 @@ def _tls_context() -> ssl.SSLContext:
 
 
 class HttpTransport:
-    """POSTs to one origin over kept-alive ``http.client`` connections.
+    """POSTs to one URL over one kept-alive ``http.client`` connection.
 
-    The proxy, CA bundle and credentials are resolved once, for the URL
-    given at construction (see the module docstring); every URL posted to
-    must have its scheme, host and port. Idle connections wait in a list
-    under a lock, so threads may share one transport. A connection whose
-    socket has become readable was closed by the server and is dropped
-    instead of reused. ``post`` raises ``TimeoutError`` when the server does
-    not answer within ``timeout_s``, and another ``OSError`` or an
+    The request target, proxy, CA bundle and credentials are resolved once,
+    at construction (see the module docstring). A transport serves one
+    caller at a time. Its connection stays open between requests unless the
+    server asks to close it or closed it while idle (its socket has become
+    readable), or an exchange fails; ``http.client`` then opens a new one
+    for the next request. ``post`` raises ``TimeoutError`` when the server
+    does not answer within ``timeout_s``, and another ``OSError`` or an
     ``http.client.HTTPException`` when the exchange fails.
     """
 
@@ -204,8 +183,10 @@ class HttpTransport:
         proxy = proxies.get(parts.scheme) or proxies.get("all")
         if proxy and _bypasses_proxy(host, parts.port):
             proxy = None
-        self._target_prefix = ""  # a request's target is this plus its path
-        self._tunnel = None
+        self._target = parts.path or "/"
+        if parts.query:
+            self._target += "?" + parts.query
+        tunnel = None
         if proxy:
             proxy_parts = urllib.parse.urlsplit(
                 proxy if "://" in proxy else "http://" + proxy
@@ -217,47 +198,32 @@ class HttpTransport:
                     urllib.parse.unquote(proxy_parts.password or ""),
                 )
             if tls:
-                self._tunnel = (host, port, proxy_headers)
+                tunnel = (host, port, proxy_headers)
             else:
-                self._target_prefix = "http://" + parts.netloc.rpartition("@")[2]
+                # absolute form: the proxy forwards it to the URL's origin
+                origin = "http://" + parts.netloc.rpartition("@")[2]
+                self._target = origin + self._target
                 self._headers.update(proxy_headers)
             host, port = proxy_parts.hostname, proxy_parts.port or 80
         if tls:
-            self._connect = functools.partial(
-                http.client.HTTPSConnection, host, port,
-                timeout=timeout_s, context=_tls_context(),
+            self._conn = http.client.HTTPSConnection(
+                host, port, timeout=timeout_s, context=_tls_context()
             )
         else:
-            self._connect = functools.partial(
-                http.client.HTTPConnection, host, port, timeout=timeout_s
-            )
-        self._idle: list[http.client.HTTPConnection] = []
-        self._lock = threading.Lock()
-
-    def _connection(self) -> http.client.HTTPConnection:
-        with self._lock:
-            while self._idle:
-                conn = self._idle.pop()
-                if not select.select([conn.sock], [], [], 0)[0]:
-                    return conn
-                conn.close()
-        conn = self._connect()
-        if self._tunnel is not None:
-            conn.set_tunnel(*self._tunnel)
-        return conn
+            self._conn = http.client.HTTPConnection(host, port, timeout=timeout_s)
+        if tunnel is not None:
+            self._conn.set_tunnel(*tunnel)
 
     def post(
-        self, url: str, body: bytes, headers: dict[str, str] | None = None
+        self, body: bytes, headers: dict[str, str] | None = None
     ) -> tuple[int, bytes]:
-        """POST ``body`` to ``url``; the reply's status and body."""
-        parts = urllib.parse.urlsplit(url)
-        target = self._target_prefix + (parts.path or "/")
-        if parts.query:
-            target += "?" + parts.query
-        conn = self._connection()
+        """POST ``body`` to the URL; the reply's status and body."""
+        conn = self._conn
+        if conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
+            conn.close()
         try:
             conn.request(
-                "POST", target, body,
+                "POST", self._target, body,
                 {**self._headers, **headers} if headers else self._headers,
             )
             response = conn.getresponse()
@@ -267,17 +233,11 @@ class HttpTransport:
             raise
         if response.will_close:
             conn.close()
-        else:
-            with self._lock:
-                self._idle.append(conn)
         return response.status, data
 
     def close(self) -> None:
-        """Close the idle connections."""
-        with self._lock:
-            idle, self._idle = self._idle, []
-        for conn in idle:
-            conn.close()
+        """Close the kept-alive connection, if it is open."""
+        self._conn.close()
 
 
 def fixture_key(endpoint: str, payload: dict) -> str:
@@ -286,30 +246,43 @@ def fixture_key(endpoint: str, payload: dict) -> str:
 
 
 class HttpProvider:
-    """Chat client over a JSON HTTP API."""
+    """Chat client over a JSON HTTP API; RECORD and REPLAY need ``fixtures_dir``."""
 
-    def __init__(self, config: ProviderConfig) -> None:
-        self.config = config
-        self._semaphore = threading.Semaphore(config.max_concurrent_requests)
-        self._transport = HttpTransport(config.base_url, config.timeout_s)
+    def __init__(
+        self, base_url: str, model_name: str,
+        mode: ProviderMode = ProviderMode.LIVE, fixtures_dir: str | None = None,
+    ) -> None:
+        if mode is not ProviderMode.LIVE and not fixtures_dir:
+            raise InvalidConfig(f"{mode.value} mode requires fixtures_dir")
+        self.model_name = model_name
+        self.mode = mode
+        self.fixtures_dir = fixtures_dir
+        self._url = base_url.rstrip("/") + CHAT_ENDPOINT
+        self._transport = HttpTransport(self._url, TIMEOUT_S)
 
     def close(self) -> None:
-        """Close the kept-alive connections."""
+        """Close the kept-alive connection."""
         self._transport.close()
 
     # -- fixture plumbing ---------------------------------------------------
 
     def _fixture_path(self, key: str) -> Path:
-        assert self.config.fixtures_dir is not None
-        return Path(self.config.fixtures_dir) / f"{key}.json"
+        assert self.fixtures_dir is not None
+        return Path(self.fixtures_dir) / f"{key}.json"
 
     def _read_fixture(self, key: str) -> dict:
         path = self._fixture_path(key)
         try:
             with open(path, encoding="utf-8") as fh:
-                return json.load(fh)["response_body"]
+                fixture = json.load(fh)
         except FileNotFoundError:
             raise MissingFixture(f"no fixture for request {key}") from None
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise MalformedResponse(f"fixture {path} is not JSON") from exc
+        body = fixture.get("response_body") if isinstance(fixture, dict) else None
+        if not isinstance(body, dict):
+            raise MalformedResponse(f"fixture {path} has no response_body object")
+        return body
 
     def _write_fixture(self, key: str, response_body: dict) -> None:
         path = self._fixture_path(key)
@@ -330,47 +303,44 @@ class HttpProvider:
     # -- transport ----------------------------------------------------------
 
     def _headers(self) -> dict[str, str]:
-        key = os.environ.get(self.config.api_key_env_var)
+        key = os.environ.get(API_KEY_ENV_VAR)
         return {"Authorization": f"Bearer {key}"} if key else {}
 
-    def _http_post(self, endpoint: str, payload: dict) -> dict:
-        url = self.config.base_url.rstrip("/") + endpoint
+    def _http_post(self, payload: dict) -> dict:
         body = json.dumps(payload, allow_nan=False).encode("utf-8")
-        attempts = self.config.max_retries + 1
+        attempts = MAX_RETRIES + 1
         last_error = ""
         for attempt in range(attempts):
             if attempt > 0:
-                delay = self.config.backoff_s * (2 ** (attempt - 1))
-                time.sleep(delay + random.uniform(0.0, self.config.backoff_s))
+                delay = BACKOFF_S * (2 ** (attempt - 1))
+                time.sleep(delay + random.uniform(0.0, BACKOFF_S))
             try:
-                with self._semaphore:
-                    status, data = self._transport.post(url, body, self._headers())
+                status, data = self._transport.post(body, self._headers())
             except TimeoutError:
-                last_error = f"timeout talking to {url}"
+                last_error = f"timeout talking to {self._url}"
                 continue
             except (OSError, http.client.HTTPException):
-                last_error = f"connection error talking to {url}"
+                last_error = f"connection error talking to {self._url}"
                 continue
             if status == 429 or status >= 500:
-                last_error = f"HTTP {status} from {url}"
+                last_error = f"HTTP {status} from {self._url}"
                 continue
             if status >= 300:  # redirects are not followed
-                raise HttpStatusError(status, f"HTTP {status} from {url}")
+                raise HttpStatusError(status, f"HTTP {status} from {self._url}")
             try:
                 return json.loads(data)
             except ValueError as exc:
-                raise MalformedResponse(f"non-JSON response from {url}") from exc
+                raise MalformedResponse(f"non-JSON response from {self._url}") from exc
         raise RetriesExhausted(
-            f"gave up on {url} after {attempts} attempts: {last_error}"
+            f"gave up on {self._url} after {attempts} attempts: {last_error}"
         )
 
-    def _roundtrip(self, endpoint: str, payload: dict) -> dict:
-        mode = self.config.mode
-        if mode is ProviderMode.REPLAY:
-            return self._read_fixture(fixture_key(endpoint, payload))
-        body = self._http_post(endpoint, payload)
-        if mode is ProviderMode.RECORD:
-            self._write_fixture(fixture_key(endpoint, payload), body)
+    def _roundtrip(self, payload: dict) -> dict:
+        if self.mode is ProviderMode.REPLAY:
+            return self._read_fixture(fixture_key(CHAT_ENDPOINT, payload))
+        body = self._http_post(payload)
+        if self.mode is ProviderMode.RECORD:
+            self._write_fixture(fixture_key(CHAT_ENDPOINT, payload), body)
         return body
 
     # -- API ----------------------------------------------------------------
@@ -382,11 +352,11 @@ class HttpProvider:
             messages.append({"role": "assistant", "content": assistant_turn})
         messages.append({"role": "user", "content": request.user})
         payload = {
-            "model": self.config.model_name,
+            "model": self.model_name,
             "messages": messages,
             "temperature": request.temperature,
         }
-        body = self._roundtrip("/v1/chat/completions", payload)
+        body = self._roundtrip(payload)
         try:
             content = body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
@@ -395,16 +365,3 @@ class HttpProvider:
             raise MalformedResponse("chat content is not a string")
         return content
 
-
-@dataclass
-class ScriptedChatProvider:
-    """Deterministic in-process stand-in for tests and offline runs."""
-
-    replies: list[str]
-    calls: list[ChatRequest] = field(default_factory=list)
-
-    def chat(self, request: ChatRequest) -> str:
-        self.calls.append(request)
-        if not self.replies:
-            raise MalformedResponse("scripted provider ran out of replies")
-        return self.replies.pop(0)

@@ -11,8 +11,9 @@ Policies come in three kinds:
   stdin/stdout. Replies are read on the stepping thread, which waits on the
   pipe with ``select`` until the act deadline, so this kind needs POSIX
   pipes.
-- ``http:<url>`` POSTs the same messages to an HTTP endpoint, over the
-  kept-alive connections of ``providers.HttpTransport``.
+- ``http:<url>`` POSTs the same messages to an HTTP endpoint. Each worker
+  builds its own client, whose ``providers.HttpTransport`` keeps one
+  connection alive.
 
 Wire messages are fixed-shape. Each step the runner sends
 ``{"type": "observe", "instruction": ..., "raster_base64": ..., "step": ...}``
@@ -464,7 +465,7 @@ class HttpPolicyClient:
 
     def _post(self, body: bytes, timeout_message: str) -> bytes:
         try:
-            status, data = self._transport.post(self.url, body)
+            status, data = self._transport.post(body)
         except TimeoutError:
             raise PolicyTimeout(timeout_message) from None
         except (OSError, http.client.HTTPException) as exc:

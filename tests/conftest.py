@@ -3,11 +3,28 @@ from __future__ import annotations
 import json
 import socket
 import threading
+from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
 from benchtop.catalog import load_default_catalog
+from benchtop.errors import MalformedResponse
+from benchtop.providers import ChatRequest
+
+
+@dataclass
+class ScriptedChatProvider:
+    """A chat provider that answers with ``replies`` in order."""
+
+    replies: list[str]
+    calls: list[ChatRequest] = field(default_factory=list)
+
+    def chat(self, request: ChatRequest) -> str:
+        self.calls.append(request)
+        if not self.replies:
+            raise MalformedResponse("scripted provider ran out of replies")
+        return self.replies.pop(0)
 
 
 @pytest.fixture(scope="session")
@@ -39,17 +56,16 @@ def stub_server():
     (base_url, state). A ``bytes`` body is sent as it is, anything else as
     JSON. An ``HTTP/1.0`` server closes the connection after every reply; an
     ``HTTP/1.1`` one keeps it open until it has been idle for
-    ``idle_timeout_s``. ``state`` tracks the request count, the concurrency
-    high-water mark, the accepted TCP connections, each raw request body and
-    path, and the last request's headers. A ``CONNECT`` request is answered
-    501 and its target and ``Proxy-Authorization`` are kept in
-    ``state["tunnels"]``.
+    ``idle_timeout_s``. ``state`` tracks the request count, the accepted TCP
+    connections, each raw request body and path, and the last request's
+    headers. A ``CONNECT`` request is answered 501 and its target and
+    ``Proxy-Authorization`` are kept in ``state["tunnels"]``.
     """
     servers = []
 
     def start(respond, protocol="HTTP/1.0", idle_timeout_s=None):
         state = {
-            "count": 0, "active": 0, "high_water": 0, "connections": 0,
+            "count": 0, "connections": 0,
             "bodies": [], "paths": [], "tunnels": [],
         }
         lock = threading.Lock()
@@ -74,8 +90,6 @@ def stub_server():
             def do_POST(self):
                 with lock:
                     state["count"] += 1
-                    state["active"] += 1
-                    state["high_water"] = max(state["high_water"], state["active"])
                     state["last_auth"] = self.headers.get("Authorization")
                     state["last_headers"] = dict(self.headers)
                     call = state["count"]
@@ -97,9 +111,6 @@ def stub_server():
                     self.wfile.write(data)
                 except (BrokenPipeError, ConnectionResetError):
                     pass  # the client gave up waiting
-                finally:
-                    with lock:
-                        state["active"] -= 1
 
             def log_message(self, *args):
                 pass

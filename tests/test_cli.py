@@ -3,6 +3,7 @@
 import json
 import shlex
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -234,3 +235,37 @@ def test_paraphrase_checks_its_flags_before_any_request(
     assert _expect_error(capsys, argv, "usage", exit_code=2).startswith(name)
     assert state["count"] == 0
     assert not fixtures.exists() and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"key":"x"}', "[1]", "not json"],
+    ids=["no_response_body", "not_an_object", "not_json"],
+)
+def test_a_malformed_replay_fixture_is_a_malformed_response(tmp_path, capsys, text):
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    argv = ["gen-scene", "--desc", _DESC, "--provider-url", "http://127.0.0.1:9",
+            "--provider-mode", "replay", "--fixtures-dir", str(fixtures)]
+    key = _expect_error(capsys, argv, "missing_fixture").rpartition(" ")[2]
+    fixture = fixtures / f"{key}.json"
+    fixture.write_text(text)
+    assert str(fixture) in _expect_error(capsys, argv, "malformed_response")
+
+
+def test_plan_fails_a_scene_whose_target_name_resolves_to_another_model(
+    tmp_path, capsys
+):
+    doc = json.loads(
+        resources.files("benchtop.data").joinpath("default_catalog.json").read_text()
+    )
+    apple = next(m for m in doc["models"] if m["id"] == "apple")
+    doc["models"].append(dict(apple, id="zz_apple"))  # "apple" resolves to apple
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps(doc))
+    out = tmp_path / "manifest.json"
+    argv = ["plan", "--task", "pick_up", "--n", "10", "--k", "1", "--seed", "3",
+            "--catalog", str(catalog), "--out", str(out)]
+    message = _expect_error(capsys, argv, "partial_plan_failure")
+    assert message.startswith("planning failed at scene 8: 'apple' does not ")
+    assert not out.exists()

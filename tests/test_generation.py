@@ -1,4 +1,5 @@
 import pytest
+from conftest import ScriptedChatProvider
 
 from benchtop import generation
 from benchtop.catalog import Catalog, load_default_catalog
@@ -22,7 +23,6 @@ from benchtop.generation import (
     parse_llm_env,
     parse_llm_ops,
 )
-from benchtop.providers import ScriptedChatProvider
 from benchtop.jsonio import canonical_dumps, encode
 from benchtop.scene import Provenance, default_env, validate_config
 

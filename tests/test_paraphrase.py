@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import ScriptedChatProvider
 
 from benchtop.campaign import INSTRUCTION_TEMPLATES
 from benchtop.catalog import load_default_catalog, tokenize
@@ -21,7 +22,6 @@ from benchtop.paraphrase import (
     parse_paraphrase_reply,
     validate_candidates,
 )
-from benchtop.providers import ScriptedChatProvider
 
 # published reference digests for FNV-1a (64-bit)
 FNV_VECTORS = {

@@ -1,11 +1,10 @@
 import base64
 import json
-import sys
-import threading
 import time
 
 import pytest
 
+from benchtop import providers
 from benchtop.errors import (
     HttpStatusError,
     InvalidConfig,
@@ -15,7 +14,7 @@ from benchtop.errors import (
 from benchtop.providers import (
     ChatRequest,
     HttpProvider,
-    ProviderConfig,
+    HttpTransport,
     ProviderMode,
     fixture_key,
 )
@@ -25,27 +24,25 @@ def _chat_body(text):
     return {"choices": [{"message": {"role": "assistant", "content": text}}]}
 
 
-def _config(base_url, **over):
-    base = dict(
-        base_url=base_url,
-        model_name="m",
-        timeout_s=5.0,
-        backoff_s=0.01,
-    )
-    base.update(over)
-    return ProviderConfig(**base)
-
-
 REQ = ChatRequest(system="sys", few_shot=(), user="hello")
 
 
 @pytest.fixture
-def make_provider():
-    """Builds ``HttpProvider``s from ``_config``'s arguments and closes them."""
+def make_provider(monkeypatch):
+    """Builds ``HttpProvider``s for model ``m`` and closes them.
+
+    The timeout is 5 s and the backoff 10 ms. Each keyword argument, such as
+    ``max_retries=0``, sets the module constant of its upper-cased name for
+    the rest of the test.
+    """
+    monkeypatch.setattr(providers, "TIMEOUT_S", 5.0)
+    monkeypatch.setattr(providers, "BACKOFF_S", 0.01)
     built = []
 
-    def make(base_url, **over):
-        built.append(HttpProvider(_config(base_url, **over)))
+    def make(base_url, mode=ProviderMode.LIVE, fixtures_dir=None, **constants):
+        for name, value in constants.items():
+            monkeypatch.setattr(providers, name.upper(), value)
+        built.append(HttpProvider(base_url, "m", mode, fixtures_dir))
         return built[-1]
 
     yield make
@@ -61,14 +58,11 @@ def test_fixture_key_ignores_dict_ordering():
     assert fixture_key("/v1/y", {"b": 1, "a": [1.5, 2.0]}) != a
 
 
-def test_config_validation(tmp_path):
-    with pytest.raises(InvalidConfig):
-        _config("http://x", max_retries=9)
-    with pytest.raises(InvalidConfig):
-        _config("http://x", mode=ProviderMode.REPLAY, fixtures_dir=None)
-    with pytest.raises(InvalidConfig):
-        _config("http://x", max_concurrent_requests=0)
-    _config("http://x", mode=ProviderMode.RECORD, fixtures_dir=str(tmp_path))
+def test_config_validation(tmp_path, make_provider):
+    for mode in (ProviderMode.RECORD, ProviderMode.REPLAY):
+        with pytest.raises(InvalidConfig, match=f"{mode.value} mode requires"):
+            make_provider("http://x", mode=mode)
+    make_provider("http://x", mode=ProviderMode.RECORD, fixtures_dir=str(tmp_path))
 
 
 def test_live_chat(stub_server, make_provider):
@@ -161,24 +155,6 @@ def test_client_errors_do_not_retry(stub_server, make_provider):
         provider.chat(REQ)
     assert err.value.status == 400
     assert state["count"] == 1
-
-
-def test_concurrency_capped(stub_server, make_provider):
-    def respond(path, payload, call):
-        time.sleep(0.05)
-        return 200, _chat_body("ok")
-
-    url, state = stub_server(respond)
-    provider = make_provider(url, max_concurrent_requests=2)
-    threads = [
-        threading.Thread(target=lambda: provider.chat(REQ)) for _ in range(8)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert state["count"] == 8
-    assert state["high_water"] <= 2
 
 
 def test_api_key_sent_live_but_never_stored(
@@ -297,31 +273,18 @@ def test_a_connection_the_server_closed_while_idle_is_replaced(
     assert state["connections"] == 2
 
 
-def test_threads_share_connections_without_losing_any(stub_server, make_provider):
+def test_a_transport_posts_to_the_path_and_query_of_its_url(stub_server):
     url, state = stub_server(
-        lambda p, q, c: (200, _chat_body("ok")), protocol="HTTP/1.1"
+        lambda p, q, c: (200, {"n": c}), protocol="HTTP/1.1"
     )
-    provider = make_provider(url, max_concurrent_requests=3, max_retries=0)
-    replies = []
-
-    def calls():
-        for _ in range(10):
-            replies.append(provider.chat(REQ))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
+    transport = HttpTransport(url + "/api/act?policy=a", timeout_s=5.0)
     try:
-        threads = [threading.Thread(target=calls) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
+        replies = [transport.post(b"{}") for _ in range(3)]
     finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert replies == ["ok"] * 80
-    assert state["count"] == 80
-    assert state["connections"] <= 3
+        transport.close()
+    assert replies == [(200, b'{"n": %d}' % c) for c in range(1, 4)]
+    assert state["paths"] == ["/api/act?policy=a"] * 3
+    assert state["connections"] == 1
 
 
 @pytest.mark.usefixtures("closed_proxy")

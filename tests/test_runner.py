@@ -201,6 +201,20 @@ def test_http_policy_runs_like_the_same_stdio_policy(catalog, short, stub_server
     assert state["count"] == sum(1 + r.steps_used for r in http)
 
 
+def test_each_http_worker_keeps_its_own_connection(catalog, manifest, stub_server):
+    def respond(path, payload, call):
+        if payload["type"] == "observe" and set(payload) != OBSERVE_FIELDS:
+            return 200, {"type": "error"}
+        return 200, HOLD_REPLY
+
+    url, state = stub_server(respond, protocol="HTTP/1.1")
+    some = replace(manifest, trials=manifest.trials[:8])
+    parallel = run(some, catalog, f"http:{url}", parallelism=2, max_steps=20)
+    assert all(r.error is None for r in parallel)
+    assert state["connections"] <= 2
+    assert parallel == run(some, catalog, f"http:{url}", max_steps=20)
+
+
 def test_http_body_that_is_not_json_is_a_protocol_error(catalog, short, stub_server):
     url, _ = stub_server(lambda path, payload, call: (200, b"not json"))
     results = run(short, catalog, f"http:{url}")
