@@ -361,12 +361,16 @@ class CampaignManifest:
                     f"scene {i} metadata says {meta.object_count} objects, "
                     f"config has {count}"
                 )
-            if not 0 <= meta.target_a_index < count:
+            a, b = meta.target_a_index, meta.target_b_index
+            if not 0 <= a < count:
                 raise SchemaViolation(f"scene {i} target_a_index out of range")
-            if meta.target_b_index is not None and not (
-                0 <= meta.target_b_index < count
-            ):
+            if b is not None and not 0 <= b < count:
                 raise SchemaViolation(f"scene {i} target_b_index out of range")
+            if self.spec.task is not Task.PICK_UP and (b is None or b == a):
+                raise SchemaViolation(
+                    "must name an object other than target_a_index",
+                    path=f"$.scene_meta[{i}].target_b_index",
+                )
 
 
 def load_manifest(path) -> CampaignManifest:

@@ -18,6 +18,7 @@ Both attach provenance so downstream reports can split results on it.
 from __future__ import annotations
 
 import contextlib
+import math
 import random
 import re
 from dataclasses import replace
@@ -41,7 +42,6 @@ from .scene import (
     EnvSetupOp,
     LightingSpec,
     ObjectAddOp,
-    ObjectSpec,
     Pose,
     Provenance,
     SceneConfig,
@@ -79,6 +79,13 @@ _CAMERA_RE = re.compile(
 )
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):  # more digits than a float can hold
+        raise DescriptionParseError(f"number beyond the float range: {text[:12]}...")
+    return quantize(value)
+
+
 def parse_description(text: str) -> SceneDescription:
     """Parse a scene description into its structured form.
 
@@ -98,36 +105,32 @@ def parse_description(text: str) -> SceneDescription:
     if count < 1:
         raise DescriptionParseError(f"object count must be >= 1, got {count}")
 
-    specs = []
+    mentions = []
     for match in _MENTION_RE.finditer(stripped):
         mention = " ".join(match.group(1).split()).strip()
         if mention:
-            specs.append(ObjectSpec(mention=mention, pose=None))
-    if len(specs) > count:
+            mentions.append(mention)
+    if len(mentions) > count:
         raise DescriptionParseError(
-            f"description names {len(specs)} objects but states a count of {count}"
+            f"description names {len(mentions)} objects but states a count of {count}"
         )
 
     lighting = None
     lm = _LIGHTING_RE.search(stripped)
     if lm is not None:
-        lighting = LightingSpec(intensity=quantize(float(lm.group(1))))
+        lighting = LightingSpec(intensity=_finite(lm.group(1)))
 
     camera = None
     cm = _CAMERA_RE.search(stripped)
     if cm is not None:
         camera = CameraPose(
-            position_m=(
-                quantize(float(cm.group(1))),
-                quantize(float(cm.group(2))),
-                quantize(float(cm.group(3))),
-            ),
+            position_m=tuple(_finite(g) for g in cm.groups()),
             look_at_m=(0.0, 0.0, 0.0),
         )
 
     return SceneDescription(
         object_count=count,
-        object_specs=tuple(specs),
+        mentions=tuple(mentions),
         lighting=lighting,
         camera=camera,
         raw_text=stripped,
@@ -232,9 +235,7 @@ def parse_llm_ops(
         model_id = item["model_id"]
         if not isinstance(model_id, str) or not model_id:
             raise SchemaViolation("'model_id' must be a non-empty string", path=path)
-        model = catalog.get(model_id) if model_id in catalog else None
-        if model is None:
-            model = catalog.resolve(model_id)
+        model = catalog.get(model_id) or catalog.resolve(model_id)
         if model is None:
             raise UnknownModel(f"unknown model id or name: {model_id!r}")
         pose = None
@@ -266,11 +267,11 @@ def resolve_mentions(
     description: SceneDescription, catalog: Catalog
 ) -> list[ObjectModel]:
     resolved = []
-    for spec in description.object_specs:
-        model = catalog.resolve(spec.mention)
+    for mention in description.mentions:
+        model = catalog.resolve(mention)
         if model is None:
             raise UnresolvableMention(
-                f"no catalog object matches mention {spec.mention!r}"
+                f"no catalog object matches mention {mention!r}"
             )
         resolved.append(model)
     return resolved

@@ -59,7 +59,8 @@ def canonical_dumps(value: Any) -> str:
 def _emit(value: Any, out: list[str]) -> None:
     # Exact types first, since they are nearly every value; then the
     # isinstance checks, which also take subclasses (bool before int, and
-    # str-valued Enum members as their string).
+    # str-valued Enum members as their string). Subclasses of float, dict,
+    # list and tuple are rejected.
     tp = type(value)
     if tp is str:
         out.append(_quote(value))
@@ -77,14 +78,8 @@ def _emit(value: Any, out: list[str]) -> None:
         out.append("false")
     elif isinstance(value, int):
         out.append(str(value))
-    elif isinstance(value, float):
-        out.append(_float_text(value))
     elif isinstance(value, str):
         out.append(_quote(value))
-    elif isinstance(value, dict):
-        _emit_object(value, out)
-    elif isinstance(value, (list, tuple)):
-        _emit_array(value, out)
     else:
         raise ValueError(f"unsupported type for canonical JSON: {type(value)!r}")
 
@@ -223,7 +218,10 @@ def _decode_float(raw: Any) -> float:
             raise _Invalid("expected finite number")
     elif type(raw) is not int:
         raise _Invalid("expected number")
-    return quantize(raw)
+    try:
+        return quantize(raw)
+    except OverflowError:  # an integer beyond the float range
+        raise _Invalid("expected finite number") from None
 
 
 _SCALARS = {

@@ -21,26 +21,22 @@ A timeout (30 s), a connection error, a 429 or a 5xx is retried 3 times.
 ``HttpTransport`` POSTs to one URL over ``http.client`` and keeps its
 connection open for the next request. It serves one caller at a time:
 ``HttpProvider`` is called from one thread, and each ``run`` worker builds
-its own ``http:`` policy client. It reads the environment once, when it is
-built, and resolves it by the rules of the ``requests`` library:
+its own ``http:`` policy client. When it is built, it reads:
 
-- The proxy is ``urllib.request.getproxies()``'s entry for the URL's scheme,
-  else its ``all`` entry (``ALL_PROXY``). ``NO_PROXY`` bypasses it for
-  ``*``, for a host suffix, and for a CIDR block that holds an IPv4 host.
-  An ``http://`` URL goes through the proxy as an absolute-form request, an
+- ``HTTP_PROXY``, ``HTTPS_PROXY``, ``ALL_PROXY`` and ``NO_PROXY``, in either
+  case, through ``urllib.request``'s ``getproxies`` and ``proxy_bypass``.
+  ``NO_PROXY`` takes ``*``, hosts, ``host:port`` and domain suffixes. An
+  ``http://`` URL goes through the proxy as an absolute-form request, an
   ``https://`` URL through a CONNECT tunnel, and credentials in the proxy
-  URL are sent as ``Proxy-Authorization``. The proxy itself is spoken to in
-  plain HTTP.
-- TLS is verified against ``REQUESTS_CA_BUNDLE``, else ``CURL_CA_BUNDLE``,
-  else the ``ssl`` module's default context.
-- The URL host's entry in ``NETRC`` (default ``~/.netrc``), else
-  credentials in the URL, are sent as Basic auth.
+  URL are sent as ``Proxy-Authorization``. The proxy is spoken to in plain
+  HTTP.
+- ``SSL_CERT_FILE`` and ``SSL_CERT_DIR``, through the ``ssl`` module's
+  default context, which verifies HTTPS.
 
-What differs from ``requests``: redirects are not followed, so a provider
-fails a 3xx reply as a client error and a policy as a protocol error; the
-default CA store is the system's, not certifi's; replies are not asked for
-with ``gzip``; and a bearer API key wins over a netrc entry, where
-``requests`` let netrc replace it.
+Credentials in the URL are sent as Basic auth; the provider's bearer
+``PROVIDER_API_KEY`` replaces them when it is set. Redirects are not
+followed: a provider fails a 3xx reply as a client error and a policy as a
+protocol error.
 """
 
 from __future__ import annotations
@@ -48,13 +44,10 @@ from __future__ import annotations
 import base64
 import hashlib
 import http.client
-import ipaddress
 import json
-import netrc
 import os
 import random
 import select
-import ssl
 import tempfile
 import time
 import urllib.parse
@@ -98,64 +91,11 @@ def _basic_auth(user: str, password: str) -> str:
     return "Basic " + token.decode("ascii")
 
 
-def _bypasses_proxy(host: str, port: int | None) -> bool:
-    """Whether ``NO_PROXY`` exempts ``host``, by the rules of ``requests``.
-
-    ``urllib.request.proxy_bypass`` covers ``*`` and dotted suffixes but
-    not CIDR blocks, so an IPv4 host is also matched against those here.
-    """
-    no_proxy = os.environ.get("no_proxy") or os.environ.get("NO_PROXY") or ""
-    entries = [entry for entry in no_proxy.replace(" ", "").split(",") if entry]
-    try:
-        address = ipaddress.IPv4Address(host)
-    except ValueError:
-        address = None
-    host_port = f"{host}:{port}" if port else host
-    for entry in entries:
-        if address is None:
-            if host.endswith(entry) or host_port.endswith(entry):
-                return True
-        elif "/" in entry:
-            try:
-                if address in ipaddress.IPv4Network(entry, strict=False):
-                    return True
-            except ValueError:
-                pass
-        elif host == entry:
-            return True
-    try:
-        return bool(urllib.request.proxy_bypass(host))
-    except (TypeError, OSError):
-        return False
-
-
-def _netrc_auth(host: str) -> tuple[str, str] | None:
-    """The login and password for ``host`` in ``NETRC`` or ``~/.netrc``."""
-    path = os.environ.get("NETRC")
-    for candidate in (path,) if path is not None else ("~/.netrc", "~/_netrc"):
-        candidate = os.path.expanduser(candidate)
-        if not os.path.exists(candidate):
-            continue
-        try:
-            entry = netrc.netrc(candidate).authenticators(host)
-        except (netrc.NetrcParseError, OSError):
-            return None
-        return (entry[0] or entry[1], entry[2]) if entry else None
-    return None
-
-
-def _tls_context() -> ssl.SSLContext:
-    bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
-    if bundle and os.path.isdir(bundle):
-        return ssl.create_default_context(capath=bundle)
-    return ssl.create_default_context(cafile=bundle)
-
-
 class HttpTransport:
     """POSTs to one URL over one kept-alive ``http.client`` connection.
 
-    The request target, proxy, CA bundle and credentials are resolved once,
-    at construction (see the module docstring). A transport serves one
+    The request target, proxy and credentials are resolved once, at
+    construction (see the module docstring). A transport serves one
     caller at a time. Its connection stays open between requests unless the
     server asks to close it or closed it while idle (its socket has become
     readable), or an exchange fails; ``http.client`` then opens a new one
@@ -170,19 +110,20 @@ class HttpTransport:
             raise ValueError(f"not an http:// or https:// URL: {url!r}")
         tls = parts.scheme == "https"
         host, port = parts.hostname, parts.port or (443 if tls else 80)
+        authority = parts.netloc.rpartition("@")[2]  # host[:port]
         self._headers = {"Content-Type": "application/json"}
-        auth = _netrc_auth(host)
-        if auth is None and parts.username:
-            auth = (
+        if parts.username:
+            self._headers["Authorization"] = _basic_auth(
                 urllib.parse.unquote(parts.username),
                 urllib.parse.unquote(parts.password or ""),
             )
-        if auth is not None:
-            self._headers["Authorization"] = _basic_auth(*auth)
         proxies = urllib.request.getproxies()
         proxy = proxies.get(parts.scheme) or proxies.get("all")
-        if proxy and _bypasses_proxy(host, parts.port):
-            proxy = None
+        try:
+            if proxy and urllib.request.proxy_bypass(authority):
+                proxy = None
+        except (TypeError, OSError):
+            pass
         self._target = parts.path or "/"
         if parts.query:
             self._target += "?" + parts.query
@@ -201,14 +142,11 @@ class HttpTransport:
                 tunnel = (host, port, proxy_headers)
             else:
                 # absolute form: the proxy forwards it to the URL's origin
-                origin = "http://" + parts.netloc.rpartition("@")[2]
-                self._target = origin + self._target
+                self._target = "http://" + authority + self._target
                 self._headers.update(proxy_headers)
             host, port = proxy_parts.hostname, proxy_parts.port or 80
         if tls:
-            self._conn = http.client.HTTPSConnection(
-                host, port, timeout=timeout_s, context=_tls_context()
-            )
+            self._conn = http.client.HTTPSConnection(host, port, timeout=timeout_s)
         else:
             self._conn = http.client.HTTPConnection(host, port, timeout=timeout_s)
         if tunnel is not None:

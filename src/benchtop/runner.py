@@ -23,7 +23,9 @@ is the base64 of the raster's 4,096 bytes, 64 x 64 pixels in row-major
 order, and is empty when the observation has no raster. Before each
 episode the runner sends ``{"type": "reset"}``; a subprocess sends no reply
 to it, and over HTTP it gets a reply like any message, whose status must
-be 2xx. Replies that are late, malformed, or mis-shaped fail that trial
+be 2xx. A stdio reply is one line of at most ``MAX_REPLY_BYTES`` (64 KiB)
+before its newline, and the whole line must arrive within the act timeout.
+Replies that are late, malformed, mis-shaped or too long fail that trial
 with an error annotation; the campaign itself keeps going, and the external
 policy is respawned before the next episode on its worker.
 
@@ -96,6 +98,7 @@ from .sim import (
 BUILTIN_POLICIES = ("oracle", "random", "random_target", "instruction_brittle")
 
 DEFAULT_ACT_TIMEOUT_S = 10.0
+MAX_REPLY_BYTES = 65536  # an act reply is under 100 bytes
 
 _CARRY_MARGIN = 0.02
 _DROP_CLEARANCE = 0.05
@@ -223,7 +226,6 @@ class OraclePolicy:
         half_a = ctx.object_heights[self.target] / 2.0
         if ctx.task is Task.PICK_UP:
             return (self.pos[0], self.pos[1], PICK_HEIGHT + half_a + _CARRY_MARGIN)
-        assert ctx.target_b_index is not None
         b = snaps[ctx.target_b_index].pose.position_m
         if ctx.task is Task.MOVE_NEAR:
             bx, by = b[0], b[1]
@@ -411,9 +413,19 @@ class SubprocessPolicyClient:
     def _read_line(self) -> str:
         """The next reply line, with its newline, read before the deadline."""
         deadline = time.monotonic() + self.act_timeout_s
-        while b"\n" not in self._pending:
-            remaining = max(0.0, deadline - time.monotonic())
-            if not select.select([self._stdout_fd], [], [], remaining)[0]:
+        while True:
+            line, newline, rest = self._pending.partition(b"\n")
+            if len(line) > MAX_REPLY_BYTES:
+                raise PolicyProtocolError(
+                    f"policy reply is longer than {MAX_REPLY_BYTES} bytes"
+                )
+            if newline:
+                self._pending = rest
+                return (line + newline).decode("utf-8", errors="replace")
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not select.select(
+                [self._stdout_fd], [], [], remaining
+            )[0]:
                 raise PolicyTimeout(
                     f"policy did not reply within {self.act_timeout_s}s"
                 )
@@ -421,8 +433,6 @@ class SubprocessPolicyClient:
             if not chunk:
                 raise PolicyProtocolError("policy process closed its stdout")
             self._pending += chunk
-        line, _, self._pending = self._pending.partition(b"\n")
-        return (line + b"\n").decode("utf-8", errors="replace")
 
     def reset(self, ctx: ResetContext) -> None:
         self._send('{"type":"reset"}')

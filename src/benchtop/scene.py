@@ -90,15 +90,9 @@ class SceneConfig:
 
 
 @dataclass(frozen=True)
-class ObjectSpec:
-    mention: str | None = None
-    pose: Pose | None = None
-
-
-@dataclass(frozen=True)
 class SceneDescription:
     object_count: int
-    object_specs: tuple[ObjectSpec, ...] = ()
+    mentions: tuple[str, ...] = ()
     lighting: LightingSpec | None = None
     camera: CameraPose | None = None
     raw_text: str = ""

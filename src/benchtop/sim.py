@@ -425,15 +425,13 @@ def _hdist(a: WorldObject, b: WorldObject) -> float:
 
 
 def check_success(state: WorldState, goal: TaskGoal) -> bool:
+    """Whether ``state`` meets ``goal``, whose indices ``CampaignManifest.validate``
+    has checked: in range, and a distinct object b for all tasks but pick_up."""
     objs = state.objects
-    if goal.target_a_index >= len(objs):
-        return False
     a = objs[goal.target_a_index]
     a_attached = state.gripper.attached == goal.target_a_index
     if goal.task is Task.PICK_UP:
         return a_attached and a.base >= TABLE_HEIGHT + PICK_HEIGHT - _EPS
-    if goal.target_b_index is None or goal.target_b_index >= len(objs):
-        return False
     b = objs[goal.target_b_index]
     if goal.task is Task.MOVE_NEAR:
         return (not a_attached) and _hdist(a, b) <= NEAR_DISTANCE + _EPS
@@ -443,11 +441,8 @@ def check_success(state: WorldState, goal: TaskGoal) -> bool:
             and abs(a.base - b.top) <= REST_TOL
             and _contains_xy(b, a.pose.position_m[0], a.pose.position_m[1])
         )
-    if goal.task is Task.PUT_IN:
-        cz = a.pose.position_m[2]
-        return (
-            (not a_attached)
-            and _contains_xy(b, a.pose.position_m[0], a.pose.position_m[1])
-            and b.base - _EPS <= cz <= b.top + _EPS
-        )
-    return False
+    return (  # PUT_IN
+        (not a_attached)
+        and _contains_xy(b, a.pose.position_m[0], a.pose.position_m[1])
+        and b.base - _EPS <= a.pose.position_m[2] <= b.top + _EPS
+    )

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Stdio stub policies for wire-protocol tests.
 
-Usage: stub_policies.py {conform|garbage|extra_field|sleep|quit|bad_utf8|nan|split}
+Usage: stub_policies.py {conform|garbage|extra_field|sleep|quit|bad_utf8|nan|
+                          split|stream}
        stub_policies.py record PATH
 
 The conform stub is strict in both directions: if an incoming observe
@@ -11,7 +12,8 @@ deliberately broken reply, which shows up as a failed trial in the tests.
 ``NaN`` delta, which Python's json module accepts but JSON has not; ``split``
 answers like
 ``conform`` but writes each reply in two flushes with a pause between them.
-``record`` answers like ``conform`` and appends every line it receives,
+``stream`` answers each observe by writing 64 KiB chunks with no newline for
+3 s. ``record`` answers like ``conform`` and appends every line it receives,
 exactly as received, to the file PATH.
 """
 import json
@@ -45,6 +47,12 @@ def main() -> int:
             return 0
         if behavior == "sleep":
             time.sleep(5.0)
+        if behavior == "stream":
+            end = time.monotonic() + 3.0
+            while time.monotonic() < end:
+                sys.stdout.write("x" * 65536)
+                sys.stdout.flush()
+            continue
         if behavior == "garbage":
             print("%%% this is not json", flush=True)
             continue

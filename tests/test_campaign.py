@@ -192,6 +192,12 @@ BROKEN = {
     "target_b_out_of_range": (
         lambda m: _with_meta(m, 1, target_b_index=-1),
         "scene 1 target_b_index out of range", "$"),
+    "target_b_missing": (
+        lambda m: _with_meta(m, 1, target_b_index=None),
+        "must name an object other than", "$.scene_meta[1].target_b_index"),
+    "target_b_equals_a": (
+        lambda m: _with_meta(m, 2, target_b_index=m.scene_meta[2].target_a_index),
+        "must name an object other than", "$.scene_meta[2].target_b_index"),
 }
 
 

@@ -13,6 +13,13 @@ from benchtop.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 
 _DROP = object()
+_HUGE = "9" * 400  # an integer beyond the float range
+
+
+def _default_catalog_doc() -> dict:
+    return json.loads(
+        resources.files("benchtop.data").joinpath("default_catalog.json").read_text()
+    )
 
 
 def _edit(doc, keys, value):
@@ -53,11 +60,14 @@ def _expect_schema_violation(capsys, argv, path):
         (("spec", "factors", "lighting_mutation"), True, "$.spec"),
         (("spec", "factors", "camera_mutation"), False,
          "$.scene_meta[0].env_variant"),
+        (("scene_meta", 0, "target_b_index"), None, "$.scene_meta[0].target_b_index"),
+        (("scenes", 0, "adds", 0, "pose", "yaw_rad"), int(_HUGE),
+         "$.scenes[0].adds[0].pose.yaw_rad"),
     ],
     ids=[
         "string_bool", "float_seed", "string_count", "unknown_key", "no_threshold",
         "threshold_above_one", "count_range_reversed", "both_mutations",
-        "env_variant_mismatch",
+        "env_variant_mismatch", "target_b_missing", "yaw_beyond_float_range",
     ],
 )
 def test_run_rejects_malformed_manifest(tmp_path, capsys, keys, value, path):
@@ -256,9 +266,7 @@ def test_a_malformed_replay_fixture_is_a_malformed_response(tmp_path, capsys, te
 def test_plan_fails_a_scene_whose_target_name_resolves_to_another_model(
     tmp_path, capsys
 ):
-    doc = json.loads(
-        resources.files("benchtop.data").joinpath("default_catalog.json").read_text()
-    )
+    doc = _default_catalog_doc()
     apple = next(m for m in doc["models"] if m["id"] == "apple")
     doc["models"].append(dict(apple, id="zz_apple"))  # "apple" resolves to apple
     catalog = tmp_path / "catalog.json"
@@ -269,3 +277,25 @@ def test_plan_fails_a_scene_whose_target_name_resolves_to_another_model(
     message = _expect_error(capsys, argv, "partial_plan_failure")
     assert message.startswith("planning failed at scene 8: 'apple' does not ")
     assert not out.exists()
+
+
+def test_gen_scene_rejects_a_catalog_number_beyond_the_float_range(tmp_path, capsys):
+    doc = _default_catalog_doc()
+    doc["models"][1]["dimensions_m"][0] = int(_HUGE)
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps(doc))
+    argv = ["gen-scene", "--desc", "2 objects", "--catalog", str(catalog)]
+    message = _expect_error(capsys, argv, "malformed_catalog")
+    assert message == "$.models[1].dimensions_m[0]: expected finite number"
+
+
+@pytest.mark.parametrize(
+    "clause", [f"camera at (0, 0, {_HUGE})", f"lighting {_HUGE}"],
+    ids=["camera", "lighting"],
+)
+def test_gen_scene_rejects_a_description_number_beyond_the_float_range(
+    capsys, clause
+):
+    argv = ["gen-scene", "--desc", f"2 objects, {clause}"]
+    message = _expect_error(capsys, argv, "description_parse_error", exit_code=2)
+    assert "beyond the float range" in message

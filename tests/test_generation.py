@@ -39,12 +39,12 @@ def test_numeric_and_word_counts():
 def test_mentions_with_article_and_of_which():
     d = parse_description("three objects, one of which is a plastic bottle")
     assert d.object_count == 3
-    assert [s.mention for s in d.object_specs] == ["plastic bottle"]
+    assert list(d.mentions) == ["plastic bottle"]
 
 
 def test_multiple_mentions_in_order():
     d = parse_description("4 objects, one is an apple, one is the red mug")
-    assert [s.mention for s in d.object_specs] == ["apple", "red mug"]
+    assert list(d.mentions) == ["apple", "red mug"]
 
 
 def test_lighting_and_camera_clauses():
@@ -211,6 +211,37 @@ def test_three_garbage_env_replies_keep_the_default_env(catalog):
     assert third.user == first.user + _rejection(parse_llm_env, bad_shape)
     assert first.system == second.system == third.system != objects.system
     assert provider.replies == [NULL_ENV]
+
+
+HUGE = "9" * 400  # an integer beyond the float range
+
+
+def test_a_pose_number_beyond_the_float_range_is_asked_again(catalog):
+    huge_yaw = (
+        '[{"model_id": "apple", "pose": {"position_m": [0.0, 0.0, 0.04], '
+        f'"yaw_rad": {HUGE}}}}}]'
+    )
+    provider = ScriptedChatProvider(
+        replies=[huge_yaw, _ops_reply("apple"), NULL_ENV]
+    )
+    cfg = generate_scene("1 object, one is an apple", provider, catalog, seed=2)
+    assert validate_config(cfg, catalog) == []
+    first, second, _ = provider.calls
+    parse = lambda reply: parse_llm_ops(reply, catalog, 1)
+    rejection = _rejection(parse, huge_yaw)
+    assert "$[0].pose.yaw_rad: expected finite number" in rejection
+    assert second.user == first.user + rejection
+
+
+def test_a_lighting_number_beyond_the_float_range_keeps_the_default_env(catalog):
+    huge = f'{{"lighting": {{"intensity": {HUGE}}}, "camera": null}}'
+    assert "$.lighting.intensity: expected finite number" in _rejection(
+        parse_llm_env, huge
+    )
+    provider = ScriptedChatProvider(replies=[_ops_reply("apple")] + [huge] * 3)
+    cfg = generate_scene("1 object, one is an apple", provider, catalog, seed=2)
+    assert cfg.env == default_env()
+    assert provider.replies == []
 
 
 def test_generate_scene_requires_mentions_present(catalog):

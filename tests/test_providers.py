@@ -291,10 +291,8 @@ def test_a_transport_posts_to_the_path_and_query_of_its_url(stub_server):
 @pytest.mark.parametrize(
     "no_proxy, proxied",
     [
-        ("127.0.0.0/8", False),
-        ("10.0.0.0/8, 127.0.0.1/32", False),
         ("*", False),
-        ("10.0.0.0/8", True),
+        ("127.0.0.1", False),
         ("127.0.0.2", True),
     ],
 )
@@ -344,25 +342,16 @@ def test_https_goes_through_a_connect_tunnel(stub_server, make_provider, monkeyp
 
 
 @pytest.mark.parametrize(
-    "netrc_login, url_userinfo, api_key, expected",
+    "url_userinfo, api_key, expected",
     [
-        ("alice", "", None, ("Basic", b"alice:s3cret")),
-        ("alice", "bob:pw@", None, ("Basic", b"alice:s3cret")),
-        ("alice", "", "sekrit-token", ("Bearer", b"sekrit-token")),
-        (None, "b%40b:p%3Aw@", None, ("Basic", b"b@b:p:w")),
+        ("b%40b:p%3Aw@", None, ("Basic", b"b@b:p:w")),
+        ("b%40b:p%3Aw@", "sekrit-token", ("Bearer", b"sekrit-token")),
     ],
-    ids=["netrc", "netrc_over_url", "api_key_over_netrc", "url"],
+    ids=["url", "api_key_over_url"],
 )
-def test_basic_auth_from_netrc_or_url_unless_an_api_key_is_set(
-    stub_server, make_provider, tmp_path, monkeypatch,
-    netrc_login, url_userinfo, api_key, expected,
+def test_basic_auth_from_the_url_unless_an_api_key_is_set(
+    stub_server, make_provider, monkeypatch, url_userinfo, api_key, expected
 ):
-    netrc_file = tmp_path / "netrc"
-    if netrc_login is not None:
-        netrc_file.write_text(
-            f"machine 127.0.0.1 login {netrc_login} password s3cret\n"
-        )
-    monkeypatch.setenv("NETRC", str(netrc_file))
     if api_key is None:
         monkeypatch.delenv("PROVIDER_API_KEY", raising=False)
     else:

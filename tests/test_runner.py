@@ -164,6 +164,18 @@ def test_reply_that_is_not_json_fails_its_trial(catalog, short, stub_server, mod
     ] * len(short.trials)
 
 
+def test_a_reply_that_never_ends_fails_at_the_line_cap(catalog, short):
+    one = replace(short, trials=short.trials[:1])
+    began = time.monotonic()
+    results = run(one, catalog, stub("stream"), act_timeout_s=1.0)
+    elapsed = time.monotonic() - began
+    assert [r.error for r in results] == [
+        f"PolicyProtocolError: policy reply is longer than {runner.MAX_REPLY_BYTES} "
+        "bytes"
+    ]
+    assert elapsed < 1.0  # the stub keeps writing for 3 s
+
+
 def test_reply_written_in_two_parts_is_read_as_one(catalog, short):
     split = run(short, catalog, stub("split"), max_steps=10)
     conform = run(short, catalog, stub("conform"), max_steps=10)
