@@ -298,6 +298,12 @@ def synthesize_description(
     return text, a, b
 
 
+def _source_mix(scene: SceneConfig, catalog: Catalog) -> SourceMix:
+    if all(catalog.get(op.model_id).source is Source.SEEN_SET for op in scene.adds):
+        return SourceMix.SEEN_ONLY
+    return SourceMix.CONTAINS_UNSEEN
+
+
 # ---- manifest -------------------------------------------------------------
 
 
@@ -317,7 +323,14 @@ class CampaignManifest:
         return canonical_dumps(encode(self))
 
     def validate(self, catalog: Catalog) -> None:
-        """Check internal consistency; raises SchemaViolation on breakage."""
+        """Check internal consistency; raises SchemaViolation on breakage.
+
+        Every label is derived again and compared with the stored one: each
+        scene's ``source_mix`` and ``basic_instruction``, and each trial's
+        text and kind. A scene's trials must be a leading part of its basic
+        instruction followed by its instruction set's valid texts, so a
+        manifest cut short still runs.
+        """
         try:
             self.spec.validate()
         except UsageError as exc:
@@ -355,7 +368,8 @@ class CampaignManifest:
                     f"{variant.value}",
                     path=f"$.scene_meta[{i}].env_variant",
                 )
-            count = len(self.scenes[i].adds)
+            adds = self.scenes[i].adds
+            count = len(adds)
             if meta.object_count != count:
                 raise SchemaViolation(
                     f"scene {i} metadata says {meta.object_count} objects, "
@@ -370,6 +384,48 @@ class CampaignManifest:
                 raise SchemaViolation(
                     "must name an object other than target_a_index",
                     path=f"$.scene_meta[{i}].target_b_index",
+                )
+            mix = _source_mix(self.scenes[i], catalog)
+            if meta.source_mix is not mix:
+                raise SchemaViolation(
+                    f"scene {i} is {mix.value} by its objects",
+                    path=f"$.scene_meta[{i}].source_mix",
+                )
+            names = [catalog.get(op.model_id).display_name for op in adds]
+            basic = original_instruction(
+                self.spec.task, names[a], None if b is None else names[b]
+            )
+            if meta.basic_instruction != basic:
+                raise SchemaViolation(
+                    f"scene {i}'s targets give {basic!r}",
+                    path=f"$.scene_meta[{i}].basic_instruction",
+                )
+        k = self.spec.k_instructions
+        paraphrased = self.spec.factors.use_paraphrases and k > 1
+        planned = [
+            ((meta.basic_instruction,) if k >= 1 else ())
+            + (self.instruction_sets[i].valid_texts if paraphrased else ())
+            for i, meta in enumerate(self.scene_meta)
+        ]
+        played = [0] * n
+        for j, trial in enumerate(self.trials):
+            i = trial.scene_index
+            texts = planned[i]
+            if played[i] == len(texts) or trial.instruction_text != texts[played[i]]:
+                raise SchemaViolation(
+                    f"trial {j} is not scene {i}'s next planned instruction",
+                    path=f"$.trials[{j}].instruction_text",
+                )
+            played[i] += 1
+            kind = (
+                InstructionKind.BASIC
+                if trial.instruction_text == self.scene_meta[i].basic_instruction
+                else InstructionKind.PARAPHRASED
+            )
+            if trial.instruction_kind is not kind:
+                raise SchemaViolation(
+                    f"trial {j} is {kind.value}",
+                    path=f"$.trials[{j}].instruction_kind",
                 )
 
 
@@ -449,18 +505,10 @@ def plan_campaign(
                 a_model.display_name,
                 None if b_model is None else b_model.display_name,
             )
-            mix = (
-                SourceMix.SEEN_ONLY
-                if all(
-                    catalog.get(op.model_id).source is Source.SEEN_SET
-                    for op in scene.adds
-                )
-                else SourceMix.CONTAINS_UNSEEN
-            )
             metas.append(
                 SceneMeta(
                     object_count=len(scene.adds),
-                    source_mix=mix,
+                    source_mix=_source_mix(scene, catalog),
                     env_variant=variant,
                     target_a_index=a_index,
                     target_b_index=b_index,

@@ -49,10 +49,6 @@ class ObjectModel:
     container: bool
     support_surface: bool
 
-    @property
-    def height_m(self) -> float:
-        return self.dimensions_m[2]
-
     def token_set(self) -> frozenset[str]:
         toks: set[str] = set(tokenize(self.display_name))
         for alias in self.aliases:
@@ -86,9 +82,6 @@ class Catalog:
 
     def __len__(self) -> int:
         return len(self.models)
-
-    def __contains__(self, model_id: str) -> bool:
-        return model_id in self._by_id
 
     def get(self, model_id: str) -> ObjectModel | None:
         return self._by_id.get(model_id)

@@ -13,9 +13,8 @@ class BenchtopError(Exception):
     code = "error"
     exit_code = 1
 
-    def __init__(self, message: str = "", **details):
+    def __init__(self, message: str = ""):
         super().__init__(message or self.__class__.__name__)
-        self.details = details
 
 
 class UsageError(BenchtopError):
@@ -53,7 +52,7 @@ class SchemaViolation(BenchtopError):
     code = "schema_violation"
 
     def __init__(self, message: str, path: str = "$"):
-        super().__init__(f"{path}: {message}", path=path)
+        super().__init__(f"{path}: {message}")
         self.path = path
 
 
@@ -99,7 +98,7 @@ class HttpStatusError(ProviderError):
     code = "http_status"
 
     def __init__(self, status: int, message: str = ""):
-        super().__init__(message or f"HTTP status {status}", status=status)
+        super().__init__(message or f"HTTP status {status}")
         self.status = status
 
 
@@ -122,7 +121,7 @@ class PartialPlanFailure(BenchtopError):
     code = "partial_plan_failure"
 
     def __init__(self, message: str, scene_index: int):
-        super().__init__(message, scene_index=scene_index)
+        super().__init__(message)
         self.scene_index = scene_index
 
 

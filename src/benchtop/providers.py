@@ -16,7 +16,8 @@ to the same file regardless of dict ordering in the caller.
 
 The API key is read from the ``PROVIDER_API_KEY`` environment variable; it
 is sent as a bearer header on live traffic and is never written to any file.
-A timeout (30 s), a connection error, a 429 or a 5xx is retried 3 times.
+An exchange that does not end within 30 s, a connection error, a 429 or a
+5xx is retried 3 times.
 
 ``HttpTransport`` POSTs to one URL over ``http.client`` and keeps its
 connection open for the next request. It serves one caller at a time:
@@ -99,12 +100,13 @@ class HttpTransport:
     caller at a time. Its connection stays open between requests unless the
     server asks to close it or closed it while idle (its socket has become
     readable), or an exchange fails; ``http.client`` then opens a new one
-    for the next request. ``post`` raises ``TimeoutError`` when the server
-    does not answer within ``timeout_s``, and another ``OSError`` or an
-    ``http.client.HTTPException`` when the exchange fails.
+    for the next request. ``post`` raises ``TimeoutError`` when the
+    exchange does not end within ``timeout_s``, and another ``OSError`` or
+    an ``http.client.HTTPException`` when it fails.
     """
 
     def __init__(self, url: str, timeout_s: float) -> None:
+        self._timeout_s = timeout_s
         parts = urllib.parse.urlsplit(url)
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ValueError(f"not an http:// or https:// URL: {url!r}")
@@ -155,23 +157,51 @@ class HttpTransport:
     def post(
         self, body: bytes, headers: dict[str, str] | None = None
     ) -> tuple[int, bytes]:
-        """POST ``body`` to the URL; the reply's status and body."""
+        """POST ``body`` to the URL; the reply's status and body.
+
+        The exchange has one deadline, ``timeout_s`` after the call. The
+        socket timeout is set to the time left before the request is sent
+        and before each read of the body, and ``TimeoutError`` is raised once
+        the deadline has passed. The status line and headers are bounded
+        only per read, each by the time left when the request was sent.
+        """
+        deadline = time.monotonic() + self._timeout_s
         conn = self._conn
         if conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
             conn.close()
+        response = None
         try:
+            if conn.sock is None:
+                conn.connect()
+            sock = conn.sock  # dropped by http.client when the reply will close
+            sock.settimeout(self._time_left(deadline))
             conn.request(
                 "POST", self._target, body,
                 {**self._headers, **headers} if headers else self._headers,
             )
             response = conn.getresponse()
-            data = response.read()
+            data = bytearray()
+            while response.length != 0:  # None for a chunked or unsized body
+                sock.settimeout(self._time_left(deadline))
+                chunk = response.read1(65536)
+                if not chunk:
+                    break
+                data += chunk
+            if response.length:
+                raise http.client.IncompleteRead(bytes(data), response.length)
         except BaseException:
             conn.close()
+            if response is not None:
+                response.close()
             raise
-        if response.will_close:
-            conn.close()
-        return response.status, data
+        response.close()
+        return response.status, bytes(data)
+
+    def _time_left(self, deadline: float) -> float:
+        left = deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError(f"no reply within {self._timeout_s}s")
+        return left
 
     def close(self) -> None:
         """Close the kept-alive connection, if it is open."""

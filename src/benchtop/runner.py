@@ -3,7 +3,7 @@
 Policies come in three kinds:
 
 - ``builtin:<name>`` runs in-process. Available names: ``oracle`` (solves
-  the task from privileged object poses), ``random`` (uniform action
+  the task from the object poses it observes), ``random`` (uniform action
   noise), ``random_target`` (oracle mechanics aimed at a uniformly chosen
   object), and ``instruction_brittle`` (oracle on the exact planned
   instruction, random noise on anything else, e.g. paraphrases).
@@ -25,26 +25,30 @@ episode the runner sends ``{"type": "reset"}``; a subprocess sends no reply
 to it, and over HTTP it gets a reply like any message, whose status must
 be 2xx. A stdio reply is one line of at most ``MAX_REPLY_BYTES`` (64 KiB)
 before its newline, and the whole line must arrive within the act timeout.
+An HTTP exchange must end within the act timeout too, though its status
+line and headers are bounded only per read.
 Replies that are late, malformed, mis-shaped or too long fail that trial
 with an error annotation; the campaign itself keeps going, and the external
 policy is respawned before the next episode on its worker.
 
-Every policy, builtin or wire client, offers ``privileged``, ``reset(ctx)``
-and ``act(obs)``, and one episode loop drives them all. ``run_campaign``
-builds each scene's start world once, and the scene's trials share it
-(world states are immutable).
+Every policy, builtin or wire client, offers ``reset(goal)``, which takes
+the scene's ``TaskGoal``, and ``act(obs)``, and one episode loop drives them
+all. An observation carries the world's own objects tuple, which the oracle
+reads and a wire client never sends. ``run_campaign`` builds each scene's
+start world once, and the scene's trials share it (world states are
+immutable).
 
 Trials become jobs. The four builtins are two behaviours: ``OraclePolicy``
 (scripted mechanics aimed at one object) and ``RandomPolicy`` (noise from
-one seed). ``builtin_episode(name, ctx)`` maps a builtin name and a trial to
-the class and argument it plays; the episode is deterministic in the scene
-and that pair, so the pair is also the job key and cannot disagree with
-what is played. Trials of one scene with equal pairs form one job, so the
-oracle plays each scene once however many instructions the scene has. Wire
-trials never share: an external policy reads the instruction, the factor a
-campaign varies, so each wire trial is its own job. A job is played by its
-first trial in manifest order, and every trial of the job gets that outcome
-with its own instruction, kind and seed.
+one seed). ``builtin_episode(name, trial, meta)`` maps a builtin name, a
+trial and its scene's metadata to the class and argument it plays; the
+episode is deterministic in the scene and that pair, so the pair is also the
+job key and cannot disagree with what is played. Trials of one scene with
+equal pairs form one job, so the oracle plays each scene once however many
+instructions the scene has. Wire trials never share: an external policy
+reads the instruction, the factor a campaign varies, so each wire trial is
+its own job. A job is played by its first trial in manifest order, and every
+trial of the job gets that outcome with its own instruction, kind and seed.
 
 ``run_campaign`` starts ``parallelism`` workers on a thread pool. Each
 takes the next job from a shared iterator, so no two workers play the same
@@ -72,7 +76,14 @@ from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from enum import Enum
 
-from .campaign import CampaignManifest, EnvVariant, InstructionKind, SourceMix
+from .campaign import (
+    CampaignManifest,
+    EnvVariant,
+    InstructionKind,
+    SceneMeta,
+    SourceMix,
+    Trial,
+)
 from .catalog import Catalog
 from .errors import PolicyProtocolError, PolicyTimeout, UsageError
 from .jsonio import loads
@@ -145,17 +156,6 @@ def parse_policy_endpoint(text: str) -> PolicyEndpoint:
 
 
 @dataclass(frozen=True)
-class ResetContext:
-    task: Task
-    target_a_index: int
-    target_b_index: int | None
-    basic_instruction: str
-    instruction: str
-    trial_seed: int
-    object_heights: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class EpisodeResult:
     scene_index: int
     instruction: str
@@ -188,21 +188,19 @@ def load_results(path) -> list[EpisodeResult]:
 
 
 class OraclePolicy:
-    """Scripted pick-and-place aimed at object ``target``, from privileged
-    object poses.
+    """Scripted pick-and-place aimed at object ``target``, from the object
+    poses and heights each observation carries.
 
     Tracks its own commanded gripper position from the home pose; every
     point it steers to is interior to the workspace, so dead reckoning
     matches the simulator exactly.
     """
 
-    privileged = True
-
     def __init__(self, target: int) -> None:
         self.target = target
 
-    def reset(self, ctx: ResetContext) -> None:
-        self.ctx = ctx
+    def reset(self, goal: TaskGoal) -> None:
+        self.goal = goal
         self.pos = GRIPPER_HOME
         self.stage = "approach"
 
@@ -221,14 +219,14 @@ class OraclePolicy:
         self.pos = (self.pos[0] + dx, self.pos[1] + dy, self.pos[2] + dz)
         return (dx, dy, dz), arrived
 
-    def _carry_point(self, snaps) -> tuple[float, float, float]:
-        ctx = self.ctx
-        half_a = ctx.object_heights[self.target] / 2.0
-        if ctx.task is Task.PICK_UP:
+    def _carry_point(self, objects) -> tuple[float, float, float]:
+        goal = self.goal
+        half_a = objects[self.target].height_m / 2.0
+        if goal.task is Task.PICK_UP:
             return (self.pos[0], self.pos[1], PICK_HEIGHT + half_a + _CARRY_MARGIN)
-        b = snaps[ctx.target_b_index].pose.position_m
-        if ctx.task is Task.MOVE_NEAR:
-            bx, by = b[0], b[1]
+        b = objects[goal.target_b_index]
+        bx, by = b.pose.position_m[0], b.pose.position_m[1]
+        if goal.task is Task.MOVE_NEAR:
             norm = math.sqrt(bx * bx + by * by)
             if norm > 1e-9:
                 x = bx * (1.0 - _NEAR_OFFSET / norm)
@@ -236,22 +234,21 @@ class OraclePolicy:
             else:
                 x, y = _NEAR_OFFSET, 0.0
             return (x, y, max(half_a + _CARRY_MARGIN, _MIN_CARRY_Z))
-        top_b = b[2] + ctx.object_heights[ctx.target_b_index] / 2.0
-        return (b[0], b[1], top_b + half_a + _DROP_CLEARANCE)
+        return (bx, by, b.top + half_a + _DROP_CLEARANCE)
 
     def act(self, obs: Observation) -> Action:
-        snaps = obs.object_snapshots
+        objects = obs.objects
         if self.stage == "approach":
-            delta, arrived = self._step_toward(snaps[self.target].pose.position_m)
+            delta, arrived = self._step_toward(objects[self.target].pose.position_m)
             if arrived:
                 self.stage = "carry"
                 return Action.make(*delta, GripperCommand.CLOSE)
             return Action.make(*delta, GripperCommand.HOLD)
         if self.stage == "carry":
-            delta, arrived = self._step_toward(self._carry_point(snaps))
+            delta, arrived = self._step_toward(self._carry_point(objects))
             if arrived:
                 self.stage = "done"
-                if self.ctx.task is Task.PICK_UP:
+                if self.goal.task is Task.PICK_UP:
                     return Action.make(*delta, GripperCommand.HOLD)
                 return Action.make(*delta, GripperCommand.OPEN)
             return Action.make(*delta, GripperCommand.HOLD)
@@ -265,12 +262,10 @@ class RandomPolicy:
     """Uniform action noise drawn from ``seed``: each action is three
     deltas, then a gripper command."""
 
-    privileged = False
-
     def __init__(self, seed: int) -> None:
         self.seed = seed
 
-    def reset(self, ctx: ResetContext) -> None:
+    def reset(self, goal: TaskGoal) -> None:
         self._rng = random.Random(self.seed)
 
     def act(self, obs: Observation) -> Action:
@@ -283,21 +278,22 @@ class RandomPolicy:
         )
 
 
-def builtin_episode(name: str, ctx: ResetContext) -> tuple[type, int]:
-    """What builtin policy ``name`` plays on ``ctx``: a class and the one
-    argument it is built with.
+def builtin_episode(name: str, trial: Trial, meta: SceneMeta) -> tuple[type, int]:
+    """What builtin policy ``name`` plays on ``trial`` of the scene described
+    by ``meta``: a class and the one argument it is built with.
 
     Beyond the scene, an episode reads only that pair, so the pair is also
     the episode's job key.
     """
+    seed = trial.trial_seed
     if name == "random":
-        return RandomPolicy, ctx.trial_seed
+        return RandomPolicy, seed
     if name == "random_target":
-        count = len(ctx.object_heights)
-        return OraclePolicy, random.Random(ctx.trial_seed).randrange(count)
-    if name == "instruction_brittle" and ctx.instruction != ctx.basic_instruction:
-        return RandomPolicy, ctx.trial_seed
-    return OraclePolicy, ctx.target_a_index
+        return OraclePolicy, random.Random(seed).randrange(meta.object_count)
+    paraphrased = trial.instruction_text != meta.basic_instruction
+    if name == "instruction_brittle" and paraphrased:
+        return RandomPolicy, seed
+    return OraclePolicy, meta.target_a_index
 
 
 # ---- wire clients ---------------------------------------------------------
@@ -389,8 +385,6 @@ class SubprocessPolicyClient:
     a reply fails as a protocol error. This needs POSIX pipes.
     """
 
-    privileged = False
-
     def __init__(self, command: str, act_timeout_s: float) -> None:
         self.act_timeout_s = act_timeout_s
         self._proc = subprocess.Popen(
@@ -434,7 +428,7 @@ class SubprocessPolicyClient:
                 raise PolicyProtocolError("policy process closed its stdout")
             self._pending += chunk
 
-    def reset(self, ctx: ResetContext) -> None:
+    def reset(self, goal: TaskGoal) -> None:
         self._send('{"type":"reset"}')
 
     def act(self, obs: Observation) -> Action:
@@ -465,8 +459,6 @@ class HttpPolicyClient:
     are not followed.
     """
 
-    privileged = False
-
     def __init__(self, url: str, act_timeout_s: float) -> None:
         self.url = url
         self.act_timeout_s = act_timeout_s
@@ -484,7 +476,7 @@ class HttpPolicyClient:
             raise PolicyProtocolError(f"policy replied HTTP {status}")
         return data
 
-    def reset(self, ctx: ResetContext) -> None:
+    def reset(self, goal: TaskGoal) -> None:
         self._post(b'{"type": "reset"}', "policy reset timed out")
 
     def act(self, obs: Observation) -> Action:
@@ -502,37 +494,34 @@ class HttpPolicyClient:
 
 
 def run_episode(
-    start: WorldState, env: EnvSetupOp, policy, ctx: ResetContext,
+    start: WorldState, env: EnvSetupOp, policy, instruction: str,
     goal: TaskGoal, max_steps: int, render: bool,
 ) -> tuple[bool, int, str | None]:
-    """Play one episode from ``start``, in a scene set up as ``env``.
+    """Play one episode of ``instruction`` from ``start``, in a scene set up
+    as ``env``.
 
     A policy timeout or protocol error fails only this episode.
 
-    Work is redone only when the world has changed. A new observation
-    (snapshots and raster) is built only when ``step`` returned a new
-    objects tuple; otherwise the last one is passed on with the current step
-    count. Success is rechecked only when the objects or the attachment
-    changed, the only inputs ``check_success`` reads.
+    Work is redone only when the world has changed. A new observation, with
+    its raster, is built only when ``step`` returned a new objects tuple;
+    otherwise the last one, whose ``objects`` is that same tuple, is passed
+    on with the current step count. Success is rechecked only when the
+    objects or the attachment changed, the only inputs ``check_success``
+    reads.
     """
     state = start
     try:
-        policy.reset(ctx)
+        policy.reset(goal)
         if check_success(state, goal):
             return True, 0, None
-        seen = obs = None
+        obs = None
         checked_objects, checked_attached = state.objects, state.gripper.attached
         while state.step_count < max_steps:
-            if state.objects is not seen:
-                seen = state.objects
-                obs = observe(
-                    state, env, ctx.instruction,
-                    privileged=policy.privileged, render=render,
-                )
+            if obs is None or state.objects is not obs.objects:
+                obs = observe(state, env, instruction, render=render)
             else:
                 obs = Observation(
-                    obs.instruction, obs.object_snapshots, obs.raster,
-                    state.step_count,
+                    instruction, obs.objects, obs.raster, state.step_count
                 )
             state = step(state, policy.act(obs))
             attached = state.gripper.attached
@@ -558,9 +547,9 @@ def run_campaign(
 
     Each scene's start world is built once, before any trial runs, and every
     trial of the scene starts from it. A builtin trial's job key is its scene
-    index and ``builtin_episode(name, ctx)``; trials with equal keys form one
-    job, played once by the first of them in manifest order with the policy
-    ``cls(arg)`` that the key names. Every wire trial is its own job.
+    index and ``builtin_episode(name, trial, meta)``; trials with equal keys
+    form one job, played once by the first of them in manifest order with the
+    policy ``cls(arg)`` that the key names. Every wire trial is its own job.
     """
     if parallelism < 1:
         raise UsageError(f"parallelism must be >= 1, got {parallelism}")
@@ -574,29 +563,16 @@ def run_campaign(
     manifest.validate(catalog)
     task = manifest.spec.task
     trials = manifest.trials
+    metas = manifest.scene_meta
     starts = [init_world(scene, catalog) for scene in manifest.scenes]
-    heights = [tuple(o.height_m for o in start.objects) for start in starts]
     goals = [
-        TaskGoal(task, meta.target_a_index, meta.target_b_index)
-        for meta in manifest.scene_meta
+        TaskGoal(task, meta.target_a_index, meta.target_b_index) for meta in metas
     ]
-    contexts = []
-    for trial in trials:
-        meta = manifest.scene_meta[trial.scene_index]
-        contexts.append(ResetContext(
-            task=task,
-            target_a_index=meta.target_a_index,
-            target_b_index=meta.target_b_index,
-            basic_instruction=meta.basic_instruction,
-            instruction=trial.instruction_text,
-            trial_seed=trial.trial_seed,
-            object_heights=heights[trial.scene_index],
-        ))
     render = endpoint.kind is not PolicyKind.BUILTIN
     if endpoint.kind is PolicyKind.BUILTIN:
         keys = [
-            (trial.scene_index, builtin_episode(endpoint.address, ctx))
-            for trial, ctx in zip(trials, contexts)
+            (t.scene_index, builtin_episode(endpoint.address, t, metas[t.scene_index]))
+            for t in trials
         ]
     else:
         keys = range(len(trials))  # an external policy reads the instruction
@@ -627,10 +603,11 @@ def run_campaign(
                         )
                         client = client_class(endpoint.address, act_timeout_s)
                     policy = client
-                s = trials[j].scene_index
+                trial = trials[j]
+                s = trial.scene_index
                 outcome = outcomes[j] = run_episode(
-                    starts[s], manifest.scenes[s].env, policy, contexts[j],
-                    goals[s], max_steps, render,
+                    starts[s], manifest.scenes[s].env, policy,
+                    trial.instruction_text, goals[s], max_steps, render,
                 )
                 if client is not None and outcome[2] is not None:
                     client.close()
@@ -650,7 +627,7 @@ def run_campaign(
                 jobs = iter(())  # no more jobs after a failure or an interrupt
     results = []
     for trial, key in zip(trials, keys):
-        meta = manifest.scene_meta[trial.scene_index]
+        meta = metas[trial.scene_index]
         success, steps, error = outcomes[player[key]]
         results.append(EpisodeResult(
             scene_index=trial.scene_index,

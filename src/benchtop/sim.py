@@ -23,11 +23,11 @@ Mechanics, in full:
   objects that are neither supports nor containers (the simulator is
   kinematic; there is no contact response).
 
-Observations carry the instruction, an optional privileged pose snapshot
-(oracle-family policies only), and an optional 64 x 64 grayscale raster
-rendered orthographically from the camera pose. Pixel intensity is the
-product of a depth shade and the lighting intensity, clamped at 255, so
-rescaling the lighting rescales every non-background pixel multiplicatively.
+Observations carry the instruction, the world's own immutable objects tuple,
+and an optional 64 x 64 grayscale raster rendered orthographically from the
+camera pose. Pixel intensity is the product of a depth shade and the
+lighting intensity, clamped at 255, so rescaling the lighting rescales every
+non-background pixel multiplicatively.
 
 Two contracts let callers reuse what they derived from a state:
 
@@ -151,15 +151,9 @@ class WorldState:
 
 
 @dataclass(frozen=True, slots=True)
-class Snapshot:
-    model_id: str
-    pose: Pose
-
-
-@dataclass(frozen=True, slots=True)
 class Observation:
     instruction: str
-    object_snapshots: tuple[Snapshot, ...] | None
+    objects: tuple[WorldObject, ...]
     raster: bytes | None
     step_count: int
 
@@ -394,25 +388,11 @@ def render_raster(state: WorldState, env: EnvSetupOp) -> bytes:
 
 
 def observe(
-    state: WorldState,
-    env: EnvSetupOp,
-    instruction: str,
-    *,
-    privileged: bool = False,
-    render: bool = True,
+    state: WorldState, env: EnvSetupOp, instruction: str, *, render: bool = True
 ) -> Observation:
-    snapshots = None
-    if privileged:
-        snapshots = tuple(
-            Snapshot(model_id=o.model_id, pose=o.pose) for o in state.objects
-        )
+    """What a policy sees of ``state``: ``objects`` is ``state.objects`` itself."""
     raster = render_raster(state, env) if render else None
-    return Observation(
-        instruction=instruction,
-        object_snapshots=snapshots,
-        raster=raster,
-        step_count=state.step_count,
-    )
+    return Observation(instruction, state.objects, raster, state.step_count)
 
 
 # ---- goals ----------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import http.client
 import json
 import socket
 import threading
@@ -130,3 +131,58 @@ def stub_server():
     for server in servers:
         server.shutdown()
         server.server_close()
+
+
+DRIP_BODY = b'{"type":"act","delta_position":[0.0,0.0,0.0],"gripper":"HOLD"}'
+
+
+@pytest.fixture
+def drip_server():
+    """A raw-socket HTTP/1.0 server that sends each reply's headers at once
+    and then the 62-byte act body ``DRIP_BODY``, 8 bytes every 0.2 s.
+
+    A request whose body holds ``"reset"`` gets the whole body at once, so
+    an ``http:`` policy's episode reaches its first act. Yields the URL.
+    """
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    stop = threading.Event()
+    threads = []
+
+    def serve(conn):
+        with conn, conn.makefile("rb") as rfile:
+            try:
+                conn.settimeout(5.0)
+                rfile.readline()  # the request line
+                headers = http.client.parse_headers(rfile)
+                body = rfile.read(int(headers.get("Content-Length", 0)))
+                conn.sendall(
+                    b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n"
+                    b"Content-Length: %d\r\n\r\n" % len(DRIP_BODY)
+                )
+                step = len(DRIP_BODY) if b'"reset"' in body else 8
+                for start in range(0, len(DRIP_BODY), step):
+                    if start and stop.wait(0.2):
+                        return
+                    conn.sendall(DRIP_BODY[start:start + step])
+            except OSError:
+                pass  # the client gave up waiting
+
+    def accept():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            threads.append(threading.Thread(target=serve, args=(conn,)))
+            threads[-1].start()
+
+    acceptor = threading.Thread(target=accept)
+    acceptor.start()
+    yield f"http://127.0.0.1:{listener.getsockname()[1]}"
+    stop.set()
+    acceptor.join(timeout=5.0)  # it starts no thread after this
+    for thread in threads:
+        thread.join(timeout=5.0)
+    listener.close()
+    assert not any(t.is_alive() for t in [acceptor, *threads])

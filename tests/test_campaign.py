@@ -16,6 +16,7 @@ from benchtop.campaign import (
     LIGHTING_DELTA_MAX,
     CampaignSpec,
     Factors,
+    InstructionKind,
     SourceMix,
     mutate_camera,
     mutate_lighting,
@@ -162,6 +163,12 @@ def _overlapping(manifest):
     return _with_scene(manifest, 1, adds=(adds[0], on_top) + adds[2:])
 
 
+def _mix_flipped(manifest):
+    seen = manifest.scene_meta[0].source_mix is SourceMix.SEEN_ONLY
+    mix = SourceMix.CONTAINS_UNSEEN if seen else SourceMix.SEEN_ONLY
+    return _with_meta(manifest, 0, source_mix=mix)
+
+
 def _far_away(manifest):
     adds = manifest.scenes[0].adds
     far = ObjectAddOp(model_id=adds[0].model_id, pose=Pose(position_m=(5.0, 0.0, 0.1)))
@@ -198,6 +205,20 @@ BROKEN = {
     "target_b_equals_a": (
         lambda m: _with_meta(m, 2, target_b_index=m.scene_meta[2].target_a_index),
         "must name an object other than", "$.scene_meta[2].target_b_index"),
+    "source_mix_flipped": (
+        _mix_flipped, "scene 0 is", "$.scene_meta[0].source_mix"),
+    "basic_instruction_false": (
+        lambda m: _with_meta(m, 1, basic_instruction="pick up the moon"),
+        "scene 1's targets give", "$.scene_meta[1].basic_instruction"),
+    "basic_trial_marked_paraphrased": (
+        lambda m: _with_trial(m, 0, instruction_kind=InstructionKind.PARAPHRASED),
+        "trial 0 is basic", "$.trials[0].instruction_kind"),
+    "trial_text_not_planned": (
+        lambda m: _with_trial(m, 1, instruction_text="pick up the moon"),
+        "trial 1 is not scene 0's next planned", "$.trials[1].instruction_text"),
+    "trials_out_of_order": (
+        lambda m: replace(m, trials=(m.trials[1], m.trials[0]) + m.trials[2:]),
+        "trial 0 is not scene 0's next planned", "$.trials[0].instruction_text"),
 }
 
 
@@ -213,4 +234,7 @@ def test_validate_rejects_an_inconsistent_manifest(catalog, planned, name):
 def test_validate_skips_instruction_sets_without_paraphrases(catalog, planned):
     spec = replace(planned.spec, factors=replace(planned.spec.factors,
                                                  use_paraphrases=False))
-    replace(planned, spec=spec, instruction_sets=()).validate(catalog)
+    basic = tuple(
+        t for t in planned.trials if t.instruction_kind is InstructionKind.BASIC
+    )
+    replace(planned, spec=spec, instruction_sets=(), trials=basic).validate(catalog)

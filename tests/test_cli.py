@@ -63,11 +63,18 @@ def _expect_schema_violation(capsys, argv, path):
         (("scene_meta", 0, "target_b_index"), None, "$.scene_meta[0].target_b_index"),
         (("scenes", 0, "adds", 0, "pose", "yaw_rad"), int(_HUGE),
          "$.scenes[0].adds[0].pose.yaw_rad"),
+        (("scene_meta", 0, "source_mix"), "seen_only", "$.scene_meta[0].source_mix"),
+        (("scene_meta", 1, "basic_instruction"), "pick up the moon",
+         "$.scene_meta[1].basic_instruction"),
+        (("trials", 0, "instruction_kind"), "paraphrased",
+         "$.trials[0].instruction_kind"),
     ],
     ids=[
         "string_bool", "float_seed", "string_count", "unknown_key", "no_threshold",
         "threshold_above_one", "count_range_reversed", "both_mutations",
         "env_variant_mismatch", "target_b_missing", "yaw_beyond_float_range",
+        "source_mix_flipped", "basic_instruction_false",
+        "basic_trial_marked_paraphrased",
     ],
 )
 def test_run_rejects_malformed_manifest(tmp_path, capsys, keys, value, path):

@@ -219,6 +219,25 @@ def test_timeout_ends_in_retries_exhausted(stub_server, make_provider):
     assert state["count"] == 2
 
 
+def test_a_reply_that_drips_past_the_deadline_ends_in_retries_exhausted(
+    drip_server, make_provider
+):
+    provider = make_provider(drip_server, timeout_s=0.5, max_retries=0)
+    with pytest.raises(RetriesExhausted, match="timeout talking to"):
+        provider.chat(REQ)
+
+
+def test_a_transport_times_out_a_reply_that_drips_past_its_deadline(drip_server):
+    transport = HttpTransport(drip_server, 0.5)
+    began = time.monotonic()
+    try:
+        with pytest.raises(TimeoutError):
+            transport.post(b"{}")
+    finally:
+        transport.close()
+    assert time.monotonic() - began < 1.0  # the whole body takes 1.4 s
+
+
 def test_request_bodies_are_the_json_of_the_payload(stub_server, make_provider):
     url, state = stub_server(lambda p, q, c: (200, _chat_body("ok")))
     provider = make_provider(url)

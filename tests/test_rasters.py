@@ -27,11 +27,10 @@ class _Recorder:
 
     def __init__(self, inner, digest) -> None:
         self.inner = inner
-        self.privileged = inner.privileged
         self.digest = digest
 
-    def reset(self, ctx) -> None:
-        self.inner.reset(ctx)
+    def reset(self, goal) -> None:
+        self.inner.reset(goal)
 
     def act(self, obs):
         self.digest.update(obs.raster)
@@ -47,23 +46,14 @@ def raster_hashes() -> str:
         scene = manifest.scenes[trial.scene_index]
         meta = manifest.scene_meta[trial.scene_index]
         start = sim.init_world(scene, catalog)
-        ctx = runner.ResetContext(
-            task=task,
-            target_a_index=meta.target_a_index,
-            target_b_index=meta.target_b_index,
-            basic_instruction=meta.basic_instruction,
-            instruction=trial.instruction_text,
-            trial_seed=trial.trial_seed,
-            object_heights=tuple(o.height_m for o in start.objects),
-        )
         goal = sim.TaskGoal(task, meta.target_a_index, meta.target_b_index)
         digest = hashlib.sha256()
         for name in ("oracle", "random_target"):
-            policy_class, arg = runner.builtin_episode(name, ctx)
+            policy_class, arg = runner.builtin_episode(name, trial, meta)
             policy = _Recorder(policy_class(arg), digest)
             _, _, error = runner.run_episode(
-                start, scene.env, policy, ctx, goal, sim.DEFAULT_MAX_STEPS,
-                render=True,
+                start, scene.env, policy, trial.instruction_text, goal,
+                sim.DEFAULT_MAX_STEPS, render=True,
             )
             assert error is None
         lines.append(f"{digest.hexdigest()}  {trial.trial_seed}\n")

@@ -5,6 +5,7 @@ served by the ``stub_server`` fixture. Results must not depend on the
 parallelism level.
 """
 
+import itertools
 import shlex
 import sys
 import time
@@ -63,22 +64,6 @@ def wide(catalog):
         factors=Factors(object_count_range=(1, 2)),
     )
     return plan_campaign(spec, catalog)
-
-
-def _context(manifest, catalog, trial):
-    meta = manifest.scene_meta[trial.scene_index]
-    return runner.ResetContext(
-        task=manifest.spec.task,
-        target_a_index=meta.target_a_index,
-        target_b_index=meta.target_b_index,
-        basic_instruction=meta.basic_instruction,
-        instruction=trial.instruction_text,
-        trial_seed=trial.trial_seed,
-        object_heights=tuple(
-            catalog.get(op.model_id).height_m
-            for op in manifest.scenes[trial.scene_index].adds
-        ),
-    )
 
 
 def _record_clients(monkeypatch, name):
@@ -174,6 +159,19 @@ def test_a_reply_that_never_ends_fails_at_the_line_cap(catalog, short):
         "bytes"
     ]
     assert elapsed < 1.0  # the stub keeps writing for 3 s
+
+
+def test_an_http_reply_that_drips_past_the_act_timeout_fails_its_trial(
+    catalog, short, drip_server
+):
+    one = replace(short, trials=short.trials[:1])
+    began = time.monotonic()
+    results = run(one, catalog, f"http:{drip_server}", act_timeout_s=0.5, max_steps=2)
+    elapsed = time.monotonic() - began
+    assert [r.error for r in results] == [
+        "PolicyTimeout: policy did not reply within 0.5s"
+    ]
+    assert elapsed < 1.0  # each act reply takes 1.4 s in full
 
 
 def test_reply_written_in_two_parts_is_read_as_one(catalog, short):
@@ -284,9 +282,7 @@ def test_http_failure_fails_its_trial_and_the_next_gets_a_new_client(
     assert len(http_started) == len(short.trials)
 
 
-def test_http_policy_messages_and_kept_alive_connection(
-    catalog, manifest, short, stub_server
-):
+def test_http_policy_messages_and_kept_alive_connection(catalog, short, stub_server):
     url, state = stub_server(lambda path, payload, call: (200, HOLD_REPLY),
                              protocol="HTTP/1.1")
     client = HttpPolicyClient(url, 5.0)
@@ -297,7 +293,7 @@ def test_http_policy_messages_and_kept_alive_connection(
         Observation("pick up the cup", None, None, 7),
     ]
     try:
-        client.reset(_context(manifest, catalog, manifest.trials[0]))
+        client.reset(TaskGoal(Task.PUT_ON, 0, 1))
         for obs in observations:
             assert client.act(obs).gripper is GripperCommand.HOLD
     finally:
@@ -316,21 +312,19 @@ def test_trial_exception_stops_the_campaign_and_propagates(
     catalog, manifest, monkeypatch
 ):
     original = runner.OraclePolicy.reset
-    first = manifest.trials[0].trial_seed
-    resets = []
+    calls = itertools.count()
 
-    def reset(self, ctx):
-        resets.append(ctx.trial_seed)
-        if ctx.trial_seed == first:
+    def reset(self, goal):
+        if next(calls) == 0:
             raise RuntimeError("policy bug")
         time.sleep(0.05)
-        original(self, ctx)
+        original(self, goal)
 
     monkeypatch.setattr(runner.OraclePolicy, "reset", reset)
     with pytest.raises(RuntimeError, match="policy bug"):
         run(manifest, catalog, "builtin:oracle", parallelism=2)
     # the oracle plays one episode per scene
-    assert len(resets) < len(manifest.scenes)
+    assert next(calls) < len(manifest.scenes)
 
 
 def _poses(state):
@@ -372,38 +366,25 @@ def test_conform_campaign_renders_and_checks_only_after_a_change(
     assert counts["check_success"] <= trials + counts["changed"]
 
 
-@pytest.mark.parametrize(
-    "name, privileged",
-    [("oracle", True), ("oracle", False), ("random_target", True),
-     ("instruction_brittle", True)],
-)
-def test_reused_observation_equals_a_fresh_one(catalog, manifest, name, privileged):
+@pytest.mark.parametrize("name", ["oracle", "random_target", "instruction_brittle"])
+def test_reused_observation_equals_a_fresh_one(catalog, manifest, name):
     """A replica world checks every observation the episode loop passes on.
 
-    The builtin policy inside acts on the replica's fresh privileged
-    observation, so an unprivileged episode moves objects too.
+    The builtin policy inside acts on the replica's fresh observation.
     """
     task = manifest.spec.task
     checked = Counter()
 
     class Checked:
-        def __init__(self):
-            self.privileged = privileged
-
-        def reset(self, ctx):
-            policy_class, arg = runner.builtin_episode(name, ctx)
+        def reset(self, goal):
             self.inner = policy_class(arg)
-            self.inner.reset(ctx)
+            self.inner.reset(goal)
             self.state = sim.init_world(config, catalog)
 
         def act(self, obs):
-            fresh = sim.observe(
-                self.state, config.env, obs.instruction, privileged=True, render=True
-            )
+            fresh = sim.observe(self.state, config.env, obs.instruction)
             assert obs.step_count == fresh.step_count
-            assert obs.object_snapshots == (
-                fresh.object_snapshots if privileged else None
-            )
+            assert obs.objects == fresh.objects
             assert obs.raster == fresh.raster
             action = self.inner.act(fresh)
             moved = sim.step(self.state, action)
@@ -414,10 +395,12 @@ def test_reused_observation_equals_a_fresh_one(catalog, manifest, name, privileg
     for trial in manifest.trials:
         meta = manifest.scene_meta[trial.scene_index]
         config = manifest.scenes[trial.scene_index]
-        ctx = _context(manifest, catalog, trial)
+        policy_class, arg = runner.builtin_episode(name, trial, meta)
         goal = TaskGoal(task, meta.target_a_index, meta.target_b_index)
         start = sim.init_world(config, catalog)
-        runner.run_episode(start, config.env, Checked(), ctx, goal, 80, True)
+        runner.run_episode(
+            start, config.env, Checked(), trial.instruction_text, goal, 80, True
+        )
     assert checked["moved"] > 0
 
 
@@ -428,11 +411,10 @@ def _played_alone(manifest, catalog, name):
         meta = manifest.scene_meta[trial.scene_index]
         config = manifest.scenes[trial.scene_index]
         goal = TaskGoal(manifest.spec.task, meta.target_a_index, meta.target_b_index)
-        ctx = _context(manifest, catalog, trial)
-        policy_class, arg = runner.builtin_episode(name, ctx)
+        policy_class, arg = runner.builtin_episode(name, trial, meta)
         success, steps, error = runner.run_episode(
-            sim.init_world(config, catalog), config.env, policy_class(arg), ctx,
-            goal, DEFAULT_MAX_STEPS, False,
+            sim.init_world(config, catalog), config.env, policy_class(arg),
+            trial.instruction_text, goal, DEFAULT_MAX_STEPS, False,
         )
         results.append(EpisodeResult(
             scene_index=trial.scene_index,
@@ -485,9 +467,10 @@ def test_each_distinct_episode_is_played_once(
     played = []
     original = runner.run_episode
 
-    def counted(start, env, policy, ctx, *args):
-        played.append(ctx.trial_seed)
-        return original(start, env, policy, ctx, *args)
+    def counted(start, env, policy, instruction, *args):
+        argument = getattr(policy, "target", getattr(policy, "seed", None))
+        played.append((start, instruction, argument))
+        return original(start, env, policy, instruction, *args)
 
     monkeypatch.setattr(runner, "run_episode", counted)
     results = run(manifest, catalog, policy, parallelism=parallelism, max_steps=20)

@@ -35,6 +35,7 @@ from benchtop.sim import (
     Action,
     GripperCommand,
     init_world,
+    observe,
     render_raster,
     step,
 )
@@ -220,3 +221,15 @@ def test_degenerate_camera_raster_is_blank_bytes():
     assert type(raster) is bytes
     assert len(raster) == 64 * 64
     assert not any(raster)
+
+
+@settings(max_examples=30, deadline=None)
+@given(planned_scenes(), st.lists(actions, max_size=20), st.booleans())
+def test_an_observation_carries_the_world_objects_tuple_itself(
+    config, action_list, render
+):
+    state = trajectory(config, action_list)[-1]
+    obs = observe(state, config.env, "pick up the cup", render=render)
+    assert obs.objects is state.objects
+    assert obs.step_count == state.step_count
+    assert (obs.raster is not None) == render
