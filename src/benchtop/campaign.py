@@ -326,10 +326,11 @@ class CampaignManifest:
         """Check internal consistency; raises SchemaViolation on breakage.
 
         Every label is derived again and compared with the stored one: each
-        scene's ``source_mix`` and ``basic_instruction``, and each trial's
-        text and kind. A scene's trials must be a leading part of its basic
-        instruction followed by its instruction set's valid texts, so a
-        manifest cut short still runs.
+        scene's ``source_mix`` and ``basic_instruction``, each instruction
+        set's ``original``, ``threshold``, ``k_requested`` and candidate
+        ``valid`` flags, and each trial's text and kind. A scene's trials
+        must be a leading part of its basic instruction followed by its
+        instruction set's valid texts, so a manifest cut short still runs.
         """
         try:
             self.spec.validate()
@@ -402,6 +403,30 @@ class CampaignManifest:
                 )
         k = self.spec.k_instructions
         paraphrased = self.spec.factors.use_paraphrases and k > 1
+        threshold = quantize(self.spec.threshold)
+        for i, iset in enumerate(self.instruction_sets if paraphrased else ()):
+            path = f"$.instruction_sets[{i}]"
+            if iset.original != self.scene_meta[i].basic_instruction:
+                raise SchemaViolation(
+                    f"scene {i}'s basic instruction is "
+                    f"{self.scene_meta[i].basic_instruction!r}",
+                    path=f"{path}.original",
+                )
+            if iset.threshold != threshold:
+                raise SchemaViolation(
+                    f"the spec's threshold is {threshold}", path=f"{path}.threshold"
+                )
+            if iset.k_requested != k - 1:
+                raise SchemaViolation(
+                    f"the spec asks for {k - 1} paraphrases",
+                    path=f"{path}.k_requested",
+                )
+            for c, cand in enumerate(iset.candidates):
+                if cand.valid != (cand.similarity >= threshold):
+                    raise SchemaViolation(
+                        f"similarity {cand.similarity} against threshold {threshold}",
+                        path=f"{path}.candidates[{c}].valid",
+                    )
         planned = [
             ((meta.basic_instruction,) if k >= 1 else ())
             + (self.instruction_sets[i].valid_texts if paraphrased else ())
@@ -460,9 +485,9 @@ def plan_campaign(
     """Plan every scene and trial of a campaign.
 
     With no chat provider the offline compilation path is used throughout:
-    seeded scene synthesis plus template paraphrases. Failures while
-    planning an individual scene surface as PartialPlanFailure carrying the
-    scene index; nothing is silently dropped.
+    seeded scene synthesis plus template paraphrases. A failure while
+    planning an individual scene surfaces as PartialPlanFailure, whose
+    message names the scene; nothing is silently dropped.
     """
     spec.validate()
     pool = catalog
@@ -548,9 +573,7 @@ def plan_campaign(
                     )
                 )
         except BenchtopError as exc:
-            raise PartialPlanFailure(
-                f"planning failed at scene {i}: {exc}", scene_index=i
-            ) from exc
+            raise PartialPlanFailure(f"planning failed at scene {i}: {exc}") from exc
 
     return CampaignManifest(
         spec=spec,

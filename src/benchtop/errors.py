@@ -120,10 +120,6 @@ class MalformedResponse(ProviderError):
 class PartialPlanFailure(BenchtopError):
     code = "partial_plan_failure"
 
-    def __init__(self, message: str, scene_index: int):
-        super().__init__(message)
-        self.scene_index = scene_index
-
 
 # ---- sim / runner ----------------------------------------------------------
 

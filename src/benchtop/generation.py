@@ -4,15 +4,16 @@ Two compilation paths produce the same artifact:
 
 - ``generate_scene`` asks a chat provider for the object list (and
   optionally the environment) and parses the JSON out of the reply, asking
-  at most three times with the last parse error appended, then fills any
-  missing poses by collision-free sampling and repairs residual validator
-  violations before giving up.
+  at most three times with the last rejection appended, then keeps each
+  given pose that fits and samples the others.
 - ``fallback_generate`` is fully offline: a small grammar pulls the object
   count, named objects, lighting, and camera out of the description, named
   objects are resolved against the catalog, and the rest of the scene is
   drawn from the remaining models with the seeded RNG.
 
-Both attach provenance so downstream reports can split results on it.
+Both emit only what ``scene.placement_problem`` and ``scene.env_problem``
+accept, so every scene they compile passes ``validate_config``. Both
+attach provenance so downstream reports can split results on it.
 """
 
 from __future__ import annotations
@@ -47,9 +48,11 @@ from .scene import (
     SceneConfig,
     SceneDescription,
     default_env,
+    env_problem,
+    footprint,
     placement_capacity,
+    placement_problem,
     sample_pose,
-    validate_config,
 )
 from .seeds import description_seed
 
@@ -90,7 +93,8 @@ def parse_description(text: str) -> SceneDescription:
     """Parse a scene description into its structured form.
 
     Requires an object count ("<n> objects"); named objects, lighting, and
-    camera clauses are optional.
+    camera clauses are optional, and a lighting or camera that
+    ``env_problem`` rejects is a ``DescriptionParseError``.
     """
     stripped = text.strip()
     if not stripped:
@@ -128,13 +132,17 @@ def parse_description(text: str) -> SceneDescription:
             look_at_m=(0.0, 0.0, 0.0),
         )
 
-    return SceneDescription(
+    description = SceneDescription(
         object_count=count,
         mentions=tuple(mentions),
         lighting=lighting,
         camera=camera,
         raw_text=stripped,
     )
+    problem = env_problem(_env_from_description(description))
+    if problem is not None:
+        raise DescriptionParseError(problem)
+    return description
 
 
 # ---- prompting ------------------------------------------------------------
@@ -251,13 +259,17 @@ def parse_llm_ops(
 
 
 def parse_llm_env(text: str) -> EnvSetupOp:
+    """The environment in an LLM reply; one that ``env_problem`` rejects is
+    a ``SchemaViolation``."""
     raw = first_json(text, "{", lambda value: isinstance(value, dict), "object")
     base = default_env()
     lighting = decode(LightingSpec | None, raw.get("lighting"), "$.lighting")
     camera = decode(CameraPose | None, raw.get("camera"), "$.camera")
-    return EnvSetupOp(
-        lighting=lighting or base.lighting, camera=camera or base.camera
-    )
+    env = EnvSetupOp(lighting=lighting or base.lighting, camera=camera or base.camera)
+    problem = env_problem(env)
+    if problem is not None:
+        raise SchemaViolation(problem)
+    return env
 
 
 # ---- mention resolution ---------------------------------------------------
@@ -290,12 +302,17 @@ def _env_from_description(description: SceneDescription) -> EnvSetupOp:
 def _fill_poses(
     ops: list[ObjectAddOp], catalog: Catalog, rng: random.Random
 ) -> list[ObjectAddOp]:
+    """Place ``ops`` in order: a given pose is kept when it fits beside the
+    objects placed before it, and any other pose is sampled there."""
     placed: list[ObjectAddOp] = []
+    taken = []
     for op in ops:
         model = catalog.get(op.model_id)
-        assert model is not None
-        pose = op.pose if op.pose is not None else sample_pose(rng, placed, model, catalog)
+        pose = op.pose
+        if pose is None or placement_problem(model, pose, taken) is not None:
+            pose = sample_pose(rng, taken, model)
         placed.append(ObjectAddOp(model_id=op.model_id, pose=pose))
+        taken.append(footprint(model, pose))
     return placed
 
 
@@ -326,21 +343,13 @@ def fallback_generate(
             pool = list(catalog.models)
         model = pool.pop(rng.randrange(len(pool)))
         ops.append(ObjectAddOp(model_id=model.id, pose=None))
-    filled = _fill_poses(ops, catalog, rng)
-    config = SceneConfig(
+    return SceneConfig(
         scene_id=scene_id or f"scene-{seed & 0xFFFFFFFF:08x}",
-        adds=tuple(filled),
+        adds=tuple(_fill_poses(ops, catalog, rng)),
         env=_env_from_description(description),
         seed=seed,
         provenance=Provenance.FALLBACK,
     )
-    violations = validate_config(config, catalog)
-    if violations:
-        raise ValidationFailed(
-            "fallback generation produced an invalid scene: "
-            + "; ".join(str(v) for v in violations[:3])
-        )
-    return config
 
 
 def generate_scene(
@@ -356,11 +365,11 @@ def generate_scene(
     before any chat call, as in ``fallback_generate``. The provider is asked
     for the objects and then, unless the description sets the lighting or
     the camera, for the environment. Each ask makes at most 3 chat calls,
-    and each retry appends the previous reply's parse error to the prompt.
+    and each retry appends the previous reply's rejection to the prompt.
     Objects that never parse raise ValidationFailed; an environment that
-    never parses leaves the default one. After pose filling, any objects
-    whose LLM-specified poses fail validation are re-sampled once before
-    raising ValidationFailed.
+    never parses, or is out of range three times, leaves the default one.
+    Poses are placed in op order: an LLM pose that fits beside the objects
+    before it is kept, and any other is sampled in its place.
     """
     if isinstance(description, str):
         description = parse_description(description)
@@ -390,48 +399,10 @@ def generate_scene(
                 provider, build_env_prompt(description), parse_llm_env, _ENV_ERRORS
             )
 
-    filled = _fill_poses(ops, catalog, rng)
-    config = SceneConfig(
+    return SceneConfig(
         scene_id=scene_id or f"scene-{seed & 0xFFFFFFFF:08x}",
-        adds=tuple(filled),
+        adds=tuple(_fill_poses(ops, catalog, rng)),
         env=env,
         seed=seed,
         provenance=Provenance.LLM,
     )
-    violations = validate_config(config, catalog)
-    if violations:
-        config = _repair(config, violations, catalog, rng)
-    return config
-
-
-def _repair(
-    config: SceneConfig,
-    violations: list,
-    catalog: Catalog,
-    rng: random.Random,
-) -> SceneConfig:
-    """One repair pass: re-sample offending poses, reset a broken env."""
-    bad_indices = set()
-    bad_env = False
-    for v in violations:
-        if v.kind in ("bad_yaw", "out_of_range", "overlap"):
-            bad_indices.update(i for i in v.subject if isinstance(i, int))
-        elif v.kind in ("bad_lighting", "bad_camera"):
-            bad_env = True
-        else:
-            raise ValidationFailed(f"unrepairable scene: {v}")
-    adds = list(config.adds)
-    placed = [op for i, op in enumerate(adds) if i not in bad_indices]
-    for i in sorted(bad_indices):
-        model = catalog.get(adds[i].model_id)
-        pose = sample_pose(rng, placed, model, catalog)
-        adds[i] = ObjectAddOp(model_id=adds[i].model_id, pose=pose)
-        placed.append(adds[i])
-    env = default_env() if bad_env else config.env
-    repaired = replace(config, adds=tuple(adds), env=env)
-    remaining = validate_config(repaired, catalog)
-    if remaining:
-        raise ValidationFailed(
-            "scene repair failed: " + "; ".join(str(v) for v in remaining[:3])
-        )
-    return repaired

@@ -181,11 +181,12 @@ def validate_candidates(
     """Score candidates against the original and mark which pass.
 
     Dedup is case- and whitespace-insensitive and drops echoes of the
-    original; at most k survivors are scored. Similarities are quantized
-    before the threshold comparison so a round-tripped instruction set
-    re-checks to exactly the same flags.
+    original; at most k survivors are scored. Similarities and the
+    threshold are quantized before they are compared, so a round-tripped
+    instruction set re-checks to exactly the same flags.
     """
     check_paraphrase_args(k, threshold)
+    threshold = quantize(threshold)
     ref = baseline_embed(original)
     seen = {_normalize(original)}
     scored: list[Candidate] = []
@@ -206,5 +207,5 @@ def validate_candidates(
         original=original,
         candidates=tuple(scored),
         k_requested=k,
-        threshold=quantize(threshold),
+        threshold=threshold,
     )

@@ -17,7 +17,8 @@ to the same file regardless of dict ordering in the caller.
 The API key is read from the ``PROVIDER_API_KEY`` environment variable; it
 is sent as a bearer header on live traffic and is never written to any file.
 An exchange that does not end within 30 s, a connection error, a 429 or a
-5xx is retried 3 times.
+5xx is retried 3 times. A reply body longer than ``MAX_BODY_BYTES`` (1 MiB)
+fails as ``MalformedResponse`` at once, without a retry.
 
 ``HttpTransport`` POSTs to one URL over ``http.client`` and keeps its
 connection open for the next request. It serves one caller at a time:
@@ -71,6 +72,7 @@ TIMEOUT_S = 30.0
 MAX_RETRIES = 3
 BACKOFF_S = 0.25
 CHAT_ENDPOINT = "/v1/chat/completions"
+MAX_BODY_BYTES = 1 << 20  # a chat reply is a few KiB
 
 
 class ProviderMode(str, Enum):
@@ -101,12 +103,14 @@ class HttpTransport:
     server asks to close it or closed it while idle (its socket has become
     readable), or an exchange fails; ``http.client`` then opens a new one
     for the next request. ``post`` raises ``TimeoutError`` when the
-    exchange does not end within ``timeout_s``, and another ``OSError`` or
-    an ``http.client.HTTPException`` when it fails.
+    exchange does not end within ``timeout_s``, ``MalformedResponse`` when
+    the reply body is longer than ``max_body_bytes``, and another
+    ``OSError`` or an ``http.client.HTTPException`` when it fails.
     """
 
-    def __init__(self, url: str, timeout_s: float) -> None:
+    def __init__(self, url: str, timeout_s: float, max_body_bytes: int) -> None:
         self._timeout_s = timeout_s
+        self._max_body_bytes = max_body_bytes
         parts = urllib.parse.urlsplit(url)
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ValueError(f"not an http:// or https:// URL: {url!r}")
@@ -163,7 +167,9 @@ class HttpTransport:
         socket timeout is set to the time left before the request is sent
         and before each read of the body, and ``TimeoutError`` is raised once
         the deadline has passed. The status line and headers are bounded
-        only per read, each by the time left when the request was sent.
+        only per read, each by the time left when the request was sent. A
+        ``Content-Length`` above ``max_body_bytes``, or a chunked or unsized
+        body that grows past it, closes the connection.
         """
         deadline = time.monotonic() + self._timeout_s
         conn = self._conn
@@ -182,6 +188,10 @@ class HttpTransport:
             response = conn.getresponse()
             data = bytearray()
             while response.length != 0:  # None for a chunked or unsized body
+                if len(data) + (response.length or 0) > self._max_body_bytes:
+                    raise MalformedResponse(
+                        f"reply body is longer than {self._max_body_bytes} bytes"
+                    )
                 sock.settimeout(self._time_left(deadline))
                 chunk = response.read1(65536)
                 if not chunk:
@@ -226,7 +236,7 @@ class HttpProvider:
         self.mode = mode
         self.fixtures_dir = fixtures_dir
         self._url = base_url.rstrip("/") + CHAT_ENDPOINT
-        self._transport = HttpTransport(self._url, TIMEOUT_S)
+        self._transport = HttpTransport(self._url, TIMEOUT_S, MAX_BODY_BYTES)
 
     def close(self) -> None:
         """Close the kept-alive connection."""

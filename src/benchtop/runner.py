@@ -25,8 +25,9 @@ episode the runner sends ``{"type": "reset"}``; a subprocess sends no reply
 to it, and over HTTP it gets a reply like any message, whose status must
 be 2xx. A stdio reply is one line of at most ``MAX_REPLY_BYTES`` (64 KiB)
 before its newline, and the whole line must arrive within the act timeout.
-An HTTP exchange must end within the act timeout too, though its status
-line and headers are bounded only per read.
+An HTTP reply body has the same cap, and the exchange must end within the
+act timeout too, though its status line and headers are bounded only per
+read.
 Replies that are late, malformed, mis-shaped or too long fail that trial
 with an error annotation; the campaign itself keeps going, and the external
 policy is respawned before the next episode on its worker.
@@ -85,7 +86,7 @@ from .campaign import (
     Trial,
 )
 from .catalog import Catalog
-from .errors import PolicyProtocolError, PolicyTimeout, UsageError
+from .errors import MalformedResponse, PolicyProtocolError, PolicyTimeout, UsageError
 from .jsonio import loads
 from .providers import HttpTransport
 from .scene import EnvSetupOp
@@ -125,7 +126,7 @@ class PolicyKind(str, Enum):
 
 @dataclass(frozen=True)
 class PolicyEndpoint:
-    kind: PolicyKind
+    policy_kind: PolicyKind
     address: str
     policy_id: str
 
@@ -151,8 +152,8 @@ def parse_policy_endpoint(text: str) -> PolicyEndpoint:
                 f"unknown builtin policy {address!r}; expected one of "
                 f"{list(BUILTIN_POLICIES)}"
             )
-        return PolicyEndpoint(kind=kind, address=address, policy_id=address)
-    return PolicyEndpoint(kind=kind, address=address, policy_id=text)
+        return PolicyEndpoint(policy_kind=kind, address=address, policy_id=address)
+    return PolicyEndpoint(policy_kind=kind, address=address, policy_id=text)
 
 
 @dataclass(frozen=True)
@@ -462,7 +463,7 @@ class HttpPolicyClient:
     def __init__(self, url: str, act_timeout_s: float) -> None:
         self.url = url
         self.act_timeout_s = act_timeout_s
-        self._transport = HttpTransport(url, act_timeout_s)
+        self._transport = HttpTransport(url, act_timeout_s, MAX_REPLY_BYTES)
         self._encoder = _ObserveEncoder()
 
     def _post(self, body: bytes, timeout_message: str) -> bytes:
@@ -470,6 +471,10 @@ class HttpPolicyClient:
             status, data = self._transport.post(body)
         except TimeoutError:
             raise PolicyTimeout(timeout_message) from None
+        except MalformedResponse:
+            raise PolicyProtocolError(
+                f"policy reply is longer than {MAX_REPLY_BYTES} bytes"
+            ) from None
         except (OSError, http.client.HTTPException) as exc:
             raise PolicyProtocolError(f"cannot reach policy at {self.url}") from exc
         if not 200 <= status < 300:
@@ -568,8 +573,8 @@ def run_campaign(
     goals = [
         TaskGoal(task, meta.target_a_index, meta.target_b_index) for meta in metas
     ]
-    render = endpoint.kind is not PolicyKind.BUILTIN
-    if endpoint.kind is PolicyKind.BUILTIN:
+    render = endpoint.policy_kind is not PolicyKind.BUILTIN
+    if endpoint.policy_kind is PolicyKind.BUILTIN:
         keys = [
             (t.scene_index, builtin_episode(endpoint.address, t, metas[t.scene_index]))
             for t in trials
@@ -591,14 +596,14 @@ def run_campaign(
                     j = next(jobs, None)
                 if j is None:
                     return
-                if endpoint.kind is PolicyKind.BUILTIN:
+                if endpoint.policy_kind is PolicyKind.BUILTIN:
                     policy_class, arg = keys[j][1]
                     policy = policy_class(arg)
                 else:
                     if client is None:
                         client_class = (
                             SubprocessPolicyClient
-                            if endpoint.kind is PolicyKind.SUBPROCESS
+                            if endpoint.policy_kind is PolicyKind.SUBPROCESS
                             else HttpPolicyClient
                         )
                         client = client_class(endpoint.address, act_timeout_s)

@@ -10,6 +10,11 @@ Geometry conventions:
 - Two placements are valid when their footprints are disjoint with at least a
   1 cm margin.
 
+Each invariant has one predicate: ``placement_problem`` for an object's
+pose beside those placed before it, and ``env_problem`` for the lighting
+and camera. The sampler, the scene compilers and ``validate_config`` all
+decide by them.
+
 All types are immutable value objects, and every float stored in them is
 quantized to 6 decimals so canonical serialization round-trips exactly.
 """
@@ -22,7 +27,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .catalog import Catalog, ObjectModel, Shape
-from .errors import PlacementExhausted, UnknownModel
+from .errors import PlacementExhausted
 from .jsonio import quantize
 
 TABLE_HALF_X = 0.3
@@ -115,9 +120,9 @@ def footprint_half_extents(
     return (hx, hy)
 
 
-def footprint_aabb(
-    pose: Pose, fx: float, fy: float
-) -> tuple[float, float, float, float]:
+def footprint(model: ObjectModel, pose: Pose) -> tuple[float, float, float, float]:
+    """``model``'s footprint box at ``pose``: (x_lo, x_hi, y_lo, y_hi)."""
+    fx, fy = footprint_half_extents(model.shape, model.dimensions_m, pose.yaw_rad)
     x, y = pose.position_m[0], pose.position_m[1]
     return (x - fx, x + fx, y - fy, y + fy)
 
@@ -135,42 +140,58 @@ def aabbs_disjoint(
     )
 
 
-def _within_table(aabb: tuple[float, float, float, float]) -> bool:
-    return (
-        aabb[0] >= -TABLE_HALF_X - _EPS
-        and aabb[1] <= TABLE_HALF_X + _EPS
-        and aabb[2] >= -TABLE_HALF_Y - _EPS
-        and aabb[3] <= TABLE_HALF_Y + _EPS
-    )
+def placement_problem(
+    model: ObjectModel, pose: Pose, taken: list[tuple[float, float, float, float]]
+) -> str | None:
+    """Why ``model`` cannot rest at ``pose`` beside the footprints ``taken``,
+    or None when it can.
+
+    This is the one placement rule: ``sample_pose`` accepts a candidate by
+    it, ``generation`` keeps a given pose by it, and ``validate_config``
+    checks each object of a scene by it against the objects before it.
+    """
+    yaw = pose.yaw_rad
+    if not (-math.pi - _EPS <= yaw < math.pi):
+        return f"yaw {yaw} outside [-pi, pi)"
+    rest_z = model.dimensions_m[2] / 2.0
+    if abs(pose.position_m[2] - rest_z) > REST_TOL:
+        return f"z {pose.position_m[2]} is not the resting height {rest_z}"
+    box = footprint(model, pose)
+    if not (
+        box[0] >= -TABLE_HALF_X - _EPS
+        and box[1] <= TABLE_HALF_X + _EPS
+        and box[2] >= -TABLE_HALF_Y - _EPS
+        and box[3] <= TABLE_HALF_Y + _EPS
+    ):
+        return "footprint extends beyond the placement range"
+    if not all(aabbs_disjoint(box, other) for other in taken):
+        return "footprint closer than the placement margin to an earlier object"
+    return None
 
 
-def _placed_aabbs(
-    placed: list[ObjectAddOp] | tuple[ObjectAddOp, ...], catalog: Catalog
-) -> list[tuple[float, float, float, float]]:
-    out = []
-    for op in placed:
-        model = catalog.get(op.model_id)
-        if model is None:
-            raise UnknownModel(f"unknown model id: {op.model_id!r}")
-        fx, fy = footprint_half_extents(
-            model.shape, model.dimensions_m, op.pose.yaw_rad
-        )
-        out.append(footprint_aabb(op.pose, fx, fy))
-    return out
+def env_problem(env: EnvSetupOp) -> str | None:
+    """Why ``env`` cannot light and film the table, or None when it can."""
+    intensity = env.lighting.intensity
+    if not (LIGHTING_MIN - _EPS <= intensity <= LIGHTING_MAX + _EPS):
+        return f"lighting {intensity} outside [{LIGHTING_MIN}, {LIGHTING_MAX}]"
+    camera = env.camera
+    if camera.position_m == camera.look_at_m:
+        return "camera position equals look_at"
+    if camera.position_m[2] <= TABLE_HEIGHT:
+        return "camera must sit above the table plane"
+    return None
 
 
 def sample_pose(
     rng: random.Random,
-    placed: list[ObjectAddOp] | tuple[ObjectAddOp, ...],
+    taken: list[tuple[float, float, float, float]],
     model: ObjectModel,
-    catalog: Catalog,
 ) -> Pose:
-    """Rejection-sample a collision-free, on-table pose for ``model``.
+    """Rejection-sample a pose for ``model`` beside the footprints ``taken``.
 
-    Candidates are quantized before the checks run, so an accepted pose
-    satisfies exactly the predicates validate_config re-checks later.
+    Each candidate is quantized and then accepted by ``placement_problem``,
+    so the pose returned is valid exactly as it is stored.
     """
-    taken = _placed_aabbs(placed, catalog)
     z = quantize(model.dimensions_m[2] / 2.0)
     for _ in range(MAX_PLACEMENT_ATTEMPTS):
         yaw = min(max(quantize(rng.uniform(-math.pi, math.pi)), _YAW_LO), _YAW_HI)
@@ -182,10 +203,7 @@ def sample_pose(
         x = quantize(rng.uniform(lo_x, hi_x))
         y = quantize(rng.uniform(lo_y, hi_y))
         pose = Pose(position_m=(x, y, z), yaw_rad=yaw)
-        aabb = footprint_aabb(pose, fx, fy)
-        if not _within_table(aabb):
-            continue
-        if all(aabbs_disjoint(aabb, other) for other in taken):
+        if placement_problem(model, pose, taken) is None:
             return pose
     raise PlacementExhausted(
         f"no collision-free pose for {model.id!r} after "
@@ -211,89 +229,24 @@ def placement_capacity(catalog: Catalog) -> int:
 # ---- validation ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    subject: tuple
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.kind}{self.subject}: {self.message}"
-
-
-def validate_config(config: SceneConfig, catalog: Catalog) -> list[Violation]:
-    """Check every structural invariant; returns an empty list when valid."""
-    violations: list[Violation] = []
-    if not config.adds:
-        violations.append(
-            Violation("empty_scene", (), "a scene needs at least one object")
-        )
-    footprints: list[tuple[float, float, float, float] | None] = []
+def validate_config(config: SceneConfig, catalog: Catalog) -> list[str]:
+    """What is wrong with ``config``, one message per object or env; an
+    empty list when it is valid."""
+    problems = [] if config.adds else ["a scene needs at least one object"]
+    taken = []
     for i, op in enumerate(config.adds):
         model = catalog.get(op.model_id)
         if model is None:
-            violations.append(
-                Violation("unknown_model", (i,), f"unknown model {op.model_id!r}")
-            )
-            footprints.append(None)
+            problems.append(f"object {i}: unknown model {op.model_id!r}")
             continue
-        yaw = op.pose.yaw_rad
-        if not (-math.pi - _EPS <= yaw < math.pi):
-            violations.append(
-                Violation("bad_yaw", (i,), f"yaw {yaw} outside [-pi, pi)")
-            )
-        fx, fy = footprint_half_extents(model.shape, model.dimensions_m, yaw)
-        aabb = footprint_aabb(op.pose, fx, fy)
-        footprints.append(aabb)
-        if not _within_table(aabb):
-            violations.append(
-                Violation(
-                    "out_of_range",
-                    (i,),
-                    "footprint extends beyond the placement range",
-                )
-            )
-        rest_z = model.dimensions_m[2] / 2.0
-        if abs(op.pose.position_m[2] - rest_z) > REST_TOL:
-            violations.append(
-                Violation(
-                    "out_of_range",
-                    (i,),
-                    f"z {op.pose.position_m[2]} is not the resting height {rest_z}",
-                )
-            )
-    for i in range(len(config.adds)):
-        for j in range(i + 1, len(config.adds)):
-            a, b = footprints[i], footprints[j]
-            if a is None or b is None:
-                continue
-            if not aabbs_disjoint(a, b):
-                violations.append(
-                    Violation(
-                        "overlap",
-                        (i, j),
-                        "footprints closer than the placement margin",
-                    )
-                )
-    intensity = config.env.lighting.intensity
-    if not (LIGHTING_MIN - _EPS <= intensity <= LIGHTING_MAX + _EPS):
-        violations.append(
-            Violation(
-                "bad_lighting",
-                (),
-                f"intensity {intensity} outside [{LIGHTING_MIN}, {LIGHTING_MAX}]",
-            )
-        )
-    cam = config.env.camera
-    if cam.position_m == cam.look_at_m:
-        violations.append(
-            Violation("bad_camera", (), "camera position equals look_at")
-        )
-    if cam.position_m[2] <= TABLE_HEIGHT:
-        violations.append(
-            Violation("bad_camera", (), "camera must sit above the table plane")
-        )
-    return violations
+        problem = placement_problem(model, op.pose, taken)
+        if problem is not None:
+            problems.append(f"object {i}: {problem}")
+        taken.append(footprint(model, op.pose))
+    problem = env_problem(config.env)
+    if problem is not None:
+        problems.append(problem)
+    return problems
 
 
 def with_env(config: SceneConfig, env: EnvSetupOp) -> SceneConfig:

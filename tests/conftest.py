@@ -4,6 +4,7 @@ import http.client
 import json
 import socket
 import threading
+import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -135,14 +136,31 @@ def stub_server():
 
 DRIP_BODY = b'{"type":"act","delta_position":[0.0,0.0,0.0],"gripper":"HOLD"}'
 
+# the head and the 64 KiB body frame of each streamed reply, by first path segment
+_STREAMS = {
+    b"chunked": (
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n",
+        b"10000\r\n" + b" " * 65536 + b"\r\n",
+    ),
+    b"unsized": (b"HTTP/1.0 200 OK\r\n\r\n", b" " * 65536),
+    b"sized": (
+        b"HTTP/1.0 200 OK\r\nContent-Length: 1073741824\r\n\r\n",
+        b" " * 65536,
+    ),
+}
+
 
 @pytest.fixture
 def drip_server():
     """A raw-socket HTTP/1.0 server that sends each reply's headers at once
     and then the 62-byte act body ``DRIP_BODY``, 8 bytes every 0.2 s.
 
-    A request whose body holds ``"reset"`` gets the whole body at once, so
-    an ``http:`` policy's episode reaches its first act. Yields the URL.
+    A request whose path begins ``/chunked``, ``/unsized`` or ``/sized`` is
+    streamed instead: 64 KiB body frames of a chunked reply, a reply with no
+    length, or one that states a length of 1 GiB, sent for 3 s, up to 16
+    MiB, or until the client closes. A request whose body holds ``"reset"``
+    gets the whole ``DRIP_BODY`` at once, so an ``http:`` policy's episode
+    reaches its first act. Yields the URL.
     """
     listener = socket.create_server(("127.0.0.1", 0))
     listener.settimeout(0.05)
@@ -153,9 +171,18 @@ def drip_server():
         with conn, conn.makefile("rb") as rfile:
             try:
                 conn.settimeout(5.0)
-                rfile.readline()  # the request line
+                path = rfile.readline().split()[1]  # of the request line
                 headers = http.client.parse_headers(rfile)
                 body = rfile.read(int(headers.get("Content-Length", 0)))
+                stream = _STREAMS.get(path.split(b"/")[1])
+                if stream is not None and b'"reset"' not in body:
+                    conn.sendall(stream[0])
+                    end = time.monotonic() + 3.0
+                    for _ in range(256):
+                        if time.monotonic() > end or stop.is_set():
+                            break
+                        conn.sendall(stream[1])
+                    return
                 conn.sendall(
                     b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n"
                     b"Content-Length: %d\r\n\r\n" % len(DRIP_BODY)

@@ -157,6 +157,19 @@ def _with_trial(manifest, j, **changes):
     return replace(manifest, trials=tuple(trials))
 
 
+def _with_iset(manifest, i, **changes):
+    isets = list(manifest.instruction_sets)
+    isets[i] = replace(isets[i], **changes)
+    return replace(manifest, instruction_sets=tuple(isets))
+
+
+def _dissimilar_valid(manifest):
+    first, *rest = manifest.instruction_sets[0].candidates
+    low = replace(first, similarity=0.1)
+    assert low.valid
+    return _with_iset(manifest, 0, candidates=(low, *rest))
+
+
 def _overlapping(manifest):
     adds = manifest.scenes[1].adds
     on_top = ObjectAddOp(model_id=adds[1].model_id, pose=adds[0].pose)
@@ -216,6 +229,18 @@ BROKEN = {
     "trial_text_not_planned": (
         lambda m: _with_trial(m, 1, instruction_text="pick up the moon"),
         "trial 1 is not scene 0's next planned", "$.trials[1].instruction_text"),
+    "instruction_set_original_false": (
+        lambda m: _with_iset(m, 1, original="pick up the moon"),
+        "scene 1's basic instruction is", "$.instruction_sets[1].original"),
+    "instruction_set_threshold_false": (
+        lambda m: _with_iset(m, 0, threshold=0.05),
+        "the spec's threshold is 0.8", "$.instruction_sets[0].threshold"),
+    "instruction_set_k_requested_false": (
+        lambda m: _with_iset(m, 2, k_requested=5),
+        "the spec asks for 2 paraphrases", "$.instruction_sets[2].k_requested"),
+    "candidate_valid_below_threshold": (
+        _dissimilar_valid, "similarity 0.1 against threshold 0.8",
+        "$.instruction_sets[0].candidates[0].valid"),
     "trials_out_of_order": (
         lambda m: replace(m, trials=(m.trials[1], m.trials[0]) + m.trials[2:]),
         "trial 0 is not scene 0's next planned", "$.trials[0].instruction_text"),

@@ -68,13 +68,15 @@ def _expect_schema_violation(capsys, argv, path):
          "$.scene_meta[1].basic_instruction"),
         (("trials", 0, "instruction_kind"), "paraphrased",
          "$.trials[0].instruction_kind"),
+        (("instruction_sets", 0, "candidates", 0, "similarity"), 0.1,
+         "$.instruction_sets[0].candidates[0].valid"),
     ],
     ids=[
         "string_bool", "float_seed", "string_count", "unknown_key", "no_threshold",
         "threshold_above_one", "count_range_reversed", "both_mutations",
         "env_variant_mismatch", "target_b_missing", "yaw_beyond_float_range",
         "source_mix_flipped", "basic_instruction_false",
-        "basic_trial_marked_paraphrased",
+        "basic_trial_marked_paraphrased", "candidate_valid_below_threshold",
     ],
 )
 def test_run_rejects_malformed_manifest(tmp_path, capsys, keys, value, path):
@@ -306,3 +308,9 @@ def test_gen_scene_rejects_a_description_number_beyond_the_float_range(
     argv = ["gen-scene", "--desc", f"2 objects, {clause}"]
     message = _expect_error(capsys, argv, "description_parse_error", exit_code=2)
     assert "beyond the float range" in message
+
+
+def test_gen_scene_rejects_an_out_of_range_description_lighting(capsys):
+    argv = ["gen-scene", "--desc", "1 object with lighting 5"]
+    message = _expect_error(capsys, argv, "description_parse_error", exit_code=2)
+    assert message == "lighting 5.0 outside [0.25, 2.0]"

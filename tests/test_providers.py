@@ -8,6 +8,7 @@ from benchtop import providers
 from benchtop.errors import (
     HttpStatusError,
     InvalidConfig,
+    MalformedResponse,
     MissingFixture,
     RetriesExhausted,
 )
@@ -228,7 +229,7 @@ def test_a_reply_that_drips_past_the_deadline_ends_in_retries_exhausted(
 
 
 def test_a_transport_times_out_a_reply_that_drips_past_its_deadline(drip_server):
-    transport = HttpTransport(drip_server, 0.5)
+    transport = HttpTransport(drip_server, 0.5, 65536)
     began = time.monotonic()
     try:
         with pytest.raises(TimeoutError):
@@ -236,6 +237,44 @@ def test_a_transport_times_out_a_reply_that_drips_past_its_deadline(drip_server)
     finally:
         transport.close()
     assert time.monotonic() - began < 1.0  # the whole body takes 1.4 s
+
+
+@pytest.mark.parametrize("shape", ["chunked", "unsized", "sized"])
+def test_a_transport_closes_a_reply_body_past_its_cap(drip_server, shape):
+    transport = HttpTransport(f"{drip_server}/{shape}", 5.0, 65536)
+    began = time.monotonic()
+    try:
+        with pytest.raises(MalformedResponse) as err:
+            transport.post(b"{}")
+        assert transport._conn.sock is None
+    finally:
+        transport.close()
+    assert str(err.value) == "reply body is longer than 65536 bytes"
+    assert time.monotonic() - began < 1.0  # the stub streams for 3 s
+
+
+def test_a_reply_body_at_the_cap_is_read_whole(stub_server):
+    url, _ = stub_server(lambda p, q, c: (200, b"x" * 1000))
+    for cap, fits in ((1000, True), (999, False)):
+        transport = HttpTransport(url, 5.0, cap)
+        try:
+            if fits:
+                assert transport.post(b"{}") == (200, b"x" * 1000)
+            else:
+                with pytest.raises(MalformedResponse):
+                    transport.post(b"{}")
+        finally:
+            transport.close()
+
+
+def test_a_chat_reply_past_the_body_cap_fails_without_retry(
+    drip_server, make_provider
+):
+    provider = make_provider(f"{drip_server}/chunked")
+    with pytest.raises(MalformedResponse) as err:
+        provider.chat(REQ)
+    cap = providers.MAX_BODY_BYTES
+    assert str(err.value) == f"reply body is longer than {cap} bytes"
 
 
 def test_request_bodies_are_the_json_of_the_payload(stub_server, make_provider):
@@ -296,7 +335,9 @@ def test_a_transport_posts_to_the_path_and_query_of_its_url(stub_server):
     url, state = stub_server(
         lambda p, q, c: (200, {"n": c}), protocol="HTTP/1.1"
     )
-    transport = HttpTransport(url + "/api/act?policy=a", timeout_s=5.0)
+    transport = HttpTransport(
+        url + "/api/act?policy=a", timeout_s=5.0, max_body_bytes=65536
+    )
     try:
         replies = [transport.post(b"{}") for _ in range(3)]
     finally:

@@ -174,6 +174,20 @@ def test_an_http_reply_that_drips_past_the_act_timeout_fails_its_trial(
     assert elapsed < 1.0  # each act reply takes 1.4 s in full
 
 
+@pytest.mark.parametrize("shape", ["chunked", "sized"])
+def test_an_http_reply_past_the_cap_fails_its_trial(
+    catalog, short, drip_server, shape
+):
+    one = replace(short, trials=short.trials[:1])
+    began = time.monotonic()
+    results = run(one, catalog, f"http:{drip_server}/{shape}", max_steps=2)
+    assert [r.error for r in results] == [
+        "PolicyProtocolError: policy reply is longer than "
+        f"{runner.MAX_REPLY_BYTES} bytes"
+    ]
+    assert time.monotonic() - began < 1.0  # the stub streams for 3 s
+
+
 def test_reply_written_in_two_parts_is_read_as_one(catalog, short):
     split = run(short, catalog, stub("split"), max_steps=10)
     conform = run(short, catalog, stub("conform"), max_steps=10)

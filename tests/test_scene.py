@@ -20,6 +20,7 @@ from benchtop.scene import (
     Provenance,
     SceneConfig,
     default_env,
+    footprint,
     footprint_half_extents,
     placement_capacity,
     sample_pose,
@@ -121,8 +122,9 @@ def test_sampled_poses_satisfy_independent_predicates(toy_catalog):
     while sampled < 10_000:
         placed = []
         boxes = []
+        taken = []
         for model in rng.sample(models, k=rng.randint(1, len(models))):
-            pose = sample_pose(rng, placed, model, toy_catalog)
+            pose = sample_pose(rng, taken, model)
             sampled += 1
             hx, hy, hz = (d / 2 for d in model.dimensions_m)
             if model.shape is Shape.BOX:
@@ -142,6 +144,7 @@ def test_sampled_poses_satisfy_independent_predicates(toy_catalog):
                 gap_y = max(other[2] - box[3], box[2] - other[3])
                 assert max(gap_x, gap_y) >= PLACEMENT_MARGIN - 1e-9
             boxes.append(box)
+            taken.append(footprint(model, pose))
             placed.append(ObjectAddOp(model_id=model.id, pose=pose))
         # the sampler's own invariants must agree with the validator
         assert validate_config(_config(placed), toy_catalog) == []
@@ -149,7 +152,7 @@ def test_sampled_poses_satisfy_independent_predicates(toy_catalog):
 
 def test_sample_pose_quantized(toy_catalog):
     rng = random.Random(5)
-    pose = sample_pose(rng, [], toy_catalog.models[0], toy_catalog)
+    pose = sample_pose(rng, [], toy_catalog.models[0])
     for v in (*pose.position_m, pose.yaw_rad):
         assert v == quantize(v)
 
@@ -157,16 +160,15 @@ def test_sample_pose_quantized(toy_catalog):
 def test_oversized_model_exhausts_placement(toy_catalog):
     whale = _model("whale", dims=(0.7, 0.5, 0.1))
     with pytest.raises(PlacementExhausted):
-        sample_pose(random.Random(0), [], whale, toy_catalog)
+        sample_pose(random.Random(0), [], whale)
 
 
-def test_crowded_table_exhausts_placement(toy_catalog):
+def test_crowded_table_exhausts_placement():
     big = _model("big_slab", dims=(0.28, 0.18, 0.02))
-    cat = Catalog(models=(big,), version="1")
     rng = random.Random(1)
-    placed = [ObjectAddOp(model_id="big_slab", pose=Pose(position_m=(0.0, 0.0, 0.01)))]
+    taken = [footprint(big, Pose(position_m=(0.0, 0.0, 0.01)))]
     with pytest.raises(PlacementExhausted):
-        sample_pose(rng, placed, big, cat)
+        sample_pose(rng, taken, big)
 
 
 def test_placement_capacity_of_the_default_catalog(catalog):
@@ -199,46 +201,53 @@ def test_valid_config_has_no_violations(toy_catalog):
 
 
 def test_empty_scene_flagged(toy_catalog):
-    kinds = {v.kind for v in validate_config(_config([]), toy_catalog)}
-    assert kinds == {"empty_scene"}
+    assert validate_config(_config([]), toy_catalog) == [
+        "a scene needs at least one object"
+    ]
 
 
 def test_unknown_model_flagged(toy_catalog):
     cfg = _config([ObjectAddOp(model_id="ghost", pose=Pose(position_m=(0, 0, 0.01)))])
-    assert {v.kind for v in validate_config(cfg, toy_catalog)} == {"unknown_model"}
+    assert validate_config(cfg, toy_catalog) == ["object 0: unknown model 'ghost'"]
 
 
 def test_bad_yaw_flagged(toy_catalog):
     brick = toy_catalog.models[0]
-    cfg = _config([_resting(brick, 0.0, 0.0, yaw=math.pi)])
-    assert "bad_yaw" in {v.kind for v in validate_config(cfg, toy_catalog)}
+    cfg = _config([_resting(brick, 0.0, 0.0), _resting(brick, 0.1, 0.0, yaw=math.pi)])
+    assert validate_config(cfg, toy_catalog) == [
+        f"object 1: yaw {math.pi} outside [-pi, pi)"
+    ]
 
 
 def test_off_table_flagged(toy_catalog):
     brick = toy_catalog.models[0]
     cfg = _config([_resting(brick, 0.29, 0.0)])
-    assert "out_of_range" in {v.kind for v in validate_config(cfg, toy_catalog)}
+    assert validate_config(cfg, toy_catalog) == [
+        "object 0: footprint extends beyond the placement range"
+    ]
 
 
 def test_floating_object_flagged(toy_catalog):
-    brick = toy_catalog.models[0]
     op = ObjectAddOp(model_id="brick", pose=Pose(position_m=(0.0, 0.0, 0.2)))
     cfg = _config([op])
-    assert "out_of_range" in {v.kind for v in validate_config(cfg, toy_catalog)}
+    assert validate_config(cfg, toy_catalog) == [
+        "object 0: z 0.2 is not the resting height 0.015"
+    ]
+
+
+OVERLAP = "footprint closer than the placement margin to an earlier object"
 
 
 def test_overlap_flagged(toy_catalog):
     brick = toy_catalog.models[0]
     cfg = _config([_resting(brick, 0.0, 0.0), _resting(brick, 0.02, 0.0)])
-    bad = validate_config(cfg, toy_catalog)
-    assert [v.kind for v in bad] == ["overlap"]
-    assert bad[0].subject == (0, 1)
+    assert validate_config(cfg, toy_catalog) == [f"object 1: {OVERLAP}"]
 
 
 def test_margin_is_enforced_not_just_contact(toy_catalog):
     brick = toy_catalog.models[0]  # 0.08 wide: contact at dx = 0.08
     touching = _config([_resting(brick, 0.0, 0.0), _resting(brick, 0.085, 0.0)])
-    assert "overlap" in {v.kind for v in validate_config(touching, toy_catalog)}
+    assert validate_config(touching, toy_catalog) == [f"object 1: {OVERLAP}"]
     clear = _config([_resting(brick, 0.0, 0.0), _resting(brick, 0.09, 0.0)])
     assert validate_config(clear, toy_catalog) == []
 
@@ -247,17 +256,21 @@ def test_bad_lighting_flagged(toy_catalog):
     brick = toy_catalog.models[0]
     env = EnvSetupOp(lighting=LightingSpec(intensity=2.5), camera=default_env().camera)
     cfg = _config([_resting(brick, 0.0, 0.0)], env=env)
-    assert "bad_lighting" in {v.kind for v in validate_config(cfg, toy_catalog)}
+    assert validate_config(cfg, toy_catalog) == ["lighting 2.5 outside [0.25, 2.0]"]
 
 
 def test_bad_camera_flagged(toy_catalog):
     brick = toy_catalog.models[0]
-    env = EnvSetupOp(
-        lighting=LightingSpec(),
-        camera=CameraPose(position_m=(0.1, 0.1, 0.5), look_at_m=(0.1, 0.1, 0.5)),
-    )
-    cfg = _config([_resting(brick, 0.0, 0.0)], env=env)
-    assert "bad_camera" in {v.kind for v in validate_config(cfg, toy_catalog)}
+    for position, look_at, message in (
+        ((0.1, 0.1, 0.5), (0.1, 0.1, 0.5), "camera position equals look_at"),
+        ((0.0, 0.2, -0.1), (0.0, 0.0, 0.0), "camera must sit above the table plane"),
+    ):
+        env = EnvSetupOp(
+            lighting=LightingSpec(),
+            camera=CameraPose(position_m=position, look_at_m=look_at),
+        )
+        cfg = _config([_resting(brick, 0.0, 0.0)], env=env)
+        assert validate_config(cfg, toy_catalog) == [message]
 
 
 # ---- serialization --------------------------------------------------------
