@@ -7,6 +7,14 @@ factor settings the report will later group by. Planning is deterministic
 given the master seed, so two plans of the same spec are byte-identical,
 and the manifest can be shipped to other machines for execution.
 
+The manifest's inputs are its spec, its scenes, each scene's target indices
+and the paraphrase candidates' texts. Every label is a function of them:
+``_scene_meta`` gives a scene's metadata, ``validate_candidates`` its
+instruction set, and ``_trials`` the trials, their seeds and the
+shortfalls. ``plan_campaign`` builds the manifest with these functions, and
+``CampaignManifest.validate`` calls them again on a loaded manifest, so a
+label that was edited by hand is rejected.
+
 Environment mutations are applied after scene generation with a 0.999
 safety factor so the stated bounds (lighting shift within +-0.5, camera
 rotation within 5 degrees, camera displacement within 5 cm) still hold
@@ -17,7 +25,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from . import __version__
@@ -47,7 +55,6 @@ from .scene import (
     CameraPose,
     SceneConfig,
     validate_config,
-    with_env,
 )
 from .seeds import env_seed, scene_seed, splitmix64, trial_seed
 from .sim import CONTAINER_FLOOR_OFFSET, Task
@@ -163,10 +170,6 @@ INSTRUCTION_TEMPLATES = {
     Task.PUT_ON: "put the {a} on the {b}",
     Task.PUT_IN: "put the {a} inside the {b}",
 }
-
-
-def original_instruction(task: Task, a_name: str, b_name: str | None = None) -> str:
-    return INSTRUCTION_TEMPLATES[task].format(a=a_name, b=b_name)
 
 
 # ---- environment mutation -------------------------------------------------
@@ -298,12 +301,6 @@ def synthesize_description(
     return text, a, b
 
 
-def _source_mix(scene: SceneConfig, catalog: Catalog) -> SourceMix:
-    if all(catalog.get(op.model_id).source is Source.SEEN_SET for op in scene.adds):
-        return SourceMix.SEEN_ONLY
-    return SourceMix.CONTAINS_UNSEEN
-
-
 # ---- manifest -------------------------------------------------------------
 
 
@@ -323,14 +320,13 @@ class CampaignManifest:
         return canonical_dumps(encode(self))
 
     def validate(self, catalog: Catalog) -> None:
-        """Check internal consistency; raises SchemaViolation on breakage.
+        """Check that the manifest is what its inputs plan to.
 
-        Every label is derived again and compared with the stored one: each
-        scene's ``source_mix`` and ``basic_instruction``, each instruction
-        set's ``original``, ``threshold``, ``k_requested`` and candidate
-        ``valid`` flags, and each trial's text and kind. A scene's trials
-        must be a leading part of its basic instruction followed by its
-        instruction set's valid texts, so a manifest cut short still runs.
+        The inputs (the spec, the scenes, their target indices and the
+        candidate texts) are checked for shape and range. Every label is
+        then derived from them by ``plan_campaign``'s own functions, and the
+        first stored value that differs raises SchemaViolation at its JSON
+        path. The trials may be cut short of the derived ones.
         """
         try:
             self.spec.validate()
@@ -342,116 +338,68 @@ class CampaignManifest:
                 f"expected {n} scenes with metadata, got {len(self.scenes)} "
                 f"and {len(self.scene_meta)}"
             )
-        if self.spec.factors.use_paraphrases and self.spec.k_instructions > 1:
-            if len(self.instruction_sets) != n:
-                raise SchemaViolation(
-                    f"expected {n} instruction sets, got {len(self.instruction_sets)}"
-                )
-        for i, scene in enumerate(self.scenes):
+        k = self.spec.k_instructions
+        paraphrased = self.spec.factors.use_paraphrases and k > 1
+        if paraphrased and len(self.instruction_sets) != n:
+            raise SchemaViolation(
+                f"expected {n} instruction sets, got {len(self.instruction_sets)}"
+            )
+        metas: list[SceneMeta] = []
+        isets: list[InstructionSet] = []
+        for i, (scene, meta) in enumerate(zip(self.scenes, self.scene_meta)):
             bad = validate_config(scene, catalog)
             if bad:
                 raise SchemaViolation(
                     f"scene {i} is invalid: {bad[0]}", path=f"$.scenes[{i}]"
                 )
-        seeds = [t.trial_seed for t in self.trials]
-        if len(set(seeds)) != len(seeds):
-            raise SchemaViolation("trial seeds are not globally unique")
-        for j, trial in enumerate(self.trials):
-            if not 0 <= trial.scene_index < n:
-                raise SchemaViolation(
-                    f"trial {j} references scene {trial.scene_index}"
-                )
-        variant = self.spec.env_variant
-        for i, meta in enumerate(self.scene_meta):
-            if meta.env_variant is not variant:
-                raise SchemaViolation(
-                    f"scene {i} is {meta.env_variant.value}, the spec asks for "
-                    f"{variant.value}",
-                    path=f"$.scene_meta[{i}].env_variant",
-                )
-            adds = self.scenes[i].adds
-            count = len(adds)
-            if meta.object_count != count:
-                raise SchemaViolation(
-                    f"scene {i} metadata says {meta.object_count} objects, "
-                    f"config has {count}"
-                )
             a, b = meta.target_a_index, meta.target_b_index
-            if not 0 <= a < count:
-                raise SchemaViolation(f"scene {i} target_a_index out of range")
-            if b is not None and not 0 <= b < count:
-                raise SchemaViolation(f"scene {i} target_b_index out of range")
+            for name, index in (("target_a_index", a), ("target_b_index", b)):
+                if index is not None and not 0 <= index < len(scene.adds):
+                    raise SchemaViolation(
+                        f"scene {i} {name} out of range",
+                        path=f"$.scene_meta[{i}].{name}",
+                    )
             if self.spec.task is not Task.PICK_UP and (b is None or b == a):
                 raise SchemaViolation(
                     "must name an object other than target_a_index",
                     path=f"$.scene_meta[{i}].target_b_index",
                 )
-            mix = _source_mix(self.scenes[i], catalog)
-            if meta.source_mix is not mix:
-                raise SchemaViolation(
-                    f"scene {i} is {mix.value} by its objects",
-                    path=f"$.scene_meta[{i}].source_mix",
-                )
-            names = [catalog.get(op.model_id).display_name for op in adds]
-            basic = original_instruction(
-                self.spec.task, names[a], None if b is None else names[b]
-            )
-            if meta.basic_instruction != basic:
-                raise SchemaViolation(
-                    f"scene {i}'s targets give {basic!r}",
-                    path=f"$.scene_meta[{i}].basic_instruction",
-                )
-        k = self.spec.k_instructions
-        paraphrased = self.spec.factors.use_paraphrases and k > 1
-        threshold = quantize(self.spec.threshold)
-        for i, iset in enumerate(self.instruction_sets if paraphrased else ()):
-            path = f"$.instruction_sets[{i}]"
-            if iset.original != self.scene_meta[i].basic_instruction:
-                raise SchemaViolation(
-                    f"scene {i}'s basic instruction is "
-                    f"{self.scene_meta[i].basic_instruction!r}",
-                    path=f"{path}.original",
-                )
-            if iset.threshold != threshold:
-                raise SchemaViolation(
-                    f"the spec's threshold is {threshold}", path=f"{path}.threshold"
-                )
-            if iset.k_requested != k - 1:
-                raise SchemaViolation(
-                    f"the spec asks for {k - 1} paraphrases",
-                    path=f"{path}.k_requested",
-                )
-            for c, cand in enumerate(iset.candidates):
-                if cand.valid != (cand.similarity >= threshold):
-                    raise SchemaViolation(
-                        f"similarity {cand.similarity} against threshold {threshold}",
-                        path=f"{path}.candidates[{c}].valid",
+            metas.append(_scene_meta(self.spec, scene, a, b, catalog))
+            if paraphrased:
+                texts = [c.text for c in self.instruction_sets[i].candidates]
+                isets.append(
+                    validate_candidates(
+                        metas[i].basic_instruction, texts, k - 1, self.spec.threshold
                     )
-        planned = [
-            ((meta.basic_instruction,) if k >= 1 else ())
-            + (self.instruction_sets[i].valid_texts if paraphrased else ())
-            for i, meta in enumerate(self.scene_meta)
-        ]
-        played = [0] * n
-        for j, trial in enumerate(self.trials):
-            i = trial.scene_index
-            texts = planned[i]
-            if played[i] == len(texts) or trial.instruction_text != texts[played[i]]:
-                raise SchemaViolation(
-                    f"trial {j} is not scene {i}'s next planned instruction",
-                    path=f"$.trials[{j}].instruction_text",
                 )
-            played[i] += 1
-            kind = (
-                InstructionKind.BASIC
-                if trial.instruction_text == self.scene_meta[i].basic_instruction
-                else InstructionKind.PARAPHRASED
-            )
-            if trial.instruction_kind is not kind:
-                raise SchemaViolation(
-                    f"trial {j} is {kind.value}",
-                    path=f"$.trials[{j}].instruction_kind",
-                )
+        trials, shortfalls = _trials(self.spec, metas, isets)
+        derived = replace(
+            self,
+            scene_meta=tuple(metas),
+            instruction_sets=tuple(isets),
+            trials=trials[: len(self.trials)],
+            shortfalls=shortfalls,
+        )
+        if derived != self:
+            for path, message in _differences(encode(self), encode(derived)):
+                raise SchemaViolation(message, path=path)
+
+
+def _differences(stored, derived, path: str = "$"):
+    """Yield (path, message) for each place where two encodings of the same
+    dataclass differ, in field order."""
+    if type(stored) is dict:
+        for key in stored:
+            yield from _differences(stored[key], derived[key], f"{path}.{key}")
+    elif type(stored) is list and len(stored) == len(derived):
+        for j, pair in enumerate(zip(stored, derived)):
+            yield from _differences(*pair, f"{path}[{j}]")
+    elif type(stored) is list:
+        yield path, f"stored an array of {len(stored)}, derived one of {len(derived)}"
+    elif stored != derived:
+        yield path, (
+            f"stored {canonical_dumps(stored)}, derived {canonical_dumps(derived)}"
+        )
 
 
 def load_manifest(path) -> CampaignManifest:
@@ -473,6 +421,59 @@ def _target_index(
     raise UnresolvableMention(
         f"{model.display_name!r} does not resolve to {model.id!r}"
     )
+
+
+def _scene_meta(
+    spec: CampaignSpec, scene: SceneConfig, a: int, b: int | None, catalog: Catalog
+) -> SceneMeta:
+    """The labels of ``scene``, whose targets are its objects ``a`` and ``b``."""
+    models = [catalog.get(op.model_id) for op in scene.adds]
+    seen = all(m.source is Source.SEEN_SET for m in models)
+    return SceneMeta(
+        object_count=len(models),
+        source_mix=SourceMix.SEEN_ONLY if seen else SourceMix.CONTAINS_UNSEEN,
+        env_variant=spec.env_variant,
+        target_a_index=a,
+        target_b_index=b,
+        basic_instruction=INSTRUCTION_TEMPLATES[spec.task].format(
+            a=models[a].display_name,
+            b=None if b is None else models[b].display_name,
+        ),
+    )
+
+
+def _trials(
+    spec: CampaignSpec, metas: list[SceneMeta], isets: list[InstructionSet]
+) -> tuple[tuple[Trial, ...], tuple[Shortfall, ...]]:
+    """Each scene's basic instruction, then its valid paraphrases (none when
+    ``isets`` is empty), as trials; and the scenes short of paraphrases."""
+    trials: list[Trial] = []
+    shortfalls: list[Shortfall] = []
+    used_seeds: set[int] = set()
+    want = spec.k_instructions - 1
+    for i, meta in enumerate(metas):
+        texts = [meta.basic_instruction] if spec.k_instructions >= 1 else []
+        if isets:
+            valid = isets[i].valid_texts
+            texts.extend(valid)
+            if len(valid) < want:
+                shortfalls.append(Shortfall(scene_index=i, missing=want - len(valid)))
+        for j, text in enumerate(texts):
+            ts = trial_seed(spec.master_seed, i, j)
+            while ts in used_seeds:
+                ts = splitmix64(ts)
+            used_seeds.add(ts)
+            basic = text == meta.basic_instruction
+            kind = InstructionKind.BASIC if basic else InstructionKind.PARAPHRASED
+            trials.append(
+                Trial(
+                    scene_index=i,
+                    instruction_text=text,
+                    instruction_kind=kind,
+                    trial_seed=ts,
+                )
+            )
+    return tuple(trials), tuple(shortfalls)
 
 
 def plan_campaign(
@@ -497,9 +498,6 @@ def plan_campaign(
     scenes: list[SceneConfig] = []
     metas: list[SceneMeta] = []
     instruction_sets: list[InstructionSet] = []
-    trials: list[Trial] = []
-    shortfalls: list[Shortfall] = []
-    used_seeds: set[int] = set()
     variant = spec.env_variant
 
     for i in range(spec.n_scenes):
@@ -519,69 +517,36 @@ def plan_campaign(
                 )
             if variant is not EnvVariant.DEFAULT:
                 env_rng = random.Random(env_seed(spec.master_seed, i))
-                scene = with_env(scene, mutate_env(scene.env, variant, env_rng))
+                scene = replace(scene, env=mutate_env(scene.env, variant, env_rng))
 
             a_index = _target_index(scene, a_model)
             b_index = None
             if b_model is not None:
                 b_index = _target_index(scene, b_model, skip=a_index)
-            basic = original_instruction(
-                spec.task,
-                a_model.display_name,
-                None if b_model is None else b_model.display_name,
-            )
-            metas.append(
-                SceneMeta(
-                    object_count=len(scene.adds),
-                    source_mix=_source_mix(scene, catalog),
-                    env_variant=variant,
-                    target_a_index=a_index,
-                    target_b_index=b_index,
-                    basic_instruction=basic,
-                )
-            )
+            meta = _scene_meta(spec, scene, a_index, b_index, catalog)
+            metas.append(meta)
             scenes.append(scene)
 
-            texts: list[tuple[str, InstructionKind]] = []
-            if spec.k_instructions >= 1:
-                texts.append((basic, InstructionKind.BASIC))
             if spec.factors.use_paraphrases and spec.k_instructions > 1:
-                want = spec.k_instructions - 1
+                basic, want = meta.basic_instruction, spec.k_instructions - 1
                 if chat_provider is None:
                     candidates = builtin_paraphrases(basic, want)
                 else:
                     candidates = generate_paraphrases(basic, want, chat_provider)
-                iset = validate_candidates(basic, candidates, want, spec.threshold)
-                instruction_sets.append(iset)
-                valid = iset.valid_texts
-                texts.extend((t, InstructionKind.PARAPHRASED) for t in valid)
-                if len(valid) < want:
-                    shortfalls.append(
-                        Shortfall(scene_index=i, missing=want - len(valid))
-                    )
-            for j, (instruction, kind) in enumerate(texts):
-                ts = trial_seed(spec.master_seed, i, j)
-                while ts in used_seeds:
-                    ts = splitmix64(ts)
-                used_seeds.add(ts)
-                trials.append(
-                    Trial(
-                        scene_index=i,
-                        instruction_text=instruction,
-                        instruction_kind=kind,
-                        trial_seed=ts,
-                    )
+                instruction_sets.append(
+                    validate_candidates(basic, candidates, want, spec.threshold)
                 )
         except BenchtopError as exc:
             raise PartialPlanFailure(f"planning failed at scene {i}: {exc}") from exc
 
+    trials, shortfalls = _trials(spec, metas, instruction_sets)
     return CampaignManifest(
         spec=spec,
         scenes=tuple(scenes),
         instruction_sets=tuple(instruction_sets),
         scene_meta=tuple(metas),
-        trials=tuple(trials),
-        shortfalls=tuple(shortfalls),
+        trials=trials,
+        shortfalls=shortfalls,
         created_at=created_at if created_at is not None else EPOCH_TIMESTAMP,
         tool_version=__version__,
     )

@@ -47,7 +47,6 @@ from .scene import (
     Provenance,
     SceneConfig,
     SceneDescription,
-    default_env,
     env_problem,
     footprint,
     placement_capacity,
@@ -262,7 +261,7 @@ def parse_llm_env(text: str) -> EnvSetupOp:
     """The environment in an LLM reply; one that ``env_problem`` rejects is
     a ``SchemaViolation``."""
     raw = first_json(text, "{", lambda value: isinstance(value, dict), "object")
-    base = default_env()
+    base = EnvSetupOp()
     lighting = decode(LightingSpec | None, raw.get("lighting"), "$.lighting")
     camera = decode(CameraPose | None, raw.get("camera"), "$.camera")
     env = EnvSetupOp(lighting=lighting or base.lighting, camera=camera or base.camera)
@@ -290,7 +289,7 @@ def resolve_mentions(
 
 
 def _env_from_description(description: SceneDescription) -> EnvSetupOp:
-    base = default_env()
+    base = EnvSetupOp()
     lighting = description.lighting or base.lighting
     camera = description.camera or base.camera
     return EnvSetupOp(lighting=lighting, camera=camera)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .catalog import Catalog, ObjectModel, Shape
@@ -101,10 +101,6 @@ class SceneDescription:
     lighting: LightingSpec | None = None
     camera: CameraPose | None = None
     raw_text: str = ""
-
-
-def default_env() -> EnvSetupOp:
-    return EnvSetupOp()
 
 
 # ---- geometry --------------------------------------------------------------
@@ -247,7 +243,3 @@ def validate_config(config: SceneConfig, catalog: Catalog) -> list[str]:
     if problem is not None:
         problems.append(problem)
     return problems
-
-
-def with_env(config: SceneConfig, env: EnvSetupOp) -> SceneConfig:
-    return replace(config, env=env)

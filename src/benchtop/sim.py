@@ -139,7 +139,6 @@ class WorldObject:
 @dataclass(frozen=True, slots=True)
 class Gripper:
     position: tuple[float, float, float]
-    open: bool
     attached: int | None
 
 
@@ -191,7 +190,7 @@ def init_world(config: SceneConfig, catalog: Catalog) -> WorldState:
         )
     return WorldState(
         objects=tuple(objects),
-        gripper=Gripper(position=GRIPPER_HOME, open=True, attached=None),
+        gripper=Gripper(position=GRIPPER_HOME, attached=None),
         step_count=0,
     )
 
@@ -286,24 +285,19 @@ def step(state: WorldState, action: Action) -> WorldState:
     # At most one object moves per step: the held one, the one just grasped,
     # or the one just released.
     moving, target = attached, pos
-    is_open = g.open
     cmd = action.gripper
-    if cmd is GripperCommand.CLOSE:
-        is_open = False
-        if attached is None:
-            attached = moving = _nearest_graspable(state.objects, pos)
-    elif cmd is GripperCommand.OPEN:
-        if attached is not None:
-            target = _landing(state.objects, attached, pos)
-            attached = None
-        is_open = True
+    if cmd is GripperCommand.CLOSE and attached is None:
+        attached = moving = _nearest_graspable(state.objects, pos)
+    elif cmd is GripperCommand.OPEN and attached is not None:
+        target = _landing(state.objects, attached, pos)
+        attached = None
     objects = state.objects
     if moving is not None:
         objects = _placed(objects, moving, target)
 
     return WorldState(
         objects=objects,
-        gripper=Gripper(position=pos, open=is_open, attached=attached),
+        gripper=Gripper(position=pos, attached=attached),
         step_count=state.step_count + 1,
     )
 

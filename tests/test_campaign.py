@@ -6,7 +6,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from benchtop import campaign
@@ -14,17 +14,20 @@ from benchtop.campaign import (
     CAMERA_ANGLE_MAX_DEG,
     CAMERA_OFFSET_MAX_M,
     LIGHTING_DELTA_MAX,
+    CampaignManifest,
     CampaignSpec,
+    EnvVariant,
     Factors,
     InstructionKind,
+    Shortfall,
     SourceMix,
     mutate_camera,
     mutate_lighting,
     plan_campaign,
 )
 from benchtop.catalog import Source
-from benchtop.errors import SchemaViolation
-from benchtop.jsonio import quantize
+from benchtop.errors import PartialPlanFailure, SchemaViolation
+from benchtop.jsonio import loads, quantize
 from benchtop.scene import (
     LIGHTING_MAX,
     LIGHTING_MIN,
@@ -33,7 +36,6 @@ from benchtop.scene import (
     LightingSpec,
     ObjectAddOp,
     Pose,
-    default_env,
 )
 from benchtop.seeds import splitmix64
 from benchtop.sim import Task
@@ -70,13 +72,27 @@ def _view(camera: CameraPose):
 @settings(max_examples=200)
 @given(seeds)
 def test_camera_moves_under_5_cm_and_turns_under_5_degrees(seed):
-    env = default_env()
+    env = EnvSetupOp()
     mutated = mutate_camera(env, random.Random(seed))
     old, new = env.camera, mutated.camera
     assert math.dist(old.position_m, new.position_m) <= CAMERA_OFFSET_MAX_M
     assert _angle_deg(_view(old), _view(new)) <= CAMERA_ANGLE_MAX_DEG
     assert all(map(_is_quantized, new.position_m + new.look_at_m))
     assert mutated.lighting == env.lighting
+
+
+def test_an_env_variant_changes_only_the_scene_env(catalog):
+    def plan(**mutation):
+        factors = Factors(object_count_range=(1, 3), **mutation)
+        spec = CampaignSpec(task=Task.PUT_ON, n_scenes=4, k_instructions=1,
+                            factors=factors, master_seed=5)
+        return plan_campaign(spec, catalog)
+
+    default = plan()
+    for mutated in plan(lighting_mutation=True), plan(camera_mutation=True):
+        for scene, base in zip(mutated.scenes, default.scenes):
+            assert scene.env != base.env
+            assert replace(scene, env=base.env) == base
 
 
 def test_colliding_trial_seeds_are_rehashed_until_unique(catalog, monkeypatch):
@@ -163,17 +179,34 @@ def _with_iset(manifest, i, **changes):
     return replace(manifest, instruction_sets=tuple(isets))
 
 
-def _dissimilar_valid(manifest):
+def _with_candidate(manifest, **changes):
     first, *rest = manifest.instruction_sets[0].candidates
-    low = replace(first, similarity=0.1)
-    assert low.valid
-    return _with_iset(manifest, 0, candidates=(low, *rest))
+    assert first.valid
+    return _with_iset(manifest, 0, candidates=(replace(first, **changes), *rest))
+
+
+def _moon_paraphrase(manifest):
+    """Scene 0's first paraphrase swapped for an unrelated text that claims
+    a passing similarity and is played as a paraphrased trial."""
+    assert manifest.trials[1].instruction_kind is InstructionKind.PARAPHRASED
+    swapped = _with_candidate(manifest, text="fly to the moon", similarity=0.99)
+    return _with_trial(swapped, 1, instruction_text="fly to the moon")
 
 
 def _overlapping(manifest):
     adds = manifest.scenes[1].adds
-    on_top = ObjectAddOp(model_id=adds[1].model_id, pose=adds[0].pose)
-    return _with_scene(manifest, 1, adds=(adds[0], on_top) + adds[2:])
+    x, y, _ = adds[1].pose.position_m
+    z = adds[0].pose.position_m[2]
+    moved = replace(adds[0], pose=replace(adds[0].pose, position_m=(x, y, z)))
+    return _with_scene(manifest, 1, adds=(moved,) + adds[1:])
+
+
+def _without_paraphrases(manifest):
+    factors = replace(manifest.spec.factors, use_paraphrases=False)
+    basic = tuple(
+        t for t in manifest.trials if t.instruction_kind is InstructionKind.BASIC
+    )
+    return replace(manifest, spec=replace(manifest.spec, factors=factors), trials=basic)
 
 
 def _mix_flipped(manifest):
@@ -196,22 +229,32 @@ BROKEN = {
     "instruction_set_missing": (
         lambda m: replace(m, instruction_sets=m.instruction_sets[:-1]),
         "expected 3 instruction sets", "$"),
-    "objects_overlap": (_overlapping, "scene 1 is invalid", "$.scenes[1]"),
+    "objects_overlap": (
+        _overlapping, "object 1: footprint closer than the placement margin",
+        "$.scenes[1]"),
     "object_off_the_table": (_far_away, "scene 0 is invalid", "$.scenes[0]"),
     "duplicate_trial_seed": (
         lambda m: _with_trial(m, 1, trial_seed=m.trials[0].trial_seed),
-        "trial seeds are not globally unique", "$"),
+        "stored 11905098178490585645, derived 8724077290919528554",
+        "$.trials[1].trial_seed"),
+    "trial_seed_changed": (
+        lambda m: _with_trial(m, 4, trial_seed=m.trials[4].trial_seed + 1),
+        "derived ", "$.trials[4].trial_seed"),
     "trial_scene_out_of_range": (
-        lambda m: _with_trial(m, 2, scene_index=3), "trial 2 references scene 3", "$"),
+        lambda m: _with_trial(m, 2, scene_index=3), "stored 3, derived 0",
+        "$.trials[2].scene_index"),
+    "trials_skip_a_planned_trial": (
+        lambda m: replace(m, trials=m.trials[:1] + m.trials[3:]),
+        "stored 1, derived 0", "$.trials[1].scene_index"),
     "object_count_mismatch": (
         lambda m: _with_meta(m, 2, object_count=m.scene_meta[2].object_count + 1),
-        "scene 2 metadata says", "$"),
+        "stored 3, derived 2", "$.scene_meta[2].object_count"),
     "target_a_out_of_range": (
         lambda m: _with_meta(m, 0, target_a_index=m.scene_meta[0].object_count),
-        "scene 0 target_a_index out of range", "$"),
+        "scene 0 target_a_index out of range", "$.scene_meta[0].target_a_index"),
     "target_b_out_of_range": (
         lambda m: _with_meta(m, 1, target_b_index=-1),
-        "scene 1 target_b_index out of range", "$"),
+        "scene 1 target_b_index out of range", "$.scene_meta[1].target_b_index"),
     "target_b_missing": (
         lambda m: _with_meta(m, 1, target_b_index=None),
         "must name an object other than", "$.scene_meta[1].target_b_index"),
@@ -219,31 +262,50 @@ BROKEN = {
         lambda m: _with_meta(m, 2, target_b_index=m.scene_meta[2].target_a_index),
         "must name an object other than", "$.scene_meta[2].target_b_index"),
     "source_mix_flipped": (
-        _mix_flipped, "scene 0 is", "$.scene_meta[0].source_mix"),
+        _mix_flipped, 'stored "seen_only", derived "contains_unseen"',
+        "$.scene_meta[0].source_mix"),
     "basic_instruction_false": (
         lambda m: _with_meta(m, 1, basic_instruction="pick up the moon"),
-        "scene 1's targets give", "$.scene_meta[1].basic_instruction"),
+        'stored "pick up the moon", derived "put the redbull can on the dinner plate"',
+        "$.scene_meta[1].basic_instruction"),
     "basic_trial_marked_paraphrased": (
         lambda m: _with_trial(m, 0, instruction_kind=InstructionKind.PARAPHRASED),
-        "trial 0 is basic", "$.trials[0].instruction_kind"),
+        'stored "paraphrased", derived "basic"', "$.trials[0].instruction_kind"),
     "trial_text_not_planned": (
         lambda m: _with_trial(m, 1, instruction_text="pick up the moon"),
-        "trial 1 is not scene 0's next planned", "$.trials[1].instruction_text"),
+        'stored "pick up the moon", derived "please put the toy airplane',
+        "$.trials[1].instruction_text"),
     "instruction_set_original_false": (
         lambda m: _with_iset(m, 1, original="pick up the moon"),
-        "scene 1's basic instruction is", "$.instruction_sets[1].original"),
+        'stored "pick up the moon", derived "put the redbull can',
+        "$.instruction_sets[1].original"),
     "instruction_set_threshold_false": (
         lambda m: _with_iset(m, 0, threshold=0.05),
-        "the spec's threshold is 0.8", "$.instruction_sets[0].threshold"),
+        "stored 0.050000, derived 0.800000", "$.instruction_sets[0].threshold"),
     "instruction_set_k_requested_false": (
         lambda m: _with_iset(m, 2, k_requested=5),
-        "the spec asks for 2 paraphrases", "$.instruction_sets[2].k_requested"),
+        "stored 5, derived 2", "$.instruction_sets[2].k_requested"),
+    "instruction_sets_without_paraphrases": (
+        _without_paraphrases, "stored an array of 3, derived one of 0",
+        "$.instruction_sets"),
     "candidate_valid_below_threshold": (
-        _dissimilar_valid, "similarity 0.1 against threshold 0.8",
-        "$.instruction_sets[0].candidates[0].valid"),
+        lambda m: _with_candidate(m, similarity=0.1),
+        "stored 0.100000, derived 0.953463",
+        "$.instruction_sets[0].candidates[0].similarity"),
+    "candidate_similarity_raised": (
+        lambda m: _with_candidate(m, similarity=0.99),
+        "stored 0.990000, derived 0.953463",
+        "$.instruction_sets[0].candidates[0].similarity"),
+    "paraphrase_swapped_for_an_unrelated_text": (
+        _moon_paraphrase, "stored 0.990000, derived 0.",
+        "$.instruction_sets[0].candidates[0].similarity"),
+    "shortfall_invented": (
+        lambda m: replace(m, shortfalls=(Shortfall(scene_index=1, missing=1),)),
+        "stored an array of 1, derived one of 0", "$.shortfalls"),
     "trials_out_of_order": (
         lambda m: replace(m, trials=(m.trials[1], m.trials[0]) + m.trials[2:]),
-        "trial 0 is not scene 0's next planned", "$.trials[0].instruction_text"),
+        'stored "please put the toy airplane on the green cube", derived "put the',
+        "$.trials[0].instruction_text"),
 }
 
 
@@ -257,9 +319,36 @@ def test_validate_rejects_an_inconsistent_manifest(catalog, planned, name):
 
 
 def test_validate_skips_instruction_sets_without_paraphrases(catalog, planned):
-    spec = replace(planned.spec, factors=replace(planned.spec.factors,
-                                                 use_paraphrases=False))
-    basic = tuple(
-        t for t in planned.trials if t.instruction_kind is InstructionKind.BASIC
+    replace(_without_paraphrases(planned), instruction_sets=()).validate(catalog)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    task=st.sampled_from(Task),
+    seed=st.integers(0, 2**32),
+    n=st.integers(1, 6),
+    k=st.integers(0, 6),
+    use_paraphrases=st.booleans(),
+    variant=st.sampled_from(EnvVariant),
+    source_filter=st.sampled_from([None, *(s.value for s in Source)]),
+    counts=st.sampled_from([(1, 1), (1, 2), (2, 2)]),
+)
+def test_every_plan_passes_validate_before_and_after_a_round_trip(
+    catalog, task, seed, n, k, use_paraphrases, variant, source_filter, counts
+):
+    factors = Factors(
+        object_count_range=counts,
+        source_filter=source_filter,
+        lighting_mutation=variant is EnvVariant.LIGHTING_MUTATED,
+        camera_mutation=variant is EnvVariant.CAMERA_MUTATED,
+        use_paraphrases=use_paraphrases,
     )
-    replace(planned, spec=spec, instruction_sets=(), trials=basic).validate(catalog)
+    spec = CampaignSpec(
+        task=task, n_scenes=n, k_instructions=k, factors=factors, master_seed=seed
+    )
+    try:
+        manifest = plan_campaign(spec, catalog)
+    except PartialPlanFailure:
+        reject()
+    manifest.validate(catalog)
+    loads(CampaignManifest, manifest.dumps()).validate(catalog)

@@ -69,7 +69,11 @@ def _expect_schema_violation(capsys, argv, path):
         (("trials", 0, "instruction_kind"), "paraphrased",
          "$.trials[0].instruction_kind"),
         (("instruction_sets", 0, "candidates", 0, "similarity"), 0.1,
-         "$.instruction_sets[0].candidates[0].valid"),
+         "$.instruction_sets[0].candidates[0].similarity"),
+        (("instruction_sets", 0, "candidates", 1, "similarity"), 0.99,
+         "$.instruction_sets[0].candidates[1].similarity"),
+        (("trials", 2, "trial_seed"), 7, "$.trials[2].trial_seed"),
+        (("shortfalls",), [{"scene_index": 0, "missing": 1}], "$.shortfalls"),
     ],
     ids=[
         "string_bool", "float_seed", "string_count", "unknown_key", "no_threshold",
@@ -77,6 +81,7 @@ def _expect_schema_violation(capsys, argv, path):
         "env_variant_mismatch", "target_b_missing", "yaw_beyond_float_range",
         "source_mix_flipped", "basic_instruction_false",
         "basic_trial_marked_paraphrased", "candidate_valid_below_threshold",
+        "candidate_similarity_raised", "trial_seed_changed", "shortfall_invented",
     ],
 )
 def test_run_rejects_malformed_manifest(tmp_path, capsys, keys, value, path):

@@ -30,9 +30,9 @@ from benchtop.generation import (
 )
 from benchtop.jsonio import canonical_dumps, encode, quantize
 from benchtop.scene import (
+    EnvSetupOp,
     Pose,
     Provenance,
-    default_env,
     footprint,
     placement_problem,
     sample_pose,
@@ -218,7 +218,7 @@ def test_three_garbage_env_replies_keep_the_default_env(catalog):
         replies=[_ops_reply("apple"), "no env", bad_shape, "still none", NULL_ENV]
     )
     cfg = generate_scene("1 object, one is an apple", provider, catalog, seed=2)
-    assert cfg.env == default_env()
+    assert cfg.env == EnvSetupOp()
     assert validate_config(cfg, catalog) == []
     objects, first, second, third = provider.calls
     assert second.user == first.user + _rejection(parse_llm_env, "no env")
@@ -254,7 +254,7 @@ def test_a_lighting_number_beyond_the_float_range_keeps_the_default_env(catalog)
     )
     provider = ScriptedChatProvider(replies=[_ops_reply("apple")] + [huge] * 3)
     cfg = generate_scene("1 object, one is an apple", provider, catalog, seed=2)
-    assert cfg.env == default_env()
+    assert cfg.env == EnvSetupOp()
     assert provider.replies == []
 
 
@@ -359,7 +359,7 @@ def test_an_out_of_range_llm_env_is_asked_again_then_left_default(catalog):
         replies=[_ops_reply("apple"), *OUT_OF_RANGE_ENVS, NULL_ENV]
     )
     cfg = generate_scene("1 object, one is an apple", provider, catalog, seed=2)
-    assert cfg.env == default_env()
+    assert cfg.env == EnvSetupOp()
     _, first, second, third = provider.calls
     assert second.user == first.user + _rejection(parse_llm_env, OUT_OF_RANGE_ENVS[0])
     assert third.user == first.user + _rejection(parse_llm_env, OUT_OF_RANGE_ENVS[1])

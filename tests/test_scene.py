@@ -19,13 +19,11 @@ from benchtop.scene import (
     Pose,
     Provenance,
     SceneConfig,
-    default_env,
     footprint,
     footprint_half_extents,
     placement_capacity,
     sample_pose,
     validate_config,
-    with_env,
 )
 
 
@@ -62,7 +60,7 @@ def _config(adds, env=None, **over):
     base = dict(
         scene_id="s",
         adds=tuple(adds),
-        env=env or default_env(),
+        env=env or EnvSetupOp(),
         seed=3,
         provenance=Provenance.MANUAL,
     )
@@ -254,7 +252,7 @@ def test_margin_is_enforced_not_just_contact(toy_catalog):
 
 def test_bad_lighting_flagged(toy_catalog):
     brick = toy_catalog.models[0]
-    env = EnvSetupOp(lighting=LightingSpec(intensity=2.5), camera=default_env().camera)
+    env = EnvSetupOp(lighting=LightingSpec(intensity=2.5))
     cfg = _config([_resting(brick, 0.0, 0.0)], env=env)
     assert validate_config(cfg, toy_catalog) == ["lighting 2.5 outside [0.25, 2.0]"]
 
@@ -323,17 +321,6 @@ def test_bad_provenance_rejected():
         loads(SceneConfig, text)
 
 
-def test_with_env_replaces_only_env(toy_catalog):
-    brick = toy_catalog.models[0]
-    cfg = _config([_resting(brick, 0.0, 0.0)])
-    env = EnvSetupOp(
-        lighting=LightingSpec(intensity=0.5), camera=default_env().camera
-    )
-    out = with_env(cfg, env)
-    assert out.env.lighting.intensity == 0.5
-    assert out.adds == cfg.adds
-    assert out.scene_id == cfg.scene_id
-
 
 _pos = st.floats(min_value=-0.2, max_value=0.2).map(quantize)
 _yaw = st.floats(min_value=-3.14159, max_value=3.14159).map(quantize)
@@ -356,7 +343,7 @@ def test_serialization_round_trips_any_config(xs, seed, intensity):
     cfg = SceneConfig(
         scene_id="prop",
         adds=adds,
-        env=EnvSetupOp(lighting=LightingSpec(intensity=intensity), camera=default_env().camera),
+        env=EnvSetupOp(lighting=LightingSpec(intensity=intensity)),
         seed=seed,
         provenance=Provenance.LLM,
     )

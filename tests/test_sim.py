@@ -22,7 +22,6 @@ from benchtop.scene import (
     Provenance,
     SceneConfig,
     SceneDescription,
-    default_env,
     footprint_half_extents,
     validate_config,
 )
@@ -139,7 +138,7 @@ def _two_object_scene(item, surface):
             _resting(item, quantize(-edge + item_fx)),
             _resting(surface, quantize(edge - surface_fx)),
         ),
-        env=default_env(),
+        env=EnvSetupOp(),
         seed=0,
         provenance=Provenance.MANUAL,
     )
