@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 
 from . import __version__
@@ -39,7 +39,7 @@ from .errors import (
     UsageError,
 )
 from .generation import fallback_generate, generate_scene, parse_description
-from .jsonio import canonical_dumps, encode, loads, quantize
+from .jsonio import dumps, loads, quantize
 from .paraphrase import (
     DEFAULT_SIMILARITY_THRESHOLD,
     InstructionSet,
@@ -317,7 +317,7 @@ class CampaignManifest:
 
 
     def dumps(self) -> str:
-        return canonical_dumps(encode(self))
+        return dumps(self)
 
     def validate(self, catalog: Catalog) -> None:
         """Check that the manifest is what its inputs plan to.
@@ -381,25 +381,31 @@ class CampaignManifest:
             shortfalls=shortfalls,
         )
         if derived != self:
-            for path, message in _differences(encode(self), encode(derived)):
+            for path, message in _differences(self, derived):
                 raise SchemaViolation(message, path=path)
 
 
 def _differences(stored, derived, path: str = "$"):
-    """Yield (path, message) for each place where two encodings of the same
-    dataclass differ, in field order."""
-    if type(stored) is dict:
-        for key in stored:
-            yield from _differences(stored[key], derived[key], f"{path}.{key}")
-    elif type(stored) is list and len(stored) == len(derived):
+    """Yield (path, message) for each place where the canonical texts of two
+    values of the same dataclass differ, in field order."""
+    if is_dataclass(stored) and type(derived) is type(stored):
+        for f in fields(stored):
+            if f.init:
+                yield from _differences(
+                    getattr(stored, f.name), getattr(derived, f.name),
+                    f"{path}.{f.name}",
+                )
+    elif type(stored) is tuple and len(stored) == len(derived):
         for j, pair in enumerate(zip(stored, derived)):
             yield from _differences(*pair, f"{path}[{j}]")
-    elif type(stored) is list:
+    elif type(stored) is tuple:
         yield path, f"stored an array of {len(stored)}, derived one of {len(derived)}"
-    elif stored != derived:
-        yield path, (
-            f"stored {canonical_dumps(stored)}, derived {canonical_dumps(derived)}"
+    else:
+        stored_text, derived_text = (
+            "null" if v is None else dumps(v) for v in (stored, derived)
         )
+        if stored_text != derived_text:
+            yield path, f"stored {stored_text}, derived {derived_text}"
 
 
 def load_manifest(path) -> CampaignManifest:

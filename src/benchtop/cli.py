@@ -28,7 +28,7 @@ from .campaign import (
 from .catalog import Source, load_catalog, load_default_catalog
 from .errors import BenchtopError
 from .generation import fallback_generate, generate_scene
-from .jsonio import canonical_dumps, encode
+from .jsonio import canonical_dumps, dumps
 from .paraphrase import (
     DEFAULT_SIMILARITY_THRESHOLD,
     builtin_paraphrases,
@@ -131,7 +131,7 @@ def _cmd_gen_scene(args) -> int:
             config = fallback_generate(args.desc, catalog, args.seed)
         else:
             config = generate_scene(args.desc, provider, catalog, args.seed)
-    _write_out(canonical_dumps(encode(config)) + "\n", args.out)
+    _write_out(dumps(config) + "\n", args.out)
     return 0
 
 
@@ -146,7 +146,7 @@ def _cmd_paraphrase(args) -> int:
     instruction_set = validate_candidates(
         args.instruction, candidates, args.k, args.threshold
     )
-    _write_out(canonical_dumps(encode(instruction_set)) + "\n", args.out)
+    _write_out(dumps(instruction_set) + "\n", args.out)
     return 0
 
 
@@ -190,7 +190,7 @@ def _cmd_run(args) -> int:
         max_steps=args.max_steps,
         act_timeout_s=args.act_timeout,
     )
-    lines = "".join(canonical_dumps(encode(r)) + "\n" for r in results)
+    lines = "".join(dumps(r) + "\n" for r in results)
     _write_out(lines, args.out)
     return 0
 

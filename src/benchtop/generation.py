@@ -240,8 +240,8 @@ def parse_llm_ops(
         if "model_id" not in item:
             raise SchemaViolation("missing key 'model_id'", path=path)
         model_id = item["model_id"]
-        if not isinstance(model_id, str) or not model_id:
-            raise SchemaViolation("'model_id' must be a non-empty string", path=path)
+        if not isinstance(model_id, str) or not model_id.strip():
+            raise SchemaViolation("'model_id' must be a nonblank string", path=path)
         model = catalog.get(model_id) or catalog.resolve(model_id)
         if model is None:
             raise UnknownModel(f"unknown model id or name: {model_id!r}")

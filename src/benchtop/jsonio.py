@@ -7,7 +7,7 @@ sort_keys=True, separators=(",", ":"))`` writes. Two serializations of
 equal values are byte-identical, which is what the determinism contracts
 (byte-identical manifests, results, reports) rest on.
 
-The codec maps frozen dataclasses to JSON values and back:
+The codec maps frozen dataclasses to canonical JSON text and back:
 
 - Field names are the JSON keys and field type hints are the schema. Only
   fields taken by ``__init__`` are part of it.
@@ -17,14 +17,18 @@ The codec maps frozen dataclasses to JSON values and back:
   nested dataclasses (stored as objects).
 - Type checks are exact: a bool is not an int, an int is not a str. A float
   field also takes an int. Non-finite numbers are rejected.
-- Floats are quantized with ``quantize`` on both ``encode`` and ``decode``,
-  so ``decode(encode(x)) == x`` and encoding is idempotent.
+- Floats are quantized with ``quantize`` on both ``dumps`` and ``decode``,
+  so ``loads(type(x), dumps(x)) == x`` and writing is idempotent.
 - ``decode`` raises ``SchemaViolation`` carrying a JSON path: for a missing
   or unknown field, the path of the object that holds it (``$.adds[0].pose``);
   for a bad value, the path of the value (``$.trials[3].trial_seed``).
 
-One converter per type is built on first use and cached, so type hints are
-read once per class, not once per value.
+One (writer, decoder) pair per type is built on first use and cached, so
+type hints are read, and a class's keys sorted and quoted, once per class.
+A writer returns the canonical text of an instance directly: each object
+and array is joined from the texts of its own items, with no intermediate
+dict or list of every piece. ``canonical_dumps`` writes plain JSON values
+(dicts, lists, scalars), such as error lines and fixture files.
 """
 
 from __future__ import annotations
@@ -136,8 +140,9 @@ def first_json(
 # ---- the codec --------------------------------------------------------------
 
 
-def encode(obj: Any) -> Any:
-    """A dataclass instance as plain JSON values, ready for canonical_dumps."""
+def dumps(obj: Any) -> str:
+    """The canonical JSON text of a value of a supported type, such as a
+    dataclass instance."""
     return _codec(type(obj))[0](obj)
 
 
@@ -171,45 +176,50 @@ class _Invalid(Exception):
         return self
 
 
-_Converter = Callable[[Any], Any]
+_Writer = Callable[[Any], str]
+_Decoder = Callable[[Any], Any]
 
 
 @functools.lru_cache(maxsize=None)
-def _codec(tp: Any) -> tuple[_Converter, _Converter]:
-    """The (encoder, decoder) pair for one type hint, built once."""
+def _codec(tp: Any) -> tuple[_Writer, _Decoder]:
+    """The (writer, decoder) pair for one type hint, built once."""
     if dataclasses.is_dataclass(tp):
         return _dataclass_codec(tp)
     if tp in _SCALARS:
         return _SCALARS[tp]
     if isinstance(tp, type) and issubclass(tp, Enum):
-        return (lambda member: member.value), _enum_decoder(tp)
+        return _enum_codec(tp)
     args = typing.get_args(tp)
     if typing.get_origin(tp) in (typing.Union, types.UnionType):
         if len(args) == 2 and args[1] is type(None):
-            enc, dec = _codec(args[0])
+            write, dec = _codec(args[0])
             return (
-                lambda value: None if value is None else enc(value),
+                lambda value: "null" if value is None else write(value),
                 lambda raw: None if raw is None else dec(raw),
             )
     elif typing.get_origin(tp) is tuple:
         if len(args) == 2 and args[1] is Ellipsis:
             # zip() stops at the end of the array; the repeat never runs out
-            enc, dec = _codec(args[0])
-            return _array_codec(itertools.repeat(enc), itertools.repeat(dec), None)
+            write, dec = _codec(args[0])
+            return _array_codec(itertools.repeat(write), itertools.repeat(dec), None)
         pairs = [_codec(a) for a in args]
         return _array_codec(
-            [enc for enc, _ in pairs], [dec for _, dec in pairs], len(pairs)
+            [write for write, _ in pairs], [dec for _, dec in pairs], len(pairs)
         )
     raise TypeError(f"the codec does not support the type hint {tp!r}")
 
 
-def _exact(tp: type, expected: str) -> tuple[_Converter, _Converter]:
+def _exact(tp: type, expected: str, write: _Writer) -> tuple[_Writer, _Decoder]:
     def decode_exact(raw):
         if type(raw) is not tp:
             raise _Invalid(expected)
         return raw
 
-    return (lambda value: value), decode_exact
+    return write, decode_exact
+
+
+def _write_float(value: float) -> str:
+    return _float_text(quantize(value))
 
 
 def _decode_float(raw: Any) -> float:
@@ -225,22 +235,30 @@ def _decode_float(raw: Any) -> float:
 
 
 _SCALARS = {
-    int: _exact(int, "expected integer"),
-    bool: _exact(bool, "expected boolean"),
-    str: _exact(str, "expected string"),
-    float: (quantize, _decode_float),
+    int: _exact(int, "expected integer", int.__repr__),
+    bool: _exact(bool, "expected boolean", lambda value: "true" if value else "false"),
+    str: _exact(str, "expected string", _quote),
+    float: (_write_float, _decode_float),
 }
 
 
-def _dataclass_codec(cls: type) -> tuple[_Converter, _Converter]:
+def _dataclass_codec(cls: type) -> tuple[_Writer, _Decoder]:
     hints = typing.get_type_hints(cls)
     fields = [
         (f.name, *_codec(hints[f.name])) for f in dataclasses.fields(cls) if f.init
     ]
     names = {name for name, _, _ in fields}
+    # in key order, each key quoted once with the brace or comma before it
+    keyed = [
+        (("," if i else "{") + _quote(name) + ":", name, write)
+        for i, (name, write, _) in enumerate(sorted(fields, key=lambda f: f[0]))
+    ]
+    close = "}" if keyed else "{}"
 
-    def encode_object(obj):
-        return {name: enc(getattr(obj, name)) for name, enc, _ in fields}
+    def write_object(obj):
+        parts = [key + write(getattr(obj, name)) for key, name, write in keyed]
+        parts.append(close)  # "".join(parts) + close would copy the text again
+        return "".join(parts)
 
     def decode_object(raw):
         if type(raw) is not dict:
@@ -258,11 +276,12 @@ def _dataclass_codec(cls: type) -> tuple[_Converter, _Converter]:
                 raise exc.within("." + name)
         return cls(**kwargs)
 
-    return encode_object, decode_object
+    return write_object, decode_object
 
 
-def _enum_decoder(cls: type) -> _Converter:
+def _enum_codec(cls: type) -> tuple[_Writer, _Decoder]:
     members = {m.value: m for m in cls}
+    texts = {m: canonical_dumps(m.value) for m in cls}
     expected = f"expected one of {sorted(members)}"
 
     def decode_member(raw):
@@ -271,15 +290,15 @@ def _enum_decoder(cls: type) -> _Converter:
             raise _Invalid(expected)
         return member
 
-    return decode_member
+    return texts.__getitem__, decode_member
 
 
-def _array_codec(encs, decs, size: int | None) -> tuple[_Converter, _Converter]:
+def _array_codec(writes, decs, size: int | None) -> tuple[_Writer, _Decoder]:
     """Arrays of ``size`` items (any number when None), one converter each."""
     expected = "expected array" if size is None else f"expected array of {size} items"
 
-    def encode_array(value):
-        return [enc(item) for enc, item in zip(encs, value)]
+    def write_array(value):
+        return "[" + ",".join([write(item) for write, item in zip(writes, value)]) + "]"
 
     def decode_array(raw):
         if type(raw) is not list or (size is not None and len(raw) != size):
@@ -292,4 +311,4 @@ def _array_codec(encs, decs, size: int | None) -> tuple[_Converter, _Converter]:
                 raise exc.within(f"[{i}]")
         return tuple(out)
 
-    return encode_array, decode_array
+    return write_array, decode_array

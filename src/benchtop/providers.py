@@ -23,7 +23,11 @@ fails as ``MalformedResponse`` at once, without a retry.
 ``HttpTransport`` POSTs to one URL over ``http.client`` and keeps its
 connection open for the next request. It serves one caller at a time:
 ``HttpProvider`` is called from one thread, and each ``run`` worker builds
-its own ``http:`` policy client. When it is built, it reads:
+its own ``http:`` policy client. ``http.client`` and ``urllib.request``, and
+with them ``ssl``, ``email`` and ``socket``, are imported when the first
+transport is built, so a command that never speaks HTTP does not load them;
+``hashlib`` likewise waits for the first fixture key. When a transport is
+built, it reads:
 
 - ``HTTP_PROXY``, ``HTTPS_PROXY``, ``ALL_PROXY`` and ``NO_PROXY``, in either
   case, through ``urllib.request``'s ``getproxies`` and ``proxy_bypass``.
@@ -44,8 +48,6 @@ protocol error.
 from __future__ import annotations
 
 import base64
-import hashlib
-import http.client
 import json
 import os
 import random
@@ -53,7 +55,6 @@ import select
 import tempfile
 import time
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -105,10 +106,14 @@ class HttpTransport:
     for the next request. ``post`` raises ``TimeoutError`` when the
     exchange does not end within ``timeout_s``, ``MalformedResponse`` when
     the reply body is longer than ``max_body_bytes``, and another
-    ``OSError`` or an ``http.client.HTTPException`` when it fails.
+    ``OSError`` when it fails; a reply that breaks the HTTP protocol is a
+    ``ConnectionError``.
     """
 
     def __init__(self, url: str, timeout_s: float, max_body_bytes: int) -> None:
+        import http.client
+        import urllib.request
+
         self._timeout_s = timeout_s
         self._max_body_bytes = max_body_bytes
         parts = urllib.parse.urlsplit(url)
@@ -171,6 +176,8 @@ class HttpTransport:
         ``Content-Length`` above ``max_body_bytes``, or a chunked or unsized
         body that grows past it, closes the connection.
         """
+        import http.client
+
         deadline = time.monotonic() + self._timeout_s
         conn = self._conn
         if conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
@@ -199,10 +206,12 @@ class HttpTransport:
                 data += chunk
             if response.length:
                 raise http.client.IncompleteRead(bytes(data), response.length)
-        except BaseException:
+        except BaseException as exc:
             conn.close()
             if response is not None:
                 response.close()
+            if isinstance(exc, http.client.HTTPException):
+                raise ConnectionError(f"HTTP protocol error: {exc!r}") from exc
             raise
         response.close()
         return response.status, bytes(data)
@@ -219,6 +228,8 @@ class HttpTransport:
 
 
 def fixture_key(endpoint: str, payload: dict) -> str:
+    import hashlib
+
     blob = canonical_dumps({"endpoint": endpoint, "payload": payload})
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -297,7 +308,7 @@ class HttpProvider:
             except TimeoutError:
                 last_error = f"timeout talking to {self._url}"
                 continue
-            except (OSError, http.client.HTTPException):
+            except OSError:
                 last_error = f"connection error talking to {self._url}"
                 continue
             if status == 429 or status >= 500:

@@ -51,29 +51,29 @@ reads the instruction, the factor a campaign varies, so each wire trial is
 its own job. A job is played by its first trial in manifest order, and every
 trial of the job gets that outcome with its own instruction, kind and seed.
 
-``run_campaign`` starts ``parallelism`` workers on a thread pool. Each
-takes the next job from a shared iterator, so no two workers play the same
-episode, and results are assembled in manifest order afterwards. A worker
-owns at most one wire client, which it closes after a failed job and when
-it exits. An exception raised by a job stops the workers from taking more
-jobs and propagates. Each builtin job builds its policy fresh from its key,
-so results are identical regardless of the parallelism level.
+``run_campaign`` starts up to ``parallelism`` worker threads. Each takes
+the next job from a shared iterator, so no two workers play the same
+episode, and results are assembled in manifest order after every worker has
+ended. A worker owns at most one wire client, which it closes after a
+failed job and when it exits. An exception raised by a job empties the
+iterator, so no worker takes another job, and the first such exception is
+raised again once the workers have ended. Each builtin job builds its
+policy fresh from its key, so results are identical regardless of the
+parallelism level. ``subprocess`` is imported when the first
+``subprocess:`` client starts.
 """
 
 from __future__ import annotations
 
 import base64
-import http.client
 import json
 import math
 import os
 import random
 import select
 import shlex
-import subprocess
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from enum import Enum
 
@@ -387,6 +387,8 @@ class SubprocessPolicyClient:
     """
 
     def __init__(self, command: str, act_timeout_s: float) -> None:
+        import subprocess
+
         self.act_timeout_s = act_timeout_s
         self._proc = subprocess.Popen(
             shlex.split(command),
@@ -437,6 +439,8 @@ class SubprocessPolicyClient:
         return _decode_act(self._read_line())
 
     def close(self) -> None:
+        import subprocess
+
         proc = self._proc
         try:
             proc.stdin.close()
@@ -475,7 +479,7 @@ class HttpPolicyClient:
             raise PolicyProtocolError(
                 f"policy reply is longer than {MAX_REPLY_BYTES} bytes"
             ) from None
-        except (OSError, http.client.HTTPException) as exc:
+        except OSError as exc:
             raise PolicyProtocolError(f"cannot reach policy at {self.url}") from exc
         if not 200 <= status < 300:
             raise PolicyProtocolError(f"policy replied HTTP {status}")
@@ -587,8 +591,14 @@ def run_campaign(
     outcomes: list[tuple[bool, int, str | None] | None] = [None] * len(trials)
     jobs = iter(player.values())
     lock = threading.Lock()
+    errors: list[BaseException] = []
 
-    def worker() -> None:
+    def stop() -> None:
+        nonlocal jobs
+        with lock:
+            jobs = iter(())  # no more jobs after a failure or an interrupt
+
+    def play() -> None:
         client = None
         try:
             while True:
@@ -621,15 +631,27 @@ def run_campaign(
             if client is not None:
                 client.close()
 
-    workers = min(parallelism, len(player))
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        futures = [pool.submit(worker) for _ in range(workers)]
+    def worker() -> None:
         try:
-            for future in as_completed(futures):
-                future.result()
-        finally:
-            with lock:
-                jobs = iter(())  # no more jobs after a failure or an interrupt
+            play()
+        except BaseException as exc:
+            errors.append(exc)
+            stop()
+
+    threads = [
+        threading.Thread(target=worker) for _ in range(min(parallelism, len(player)))
+    ]
+    for thread in threads:
+        thread.start()
+    try:
+        for thread in threads:
+            thread.join()
+    finally:
+        stop()
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     results = []
     for trial, key in zip(trials, keys):
         meta = metas[trial.scene_index]

@@ -149,6 +149,14 @@ _STREAMS = {
     ),
 }
 
+# the whole reply to any request, by first path segment, sent before closing
+_FAULTS = {
+    b"short": b"HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (
+        len(DRIP_BODY), DRIP_BODY[:20]
+    ),
+    b"garbled": b"HELLO THERE\r\n\r\n",
+}
+
 
 @pytest.fixture
 def drip_server():
@@ -160,7 +168,10 @@ def drip_server():
     length, or one that states a length of 1 GiB, sent for 3 s, up to 16
     MiB, or until the client closes. A request whose body holds ``"reset"``
     gets the whole ``DRIP_BODY`` at once, so an ``http:`` policy's episode
-    reaches its first act. Yields the URL.
+    reaches its first act. Any request whose path begins ``/short`` or
+    ``/garbled`` breaks the protocol: the first gets 20 bytes of a 62-byte
+    body and the second a status line that is not HTTP, and then the
+    connection closes. Yields the URL.
     """
     listener = socket.create_server(("127.0.0.1", 0))
     listener.settimeout(0.05)
@@ -174,6 +185,10 @@ def drip_server():
                 path = rfile.readline().split()[1]  # of the request line
                 headers = http.client.parse_headers(rfile)
                 body = rfile.read(int(headers.get("Content-Length", 0)))
+                fault = _FAULTS.get(path.split(b"/")[1])
+                if fault is not None:
+                    conn.sendall(fault)
+                    return
                 stream = _STREAMS.get(path.split(b"/")[1])
                 if stream is not None and b'"reset"' not in body:
                     conn.sendall(stream[0])

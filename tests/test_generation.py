@@ -28,7 +28,7 @@ from benchtop.generation import (
     parse_llm_env,
     parse_llm_ops,
 )
-from benchtop.jsonio import canonical_dumps, encode, quantize
+from benchtop.jsonio import dumps, quantize
 from benchtop.scene import (
     EnvSetupOp,
     Pose,
@@ -247,6 +247,20 @@ def test_a_pose_number_beyond_the_float_range_is_asked_again(catalog):
     assert second.user == first.user + rejection
 
 
+@pytest.mark.parametrize("model_id", ["", "   "], ids=["empty", "blank"])
+def test_a_blank_model_id_is_asked_again(catalog, model_id):
+    blank = _ops_reply(model_id)
+    provider = ScriptedChatProvider(replies=[blank, _ops_reply("apple"), NULL_ENV])
+    cfg = generate_scene("1 object, one is an apple", provider, catalog, seed=2)
+    assert [op.model_id for op in cfg.adds] == ["apple"]
+    assert validate_config(cfg, catalog) == []
+    first, second, _ = provider.calls
+    parse = lambda reply: parse_llm_ops(reply, catalog, 1)
+    rejection = _rejection(parse, blank)
+    assert "$[0]: 'model_id' must be a nonblank string" in rejection
+    assert second.user == first.user + rejection
+
+
 def test_a_lighting_number_beyond_the_float_range_keeps_the_default_env(catalog):
     huge = f'{{"lighting": {{"intensity": {HUGE}}}, "camera": null}}'
     assert "$.lighting.intensity: expected finite number" in _rejection(
@@ -438,9 +452,9 @@ def test_fallback_mentions_come_first(catalog):
 def test_fallback_is_deterministic(catalog):
     a = fallback_generate("3 objects, one is an apple", catalog, seed=99)
     b = fallback_generate("3 objects, one is an apple", catalog, seed=99)
-    assert canonical_dumps(encode(a)) == canonical_dumps(encode(b))
+    assert dumps(a) == dumps(b)
     c = fallback_generate("3 objects, one is an apple", catalog, seed=100)
-    assert canonical_dumps(encode(c)) != canonical_dumps(encode(a))
+    assert dumps(c) != dumps(a)
 
 
 def test_fallback_env_from_description(catalog):

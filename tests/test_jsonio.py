@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -7,8 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benchtop.campaign import EnvVariant, InstructionKind, SourceMix
 from benchtop.errors import SchemaViolation
-from benchtop.jsonio import canonical_dumps, decode, encode, loads, quantize
+from benchtop.jsonio import canonical_dumps, decode, dumps, loads, quantize
+from benchtop.paraphrase import Candidate, InstructionSet
+from benchtop.runner import EpisodeResult
+from benchtop.scene import (
+    CameraPose,
+    EnvSetupOp,
+    LightingSpec,
+    ObjectAddOp,
+    Pose,
+    Provenance,
+    SceneConfig,
+)
 
 
 def test_keys_sorted_and_compact():
@@ -186,16 +199,16 @@ def test_decode_builds_every_supported_type():
 
 def test_encode_decode_round_trip_is_canonical():
     tree = decode(Tree, _tree_raw(note="hi", best=None))
-    text = canonical_dumps(encode(tree))
+    text = dumps(tree)
     assert "cache" not in text
     assert loads(Tree, text) == tree
-    assert canonical_dumps(encode(loads(Tree, text))) == text
+    assert dumps(loads(Tree, text)) == text
 
 
 def test_floats_are_quantized_both_ways():
     assert decode(Leaf, {"name": "x", "weight": 0.1234567}).weight == 0.123457
-    assert encode(Leaf("x", 0.1234567)) == {"name": "x", "weight": 0.123457}
-    assert encode(Leaf("x", -1e-9))["weight"] == 0.0
+    assert dumps(Leaf("x", 0.1234567)) == '{"name":"x","weight":0.123457}'
+    assert dumps(Leaf("x", -1e-9)) == '{"name":"x","weight":0.000000}'
 
 
 @pytest.mark.parametrize(
@@ -260,3 +273,87 @@ def test_unsupported_hint_is_a_type_error():
 
     with pytest.raises(TypeError):
         decode(Bag, {"items": {}})
+
+
+# ---- the writer against a reference -----------------------------------------
+
+
+def _reference(value):
+    """The plain JSON value of a codec value, built field by field with
+    ``dataclasses``; ``canonical_dumps`` of it is the canonical text."""
+    if dataclasses.is_dataclass(value):
+        return {
+            f.name: _reference(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+            if f.init
+        }
+    if type(value) is tuple:
+        return [_reference(item) for item in value]
+    if isinstance(value, Enum):
+        return value.value
+    if type(value) is float:
+        return quantize(value)
+    return value
+
+
+_floats = st.one_of(
+    st.sampled_from([-0.0, 4e-7, -4e-7, 5e-7, -5e-7, 1e15, -1e15]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_texts = st.one_of(st.text(max_size=12), st.sampled_from(["café", "杯子 🍽", ""]))
+_triples = st.tuples(_floats, _floats, _floats)
+_scenes = st.builds(
+    SceneConfig,
+    scene_id=_texts,
+    adds=st.lists(
+        st.builds(
+            ObjectAddOp,
+            model_id=_texts,
+            pose=st.builds(Pose, position_m=_triples, yaw_rad=_floats),
+        ),
+        max_size=3,
+    ).map(tuple),
+    env=st.builds(
+        EnvSetupOp,
+        lighting=st.builds(LightingSpec, intensity=_floats),
+        camera=st.builds(CameraPose, position_m=_triples, look_at_m=_triples),
+    ),
+    seed=st.integers(),
+    provenance=st.sampled_from(Provenance),
+)
+_instruction_sets = st.builds(
+    InstructionSet,
+    original=_texts,
+    candidates=st.lists(
+        st.builds(Candidate, text=_texts, similarity=_floats, valid=st.booleans()),
+        max_size=3,
+    ).map(tuple),
+    k_requested=st.integers(),
+    threshold=_floats,
+)
+_results = st.builds(
+    EpisodeResult,
+    scene_index=st.integers(),
+    instruction=_texts,
+    instruction_kind=st.sampled_from(InstructionKind),
+    success=st.booleans(),
+    steps_used=st.integers(),
+    object_count=st.integers(),
+    source_mix=st.sampled_from(SourceMix),
+    env_variant=st.sampled_from(EnvVariant),
+    policy_id=_texts,
+    trial_seed=st.integers(),
+    error=st.none() | _texts,
+)
+
+
+@settings(max_examples=200)
+@given(st.one_of(_scenes, _instruction_sets, _results))
+def test_dumps_writes_the_canonical_text_of_the_reference(value):
+    text = dumps(value)
+    assert text == canonical_dumps(_reference(value))
+    # the written floats are quantized, so a value read back is quantized too
+    quantized = decode(type(value), _reference(value))
+    assert loads(type(value), text) == quantized
+    assert dumps(quantized) == text
+    assert loads(type(quantized), dumps(quantized)) == quantized

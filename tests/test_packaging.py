@@ -13,15 +13,25 @@ ROOT = Path(__file__).resolve().parent.parent
 HTTP_STACK = ("requests", "urllib3", "certifi", "charset_normalizer", "idna")
 
 
+# the stacks that only an HTTP exchange, a fixture key, a subprocess policy or
+# a thread pool needs
+LOADED_ON_FIRST_USE = (
+    "http.client", "urllib.request", "ssl", "email", "socket", "hashlib",
+    "subprocess", "concurrent.futures", "logging",
+)
+
+
 def _modules_added_by_importing_the_cli() -> set[str]:
-    """Top-level names of the modules a fresh ``import benchtop.cli`` adds.
+    """Full names of the modules that a fresh ``import benchtop.cli`` and
+    ``load_default_catalog()`` add.
 
     Only what the import adds counts: a site .pth file may load third-party
     modules before any program code runs.
     """
     code = (
         "import json, sys; before = set(sys.modules); import benchtop.cli; "
-        "print(json.dumps(sorted({m.split('.')[0] for m in set(sys.modules) - before})))"
+        "benchtop.cli.load_default_catalog(); "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run(
@@ -31,10 +41,20 @@ def _modules_added_by_importing_the_cli() -> set[str]:
     return set(json.loads(out))
 
 
+def _top_level(modules: set[str]) -> set[str]:
+    return {m.split(".")[0] for m in modules}
+
+
 def test_importing_the_cli_loads_no_third_party_http_stack():
-    added = _modules_added_by_importing_the_cli()
+    added = _top_level(_modules_added_by_importing_the_cli())
     assert "benchtop" in added
     assert added.isdisjoint(HTTP_STACK)
+
+
+def test_an_offline_command_loads_no_stack_it_does_not_use():
+    added = _modules_added_by_importing_the_cli()
+    assert "benchtop.cli" in added
+    assert sorted(added.intersection(LOADED_ON_FIRST_USE)) == []
 
 
 def test_no_source_file_imports_an_http_library():
@@ -56,6 +76,6 @@ def test_the_program_has_no_dependency():
 
 
 def test_importing_the_cli_loads_only_the_standard_library():
-    added = _modules_added_by_importing_the_cli()
+    added = _top_level(_modules_added_by_importing_the_cli())
     assert "benchtop" in added
     assert added - {"benchtop"} <= set(sys.stdlib_module_names)

@@ -9,7 +9,7 @@ from conftest import ScriptedChatProvider
 from benchtop.campaign import INSTRUCTION_TEMPLATES
 from benchtop.catalog import load_default_catalog, tokenize
 from benchtop.errors import NoJsonFound
-from benchtop.jsonio import canonical_dumps, encode, loads, quantize
+from benchtop.jsonio import dumps, loads, quantize
 from benchtop.paraphrase import (
     EMBED_DIM,
     PARAPHRASE_TEMPLATES,
@@ -192,7 +192,7 @@ def test_similarity_survives_round_trip_exactly():
     original = "put the sponge inside the basket"
     candidates = builtin_paraphrases(original, 6) + ["unrelated chatter entirely"]
     result = validate_candidates(original, candidates, 7, threshold=0.85)
-    back = loads(InstructionSet, canonical_dumps(encode(result)))
+    back = loads(InstructionSet, dumps(result))
     assert back == result
     for cand in back.candidates:
         sim = quantize(

@@ -253,6 +253,15 @@ def test_a_transport_closes_a_reply_body_past_its_cap(drip_server, shape):
     assert time.monotonic() - began < 1.0  # the stub streams for 3 s
 
 
+@pytest.mark.parametrize("fault", ["short", "garbled"])
+def test_a_reply_that_breaks_the_protocol_ends_in_retries_exhausted(
+    drip_server, make_provider, fault
+):
+    provider = make_provider(f"{drip_server}/{fault}", max_retries=1)
+    with pytest.raises(RetriesExhausted, match="connection error talking to"):
+        provider.chat(REQ)
+
+
 def test_a_reply_body_at_the_cap_is_read_whole(stub_server):
     url, _ = stub_server(lambda p, q, c: (200, b"x" * 1000))
     for cap, fits in ((1000, True), (999, False)):

@@ -262,6 +262,17 @@ def test_http_policy_reads_proxy_settings_once(stub_server, monkeypatch):
     assert state["count"] == 1
 
 
+@pytest.mark.parametrize("fault", ["short", "garbled"])
+def test_an_http_reply_that_breaks_the_protocol_fails_its_trial(
+    catalog, short, drip_server, fault
+):
+    url = f"{drip_server}/{fault}"
+    results = run(short, catalog, f"http:{url}", max_steps=2)
+    assert [r.error for r in results] == [
+        f"PolicyProtocolError: cannot reach policy at {url}"
+    ] * len(short.trials)
+
+
 @pytest.fixture
 def http_started(monkeypatch):
     """Records each HTTP policy client the runner starts."""

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from benchtop.catalog import Catalog, ObjectModel, Shape, Source
 from benchtop.errors import PlacementExhausted, SchemaViolation
-from benchtop.jsonio import canonical_dumps, encode, loads, quantize
+from benchtop.jsonio import dumps, loads, quantize
 from benchtop.scene import (
     PLACEMENT_MARGIN,
     TABLE_HALF_X,
@@ -285,16 +285,16 @@ def test_exact_canonical_form(toy_catalog):
         '"position_m":[0.000000,-0.500000,0.600000]},"lighting":'
         '{"intensity":1.000000}},"provenance":"manual","scene_id":"s","seed":3}'
     )
-    assert canonical_dumps(encode(cfg)) == expected
+    assert dumps(cfg) == expected
 
 
 def test_round_trip_identity(toy_catalog):
     brick = toy_catalog.models[0]
     cfg = _config([_resting(brick, -0.12, 0.07, yaw=1.25)])
-    text = canonical_dumps(encode(cfg))
+    text = dumps(cfg)
     again = loads(SceneConfig, text)
     assert again == cfg
-    assert canonical_dumps(encode(again)) == text
+    assert dumps(again) == text
 
 
 def test_schema_violation_reports_path():
@@ -347,6 +347,6 @@ def test_serialization_round_trips_any_config(xs, seed, intensity):
         seed=seed,
         provenance=Provenance.LLM,
     )
-    text = canonical_dumps(encode(cfg))
+    text = dumps(cfg)
     assert loads(SceneConfig, text) == cfg
-    assert canonical_dumps(encode(loads(SceneConfig, text))) == text
+    assert dumps(loads(SceneConfig, text)) == text
