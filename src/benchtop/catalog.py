@@ -14,7 +14,13 @@ from enum import Enum
 from importlib import resources
 from pathlib import Path
 
-from .errors import DuplicateId, EmptyFilteredSet, MalformedCatalog, SchemaViolation
+from .errors import (
+    DuplicateId,
+    EmptyFilteredSet,
+    MalformedCatalog,
+    SchemaViolation,
+    UsageError,
+)
 from .jsonio import loads
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -92,7 +98,7 @@ class Catalog:
         An empty mention is a caller error, not a failed lookup.
         """
         if not mention or not mention.strip():
-            raise ValueError("mention must be a nonempty string")
+            raise UsageError("mention must be a nonempty string")
         low = " ".join(mention.lower().split())
 
         hits = [m for m in self.models if m.display_name.lower() == low]

@@ -26,7 +26,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .catalog import tokenize
-from .errors import NoJsonFound
+from .errors import NoJsonFound, UsageError
 from .jsonio import first_json, quantize
 from .providers import ChatRequest
 
@@ -165,11 +165,11 @@ def generate_paraphrases(original: str, k: int, provider) -> list[str]:
 
 
 def check_paraphrase_args(k: int, threshold: float) -> None:
-    """Raise ``ValueError`` unless ``k >= 0`` and ``0 < threshold <= 1``."""
+    """Raise ``UsageError`` unless ``k >= 0`` and ``0 < threshold <= 1``."""
     if not 0.0 < threshold <= 1.0:
-        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
+        raise UsageError(f"threshold must be in (0, 1], got {threshold}")
     if k < 0:
-        raise ValueError("k must be non-negative")
+        raise UsageError("k must be non-negative")
 
 
 def validate_candidates(

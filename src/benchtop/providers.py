@@ -65,6 +65,7 @@ from .errors import (
     MalformedResponse,
     MissingFixture,
     RetriesExhausted,
+    UsageError,
 )
 from .jsonio import canonical_dumps
 
@@ -118,7 +119,7 @@ class HttpTransport:
         self._max_body_bytes = max_body_bytes
         parts = urllib.parse.urlsplit(url)
         if parts.scheme not in ("http", "https") or not parts.hostname:
-            raise ValueError(f"not an http:// or https:// URL: {url!r}")
+            raise UsageError(f"not an http:// or https:// URL: {url!r}")
         tls = parts.scheme == "https"
         host, port = parts.hostname, parts.port or (443 if tls else 80)
         authority = parts.netloc.rpartition("@")[2]  # host[:port]

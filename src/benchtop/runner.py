@@ -16,8 +16,9 @@ Policies come in three kinds:
   connection alive.
 
 Wire messages are fixed-shape. Each step the runner sends
-``{"type": "observe", "instruction": ..., "raster_base64": ..., "step": ...}``
-and expects ``{"type": "act", "delta_position": [x, y, z], "gripper":
+``{"type": "observe", "instruction": ..., "raster_base64": ..., "step": ...}``,
+where ``step`` counts the client's observe messages since its last reset
+from 0, and expects ``{"type": "act", "delta_position": [x, y, z], "gripper":
 "OPEN"|"CLOSE"|"HOLD"}`` back, with exactly those fields. ``raster_base64``
 is the base64 of the raster's 4,096 bytes, 64 x 64 pixels in row-major
 order, and is empty when the observation has no raster. Before each
@@ -34,9 +35,12 @@ policy is respawned before the next episode on its worker.
 
 Every policy, builtin or wire client, offers ``reset(goal)``, which takes
 the scene's ``TaskGoal``, and ``act(obs)``, and one episode loop drives them
-all. An observation carries the world's own objects tuple, which the oracle
+all. The loop carries the world as three plain values (objects tuple,
+gripper position, attachment) and builds an observation only at the start
+and after a step that moved an object; otherwise the last one is passed on.
+An observation carries the world's own objects tuple, which the oracle
 reads and a wire client never sends. ``run_campaign`` builds each scene's
-start world once, and the scene's trials share it (world states are
+start objects once, and the scene's trials share them (objects tuples are
 immutable).
 
 Trials become jobs. The four builtins are two behaviours: ``OraclePolicy``
@@ -100,7 +104,7 @@ from .sim import (
     Observation,
     Task,
     TaskGoal,
-    WorldState,
+    WorldObject,
     check_success,
     init_world,
     observe,
@@ -270,11 +274,12 @@ class RandomPolicy:
         self._rng = random.Random(self.seed)
 
     def act(self, obs: Observation) -> Action:
+        # ``rng.uniform(-lim, lim)`` written out as its documented formula:
+        # the same float operations, so the same draws, without a call each.
         rng, lim = self._rng, ACTION_DELTA_LIMIT
-        return Action.make(
-            rng.uniform(-lim, lim),
-            rng.uniform(-lim, lim),
-            rng.uniform(-lim, lim),
+        span, draw = 2 * lim, rng.random
+        return Action(
+            (-lim + span * draw(), -lim + span * draw(), -lim + span * draw()),
             rng.choice(_GRIPPER_CHOICES),
         )
 
@@ -304,16 +309,21 @@ class _ObserveEncoder:
     """Writes observe messages as ``json.dumps(payload, sort_keys=True,
     separators=(",", ":"))`` would, byte for byte.
 
-    Everything before the step number depends only on the instruction and
-    the raster, so that prefix is kept for the last (instruction, raster
-    object) pair and reused while the episode loop passes the same raster.
-    Each wire client owns one encoder.
+    The step number counts the messages encoded since the last ``reset``,
+    from 0. Everything before it depends only on the instruction and the
+    raster, so that prefix is kept for the last (instruction, raster object)
+    pair and reused while the episode loop passes the same raster. Each wire
+    client owns one encoder.
     """
 
     def __init__(self) -> None:
         self._instruction: str | None = None
         self._raster = None
         self._prefix = ""
+        self._step = 0
+
+    def reset(self) -> None:
+        self._step = 0
 
     def encode(self, obs: Observation) -> str:
         raster = obs.raster
@@ -325,7 +335,9 @@ class _ObserveEncoder:
                 + '","step":'
             )
             self._instruction, self._raster = obs.instruction, raster
-        return f'{self._prefix}{obs.step_count},"type":"observe"}}'
+        step = self._step
+        self._step = step + 1
+        return f'{self._prefix}{step},"type":"observe"}}'
 
 
 def _not_json(constant: str):
@@ -432,6 +444,7 @@ class SubprocessPolicyClient:
             self._pending += chunk
 
     def reset(self, goal: TaskGoal) -> None:
+        self._encoder.reset()
         self._send('{"type":"reset"}')
 
     def act(self, obs: Observation) -> Action:
@@ -486,6 +499,7 @@ class HttpPolicyClient:
         return data
 
     def reset(self, goal: TaskGoal) -> None:
+        self._encoder.reset()
         self._post(b'{"type": "reset"}', "policy reset timed out")
 
     def act(self, obs: Observation) -> Action:
@@ -503,44 +517,40 @@ class HttpPolicyClient:
 
 
 def run_episode(
-    start: WorldState, env: EnvSetupOp, policy, instruction: str,
+    start: tuple[WorldObject, ...], env: EnvSetupOp, policy, instruction: str,
     goal: TaskGoal, max_steps: int, render: bool,
 ) -> tuple[bool, int, str | None]:
-    """Play one episode of ``instruction`` from ``start``, in a scene set up
-    as ``env``.
+    """Play one episode of ``instruction`` from the objects ``start``, with
+    the gripper at home holding nothing, in a scene set up as ``env``.
 
     A policy timeout or protocol error fails only this episode.
 
     Work is redone only when the world has changed. A new observation, with
-    its raster, is built only when ``step`` returned a new objects tuple;
-    otherwise the last one, whose ``objects`` is that same tuple, is passed
-    on with the current step count. Success is rechecked only when the
-    objects or the attachment changed, the only inputs ``check_success``
-    reads.
+    its raster, is built only at the start and after ``step`` returned a new
+    objects tuple; otherwise the last one, whose ``objects`` is that same
+    tuple, is passed on. Success is rechecked only when the objects or the
+    attachment changed, the only inputs ``check_success`` reads. ``step``,
+    ``observe`` and ``check_success`` are looked up on each call, so a
+    wrapper set on this module sees every call.
     """
-    state = start
+    objects, position, attached, steps = start, GRIPPER_HOME, None, 0
     try:
         policy.reset(goal)
-        if check_success(state, goal):
+        if check_success(objects, attached, goal):
             return True, 0, None
-        obs = None
-        checked_objects, checked_attached = state.objects, state.gripper.attached
-        while state.step_count < max_steps:
-            if obs is None or state.objects is not obs.objects:
-                obs = observe(state, env, instruction, render=render)
-            else:
-                obs = Observation(
-                    instruction, obs.objects, obs.raster, state.step_count
-                )
-            state = step(state, policy.act(obs))
-            attached = state.gripper.attached
-            if state.objects is not checked_objects or attached != checked_attached:
-                checked_objects, checked_attached = state.objects, attached
-                if check_success(state, goal):
-                    return True, state.step_count, None
-        return False, state.step_count, None
+        obs = observe(objects, env, instruction, render=render)
+        while steps < max_steps:
+            if objects is not obs.objects:
+                obs = observe(objects, env, instruction, render=render)
+            objects, position, held = step(objects, position, attached, policy.act(obs))
+            steps += 1
+            if objects is not obs.objects or held != attached:
+                attached = held
+                if check_success(objects, attached, goal):
+                    return True, steps, None
+        return False, steps, None
     except (PolicyTimeout, PolicyProtocolError) as exc:
-        return False, state.step_count, f"{type(exc).__name__}: {exc}"
+        return False, steps, f"{type(exc).__name__}: {exc}"
 
 
 def run_campaign(

@@ -1,8 +1,12 @@
 """Deterministic kinematic tabletop simulator.
 
 The world is a set of rigid objects on a 0.6 m x 0.4 m table plus a point
-gripper. Stepping is pure: ``step(state, action)`` returns a new state and
-never consults a random source, so identical configs and action sequences
+gripper, carried as three values: the objects tuple, the gripper position
+and the index of the attached object (``None`` when the gripper holds
+nothing). A world starts as ``init_world``'s objects with the gripper at
+``GRIPPER_HOME`` holding nothing. Stepping is pure: ``step(objects,
+position, attached, action)`` returns the next three values and never
+consults a random source, so identical configs and action sequences
 reproduce identical trajectories bit for bit.
 
 Mechanics, in full:
@@ -25,16 +29,16 @@ Mechanics, in full:
 
 Observations carry the instruction, the world's own immutable objects tuple,
 and an optional 64 x 64 grayscale raster rendered orthographically from the
-camera pose. Pixel intensity is the product of a depth shade and the
-lighting intensity, clamped at 255, so rescaling the lighting rescales every
-non-background pixel multiplicatively.
+camera pose; they carry no step count. Pixel intensity is the product of a
+depth shade and the lighting intensity, clamped at 255, so rescaling the
+lighting rescales every non-background pixel multiplicatively.
 
-Two contracts let callers reuse what they derived from a state:
+Two contracts let callers reuse what they derived from a world:
 
-- Identity: ``step(state, action).objects is state.objects`` exactly when no
-  object's pose changed. Everything ``observe``, ``render_raster`` and
-  ``check_success`` read about the objects is in that tuple, so a caller may
-  keep their results while the tuple stays the same.
+- Identity: the objects tuple ``step`` returns is its ``objects`` argument
+  itself exactly when no object's pose changed. Everything ``observe``,
+  ``render_raster`` and ``check_success`` read about the objects is in that
+  tuple, so a caller may keep their results while the tuple stays the same.
 - Immutable rasters: ``render_raster`` returns ``bytes``, 64 x 64 pixels in
   row-major order, so one raster can be shared by many observations.
 """
@@ -95,7 +99,10 @@ class Action:
     """One gripper command. Build actions with ``make``.
 
     ``make`` clamps every delta to +-``ACTION_DELTA_LIMIT``, and ``step``
-    relies on that: it does not clamp the deltas again.
+    relies on that: it does not clamp the deltas again. A caller whose deltas
+    already lie within the limit may build an ``Action`` directly, since the
+    clamps would change nothing; ``RandomPolicy`` does, as it draws every
+    delta from [-limit, limit] and acts on every step of long episodes.
     """
 
     delta_position: tuple[float, float, float]
@@ -137,24 +144,10 @@ class WorldObject:
 
 
 @dataclass(frozen=True, slots=True)
-class Gripper:
-    position: tuple[float, float, float]
-    attached: int | None
-
-
-@dataclass(frozen=True, slots=True)
-class WorldState:
-    objects: tuple[WorldObject, ...]
-    gripper: Gripper
-    step_count: int
-
-
-@dataclass(frozen=True, slots=True)
 class Observation:
     instruction: str
     objects: tuple[WorldObject, ...]
     raster: bytes | None
-    step_count: int
 
 
 @dataclass(frozen=True)
@@ -164,8 +157,8 @@ class TaskGoal:
     target_b_index: int | None = None
 
 
-def init_world(config: SceneConfig, catalog: Catalog) -> WorldState:
-    """The start world of ``config``, which must pass ``validate_config``.
+def init_world(config: SceneConfig, catalog: Catalog) -> tuple[WorldObject, ...]:
+    """The start objects of ``config``, which must pass ``validate_config``.
 
     The config is not checked again here: ``CampaignManifest.validate``
     checks every scene, with its JSON path, before a run builds its worlds.
@@ -188,11 +181,7 @@ def init_world(config: SceneConfig, catalog: Catalog) -> WorldState:
                 support_surface=model.support_surface,
             )
         )
-    return WorldState(
-        objects=tuple(objects),
-        gripper=Gripper(position=GRIPPER_HOME, attached=None),
-        step_count=0,
-    )
+    return tuple(objects)
 
 
 def _contains_xy(obj: WorldObject, x: float, y: float) -> bool:
@@ -264,22 +253,22 @@ def _landing(
     return (cx, cy, landing + obj.height_m / 2.0)
 
 
-def step(state: WorldState, action: Action) -> WorldState:
-    """Advance one tick. The caller bounds the number of steps.
+def step(
+    objects: tuple[WorldObject, ...], position: tuple[float, float, float],
+    attached: int | None, action: Action,
+) -> tuple[tuple[WorldObject, ...], tuple[float, float, float], int | None]:
+    """Advance one tick: the next ``(objects, position, attached)``.
 
-    The new state's ``objects`` is ``state.objects`` itself, the same tuple,
-    exactly when no object's pose changed.
+    The caller bounds the number of steps. The returned objects tuple is
+    ``objects`` itself exactly when no object's pose changed.
     """
     dx, dy, dz = action.delta_position
-
-    g = state.gripper
-    attached = g.attached
     z_min = TABLE_HEIGHT
     if attached is not None:
-        z_min = TABLE_HEIGHT + state.objects[attached].height_m / 2.0
-    nx = _clamp(g.position[0] + dx, -WORKSPACE_HALF_X, WORKSPACE_HALF_X)
-    ny = _clamp(g.position[1] + dy, -WORKSPACE_HALF_Y, WORKSPACE_HALF_Y)
-    nz = _clamp(g.position[2] + dz, z_min, WORKSPACE_Z_MAX)
+        z_min = TABLE_HEIGHT + objects[attached].height_m / 2.0
+    nx = _clamp(position[0] + dx, -WORKSPACE_HALF_X, WORKSPACE_HALF_X)
+    ny = _clamp(position[1] + dy, -WORKSPACE_HALF_Y, WORKSPACE_HALF_Y)
+    nz = _clamp(position[2] + dz, z_min, WORKSPACE_Z_MAX)
     pos = (nx, ny, nz)
 
     # At most one object moves per step: the held one, the one just grasped,
@@ -287,25 +276,19 @@ def step(state: WorldState, action: Action) -> WorldState:
     moving, target = attached, pos
     cmd = action.gripper
     if cmd is GripperCommand.CLOSE and attached is None:
-        attached = moving = _nearest_graspable(state.objects, pos)
+        attached = moving = _nearest_graspable(objects, pos)
     elif cmd is GripperCommand.OPEN and attached is not None:
-        target = _landing(state.objects, attached, pos)
+        target = _landing(objects, attached, pos)
         attached = None
-    objects = state.objects
     if moving is not None:
         objects = _placed(objects, moving, target)
-
-    return WorldState(
-        objects=objects,
-        gripper=Gripper(position=pos, attached=attached),
-        step_count=state.step_count + 1,
-    )
+    return objects, pos, attached
 
 
 # ---- observation ----------------------------------------------------------
 
 
-def render_raster(state: WorldState, env: EnvSetupOp) -> bytes:
+def render_raster(objects: tuple[WorldObject, ...], env: EnvSetupOp) -> bytes:
     """Orthographic 64x64 grayscale render, one byte per pixel in row-major
     order: pixel (row, col) is byte ``row * RASTER_WIDTH + col``.
 
@@ -339,7 +322,7 @@ def render_raster(state: WorldState, env: EnvSetupOp) -> bytes:
     intensity = env.lighting.intensity
     span = 2.0 * VIEW_HALF_WIDTH
     layers = []
-    for obj in state.objects:
+    for obj in objects:
         cx, cy, cz = obj.pose.position_m
         depth = (cx - px) * fx + (cy - py) * fy + (cz - pz) * fz
         if depth <= 0:
@@ -382,11 +365,12 @@ def render_raster(state: WorldState, env: EnvSetupOp) -> bytes:
 
 
 def observe(
-    state: WorldState, env: EnvSetupOp, instruction: str, *, render: bool = True
+    objects: tuple[WorldObject, ...], env: EnvSetupOp, instruction: str, *,
+    render: bool = True,
 ) -> Observation:
-    """What a policy sees of ``state``: ``objects`` is ``state.objects`` itself."""
-    raster = render_raster(state, env) if render else None
-    return Observation(instruction, state.objects, raster, state.step_count)
+    """What a policy sees of ``objects``, whose tuple it carries itself."""
+    raster = render_raster(objects, env) if render else None
+    return Observation(instruction, objects, raster)
 
 
 # ---- goals ----------------------------------------------------------------
@@ -398,15 +382,17 @@ def _hdist(a: WorldObject, b: WorldObject) -> float:
     return math.sqrt((ax - bx) ** 2 + (ay - by) ** 2)
 
 
-def check_success(state: WorldState, goal: TaskGoal) -> bool:
-    """Whether ``state`` meets ``goal``, whose indices ``CampaignManifest.validate``
-    has checked: in range, and a distinct object b for all tasks but pick_up."""
-    objs = state.objects
-    a = objs[goal.target_a_index]
-    a_attached = state.gripper.attached == goal.target_a_index
+def check_success(
+    objects: tuple[WorldObject, ...], attached: int | None, goal: TaskGoal
+) -> bool:
+    """Whether ``objects``, with object ``attached`` held, meet ``goal``, whose
+    indices ``CampaignManifest.validate`` has checked: in range, and a
+    distinct object b for all tasks but pick_up."""
+    a = objects[goal.target_a_index]
+    a_attached = attached == goal.target_a_index
     if goal.task is Task.PICK_UP:
         return a_attached and a.base >= TABLE_HEIGHT + PICK_HEIGHT - _EPS
-    b = objs[goal.target_b_index]
+    b = objects[goal.target_b_index]
     if goal.task is Task.MOVE_NEAR:
         return (not a_attached) and _hdist(a, b) <= NEAR_DISTANCE + _EPS
     if goal.task is Task.PUT_ON:

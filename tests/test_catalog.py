@@ -11,7 +11,7 @@ from benchtop.catalog import (
     parse_catalog,
     tokenize,
 )
-from benchtop.errors import DuplicateId, EmptyFilteredSet, MalformedCatalog
+from benchtop.errors import DuplicateId, EmptyFilteredSet, MalformedCatalog, UsageError
 
 
 def _model(id="apple", **over):
@@ -66,7 +66,7 @@ def test_resolve_no_match_returns_none(catalog):
 
 
 def test_resolve_blank_is_an_error(catalog):
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         catalog.resolve("   ")
 
 

@@ -262,6 +262,23 @@ def test_paraphrase_checks_its_flags_before_any_request(
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["plan", "--task", "pick_up", "--n", "1", "--k", "1",
+          "--provider-url", "ftp://x"], "not an http:// or https:// URL: 'ftp://x"),
+        (["paraphrase", "--instruction", "pick up the apple", "--k", "2",
+          "--threshold", "1.5", "--offline"], "threshold must be in (0, 1], got 1.5"),
+    ],
+    ids=["plan_ftp_provider_url", "paraphrase_offline_threshold"],
+)
+def test_a_usage_error_writes_nothing(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.json"
+    argv = [*argv, "--out", str(out)]
+    assert _expect_error(capsys, argv, "usage", exit_code=2).startswith(message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "text",
     ['{"key":"x"}', "[1]", "not json"],
     ids=["no_response_body", "not_an_object", "not_json"],

@@ -8,7 +8,7 @@ from conftest import ScriptedChatProvider
 
 from benchtop.campaign import INSTRUCTION_TEMPLATES
 from benchtop.catalog import load_default_catalog, tokenize
-from benchtop.errors import NoJsonFound
+from benchtop.errors import NoJsonFound, UsageError
 from benchtop.jsonio import dumps, loads, quantize
 from benchtop.paraphrase import (
     EMBED_DIM,
@@ -172,9 +172,9 @@ def test_k_zero_is_allowed():
 
 
 def test_threshold_domain():
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         validate_candidates("a b", [], 1, threshold=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         validate_candidates("a b", [], 1, threshold=1.5)
     validate_candidates("a b", [], 1, threshold=1.0)
 

@@ -6,6 +6,7 @@ parallelism level.
 """
 
 import itertools
+import random
 import shlex
 import sys
 import time
@@ -20,12 +21,21 @@ from test_wire import reference
 from benchtop import runner, sim
 from benchtop.campaign import CampaignSpec, Factors, load_manifest, plan_campaign
 from benchtop.errors import PolicyProtocolError
+from benchtop.jsonio import quantize
 from benchtop.runner import (
     BUILTIN_POLICIES,
     EpisodeResult,
     HttpPolicyClient,
     parse_policy_endpoint,
     run_campaign,
+)
+from benchtop.scene import (
+    EnvSetupOp,
+    ObjectAddOp,
+    Pose,
+    Provenance,
+    SceneConfig,
+    validate_config,
 )
 from benchtop.sim import DEFAULT_MAX_STEPS, GripperCommand, Observation, Task, TaskGoal
 
@@ -254,7 +264,7 @@ def test_http_policy_reads_proxy_settings_once(stub_server, monkeypatch):
     monkeypatch.setenv("NO_PROXY", "127.0.0.1")
     direct = HttpPolicyClient(url, 5.0)
     monkeypatch.delenv("NO_PROXY")
-    obs = Observation("pick up the cup", None, None, 0)
+    obs = Observation("pick up the cup", None, None)
     with pytest.raises(PolicyProtocolError, match="cannot reach policy"):
         proxied.act(obs)
     assert state["count"] == 0
@@ -313,9 +323,9 @@ def test_http_policy_messages_and_kept_alive_connection(catalog, short, stub_ser
     client = HttpPolicyClient(url, 5.0)
     raster = bytes(range(24))
     observations = [
-        Observation('put the "café" cup on the plate \u2014 now', None, raster, 0),
-        Observation('put the "café" cup on the plate \u2014 now', None, raster, 1),
-        Observation("pick up the cup", None, None, 7),
+        Observation('put the "café" cup on the plate \u2014 now', None, raster),
+        Observation('put the "café" cup on the plate \u2014 now', None, raster),
+        Observation("pick up the cup", None, None),
     ]
     try:
         client.reset(TaskGoal(Task.PUT_ON, 0, 1))
@@ -324,7 +334,7 @@ def test_http_policy_messages_and_kept_alive_connection(catalog, short, stub_ser
     finally:
         client.close()
     assert state["bodies"] == [b'{"type": "reset"}'] + [
-        reference(obs).encode("utf-8") for obs in observations
+        reference(obs, step).encode("utf-8") for step, obs in enumerate(observations)
     ]
     assert state["connections"] == 1
     # a campaign's worker keeps its client, and so its connection, across trials
@@ -352,8 +362,8 @@ def test_trial_exception_stops_the_campaign_and_propagates(
     assert next(calls) < len(manifest.scenes)
 
 
-def _poses(state):
-    return [o.pose for o in state.objects]
+def _poses(objects):
+    return [o.pose for o in objects]
 
 
 def test_conform_campaign_renders_and_checks_only_after_a_change(
@@ -374,12 +384,12 @@ def test_conform_campaign_renders_and_checks_only_after_a_change(
     counted(runner, "check_success")
     original_step = runner.step
 
-    def step(state, action):
-        new = original_step(state, action)
-        moved = _poses(new) != _poses(state)
+    def step(objects, position, attached, action):
+        new = original_step(objects, position, attached, action)
+        moved = _poses(new[0]) != _poses(objects)
         counts["steps"] += 1
         counts["moved"] += moved
-        counts["changed"] += moved or new.gripper.attached != state.gripper.attached
+        counts["changed"] += moved or new[2] != attached
         return new
 
     monkeypatch.setattr(runner, "step", step)
@@ -404,17 +414,16 @@ def test_reused_observation_equals_a_fresh_one(catalog, manifest, name):
         def reset(self, goal):
             self.inner = policy_class(arg)
             self.inner.reset(goal)
-            self.state = sim.init_world(config, catalog)
+            self.world = sim.init_world(config, catalog), sim.GRIPPER_HOME, None
 
         def act(self, obs):
-            fresh = sim.observe(self.state, config.env, obs.instruction)
-            assert obs.step_count == fresh.step_count
+            objects = self.world[0]
+            fresh = sim.observe(objects, config.env, obs.instruction)
             assert obs.objects == fresh.objects
             assert obs.raster == fresh.raster
             action = self.inner.act(fresh)
-            moved = sim.step(self.state, action)
-            checked["moved"] += _poses(moved) != _poses(self.state)
-            self.state = moved
+            self.world = sim.step(*self.world, action)
+            checked["moved"] += _poses(self.world[0]) != _poses(objects)
             return action
 
     for trial in manifest.trials:
@@ -502,3 +511,49 @@ def test_each_distinct_episode_is_played_once(
     assert len(played) == episodes
     assert len(set(played)) == episodes
     assert len(results) == len(manifest.trials)
+
+
+def test_random_policy_draws_what_uniform_and_choice_draw():
+    """``act`` writes ``uniform`` out; a twin generator calling it must agree."""
+    lim = sim.ACTION_DELTA_LIMIT
+    for seed in range(200):
+        policy = runner.RandomPolicy(seed)
+        policy.reset(None)
+        twin = random.Random(seed)
+        for _ in range(200):
+            action = policy.act(None)
+            deltas = (twin.uniform(-lim, lim), twin.uniform(-lim, lim),
+                      twin.uniform(-lim, lim))
+            assert action.delta_position == deltas
+            assert action.gripper is twin.choice(runner._GRIPPER_CHOICES)
+
+
+def test_a_goal_met_at_the_start_succeeds_before_any_act(catalog):
+    """A move_near start whose objects a and b already lie near each other."""
+
+    def resting(model_id, x):
+        height = catalog.get(model_id).dimensions_m[2]
+        return ObjectAddOp(
+            model_id=model_id, pose=Pose(position_m=(x, 0.0, quantize(height / 2)))
+        )
+
+    config = SceneConfig(
+        scene_id="solved", adds=(resting("apple", -0.04), resting("lemon", 0.045)),
+        env=EnvSetupOp(), seed=0, provenance=Provenance.MANUAL,
+    )
+    assert validate_config(config, catalog) == []
+    assert 0.085 <= sim.NEAR_DISTANCE
+
+    class NeverActs:
+        def reset(self, goal):
+            pass
+
+        def act(self, obs):
+            raise AssertionError("act was called")
+
+    result = runner.run_episode(
+        sim.init_world(config, catalog), config.env, NeverActs(),
+        "move the apple near the lemon", TaskGoal(Task.MOVE_NEAR, 0, 1),
+        DEFAULT_MAX_STEPS, False,
+    )
+    assert result == (True, 0, None)

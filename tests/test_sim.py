@@ -2,8 +2,9 @@
 
 import copy
 import math
+from dataclasses import dataclass
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from benchtop.catalog import load_default_catalog
@@ -28,11 +29,17 @@ from benchtop.scene import (
 from benchtop.sim import (
     ACTION_DELTA_LIMIT,
     CONTAINER_FLOOR_OFFSET,
+    GRIPPER_HOME,
     WORKSPACE_HALF_X,
     WORKSPACE_HALF_Y,
     WORKSPACE_Z_MAX,
     Action,
     GripperCommand,
+    WorldObject,
+    _clamp,
+    _landing,
+    _nearest_graspable,
+    _placed,
     init_world,
     observe,
     render_raster,
@@ -52,72 +59,72 @@ actions = st.builds(
 
 
 @st.composite
-def planned_scenes(draw):
-    count = draw(st.integers(1, 4))
+def planned_scenes(draw, max_count=4, mentions=st.just(())):
+    count = draw(st.integers(1, max_count))
     seed = draw(st.integers(0, 2**32 - 1))
+    description = SceneDescription(object_count=count, mentions=draw(mentions))
     try:
-        return fallback_generate(SceneDescription(object_count=count), CATALOG, seed)
+        return fallback_generate(description, CATALOG, seed)
     except PlacementExhausted:
         return fallback_generate(SceneDescription(object_count=1), CATALOG, seed)
 
 
-def poses(state):
-    return [o.pose for o in state.objects]
+def poses(objects):
+    return [o.pose for o in objects]
 
 
 def trajectory(config, action_list):
-    states = [init_world(config, CATALOG)]
+    """The worlds ``(objects, position, attached)`` from the start on."""
+    worlds = [(init_world(config, CATALOG), GRIPPER_HOME, None)]
     for action in action_list:
-        states.append(step(states[-1], action))
-    return states
+        worlds.append(step(*worlds[-1], action))
+    return worlds
 
 
 @settings(max_examples=60, deadline=None)
 @given(planned_scenes(), st.lists(actions, max_size=40))
 def test_step_is_pure_and_deterministic(config, action_list):
-    state = init_world(config, CATALOG)
+    world = (init_world(config, CATALOG), GRIPPER_HOME, None)
     for action in action_list:
-        before = copy.deepcopy(state)
-        first, second = step(state, action), step(state, action)
+        before = copy.deepcopy(world)
+        first, second = step(*world, action), step(*world, action)
         assert first == second
-        assert state == before
-        state = first
-    assert trajectory(config, action_list)[-1] == state
+        assert world == before
+        world = first
+    assert trajectory(config, action_list)[-1] == world
 
 
 @settings(max_examples=60, deadline=None)
 @given(planned_scenes(), st.lists(actions, max_size=60))
 def test_gripper_stays_inside_the_workspace(config, action_list):
-    for state in trajectory(config, action_list):
-        x, y, z = state.gripper.position
+    for objects, (x, y, z), held in trajectory(config, action_list):
         assert -WORKSPACE_HALF_X <= x <= WORKSPACE_HALF_X
         assert -WORKSPACE_HALF_Y <= y <= WORKSPACE_HALF_Y
         assert TABLE_HEIGHT <= z <= WORKSPACE_Z_MAX
-        held = state.gripper.attached
         if held is not None:
-            assert z >= TABLE_HEIGHT + state.objects[held].height_m / 2.0
-            assert state.objects[held].pose.position_m == state.gripper.position
+            assert z >= TABLE_HEIGHT + objects[held].height_m / 2.0
+            assert objects[held].pose.position_m == (x, y, z)
 
 
 @settings(max_examples=60, deadline=None)
 @given(planned_scenes(), st.lists(actions, max_size=60))
 def test_no_step_moves_the_gripper_more_than_the_delta_limit(config, action_list):
-    states = trajectory(config, action_list)
-    for old, new in zip(states, states[1:]):
-        for before, after in zip(old.gripper.position, new.gripper.position):
+    worlds = trajectory(config, action_list)
+    for old, new in zip(worlds, worlds[1:]):
+        for before, after in zip(old[1], new[1]):
             assert abs(after - before) <= ACTION_DELTA_LIMIT + 1e-12
 
 
 def same_tuple_exactly_when_no_pose_changed(old, new):
-    return (new.objects is old.objects) == (poses(new) == poses(old))
+    return (new is old) == (poses(new) == poses(old))
 
 
 @settings(max_examples=60, deadline=None)
 @given(planned_scenes(), st.lists(actions, max_size=40))
 def test_objects_are_the_same_tuple_exactly_when_no_pose_changed(config, action_list):
-    states = trajectory(config, action_list)
-    for old, new in zip(states, states[1:]):
-        assert same_tuple_exactly_when_no_pose_changed(old, new)
+    worlds = trajectory(config, action_list)
+    for old, new in zip(worlds, worlds[1:]):
+        assert same_tuple_exactly_when_no_pose_changed(old[0], new[0])
 
 
 def _resting(model, x):
@@ -146,20 +153,128 @@ def _two_object_scene(item, surface):
     return config
 
 
-def _go_to(state, target, gripper=GripperCommand.HOLD):
-    """Step toward ``target`` until the gripper is there.
+@dataclass(frozen=True, slots=True)
+class Gripper:
+    position: tuple[float, float, float]
+    attached: int | None
+
+
+@dataclass(frozen=True, slots=True)
+class WorldState:
+    objects: tuple[WorldObject, ...]
+    gripper: Gripper
+
+
+def reference_step(state: WorldState, action: Action) -> WorldState:
+    """The step the simulator had when a world was one ``WorldState``, on the
+    same helpers: the reference the three-value ``step`` must agree with."""
+    dx, dy, dz = action.delta_position
+
+    g = state.gripper
+    attached = g.attached
+    z_min = TABLE_HEIGHT
+    if attached is not None:
+        z_min = TABLE_HEIGHT + state.objects[attached].height_m / 2.0
+    nx = _clamp(g.position[0] + dx, -WORKSPACE_HALF_X, WORKSPACE_HALF_X)
+    ny = _clamp(g.position[1] + dy, -WORKSPACE_HALF_Y, WORKSPACE_HALF_Y)
+    nz = _clamp(g.position[2] + dz, z_min, WORKSPACE_Z_MAX)
+    pos = (nx, ny, nz)
+
+    moving, target = attached, pos
+    cmd = action.gripper
+    if cmd is GripperCommand.CLOSE and attached is None:
+        attached = moving = _nearest_graspable(state.objects, pos)
+    elif cmd is GripperCommand.OPEN and attached is not None:
+        target = _landing(state.objects, attached, pos)
+        attached = None
+    objects = state.objects
+    if moving is not None:
+        objects = _placed(objects, moving, target)
+
+    return WorldState(objects=objects, gripper=Gripper(position=pos, attached=attached))
+
+
+# A segment steers for up to 12 steps: freely by a fixed delta, toward a
+# graspable object's center (where CLOSE grasps it), or toward a point above
+# a support's or container's top (where OPEN drops the load onto it). Far
+# targets ask for deltas past the limit, which ``Action.make`` clamps.
+segments = st.tuples(
+    st.sampled_from(["free", "center", "above"]),
+    st.integers(0, 4),  # the object, modulo the count of candidates
+    st.integers(1, 12),  # its steps
+    st.tuples(*[st.floats(-0.08, 0.08)] * 3),  # the free delta, a tenth as jitter
+    st.floats(0.0, 0.1),  # the load's clearance above the top
+    st.sampled_from(GripperCommand),  # on arrival, or a free segment's last step
+    st.sampled_from(GripperCommand),  # on the other steps
+)
+
+
+def _steered(world, segment, last):
+    objects, position, attached = world
+    kind, index, _, delta, clearance, arrival_command, command = segment
+    if kind != "free":
+        if kind == "center":
+            candidates = [o for o in objects if o.graspable]
+        else:
+            candidates = [o for o in objects if o.support_surface or o.container]
+        obj = (candidates or objects)[index % len(candidates or objects)]
+        x, y, z = obj.pose.position_m
+        if kind == "above":
+            load = 0.0 if attached is None else objects[attached].height_m / 2
+            z = obj.top + load + clearance
+        jx, jy, jz = (d / 10 for d in delta)  # jitter, never below the target
+        target = (x + jx, y + jy, z + abs(jz))
+        delta = [t - p for t, p in zip(target, position)]
+        last = all(abs(d) <= ACTION_DELTA_LIMIT for d in delta)
+    return Action.make(*delta, arrival_command if last else command)
+
+
+def _carry(item, surface):
+    """A scene and segments that carry ``item`` onto ``surface`` and drop it."""
+    still = (0.0, 0.0, 0.0)
+    return _two_object_scene(item, surface), [
+        ("center", 0, 12, still, 0.0, GripperCommand.CLOSE, GripperCommand.HOLD),
+        ("above", 0, 12, still, 0.02, GripperCommand.OPEN, GripperCommand.HOLD),
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@example(*_carry(CATALOG.get("apple"), CATALOG.get("blue_plate")))
+@example(*_carry(CATALOG.get("lemon"), CATALOG.get("bowl")))
+@given(
+    planned_scenes(5, st.sampled_from(SURFACES).map(lambda m: (m.display_name,))),
+    st.lists(segments, min_size=1, max_size=20),
+)
+def test_step_agrees_with_the_world_state_reference(config, segment_list):
+    """Up to 50 steps, each also played by the reference: the same objects,
+    position and attachment, and the same tuple back exactly when it was."""
+    world = (init_world(config, CATALOG), GRIPPER_HOME, None)
+    state = WorldState(world[0], Gripper(world[1], world[2]))
+    plan = [(seg, i == seg[2] - 1) for seg in segment_list for i in range(seg[2])]
+    for segment, last in plan[:50]:
+        action = _steered(world, segment, last)
+        new = step(*world, action)
+        expected = reference_step(state, action)
+        gripper = expected.gripper
+        assert new == (expected.objects, gripper.position, gripper.attached)
+        assert (new[0] is world[0]) == (expected.objects is state.objects)
+        world, state = new, expected
+
+
+def _go_to(world, target, gripper=GripperCommand.HOLD):
+    """Step ``world`` toward ``target`` until the gripper is there.
 
     The last step sends ``gripper``. Every step keeps the identity contract.
     """
     while True:
-        delta = [t - p for t, p in zip(target, state.gripper.position)]
+        delta = [t - p for t, p in zip(target, world[1])]
         last = all(abs(d) <= ACTION_DELTA_LIMIT for d in delta)
         command = gripper if last else GripperCommand.HOLD
-        new = step(state, Action.make(*delta, command))
-        assert same_tuple_exactly_when_no_pose_changed(state, new)
-        state = new
+        new = step(*world, Action.make(*delta, command))
+        assert same_tuple_exactly_when_no_pose_changed(world[0], new[0])
+        world = new
         if last:
-            return state
+            return world
 
 
 @settings(max_examples=150, deadline=None)
@@ -173,26 +288,27 @@ def test_released_object_rests_on_its_support_floor_or_the_table(
     item, surface, offset, height
 ):
     config = _two_object_scene(item, surface)
-    start = init_world(config, CATALOG)
-    state = _go_to(start, config.adds[0].pose.position_m, GripperCommand.CLOSE)
-    assert state.gripper.attached == 0
-    below = state.objects[1]
+    start = (init_world(config, CATALOG), GRIPPER_HOME, None)
+    grasped = _go_to(start, config.adds[0].pose.position_m, GripperCommand.CLOSE)
+    assert grasped[2] == 0
+    below = grasped[0][1]
     half = item.dimensions_m[2] / 2.0
     drop = (
         below.pose.position_m[0] + offset[0] * below.fx,
         below.pose.position_m[1] + offset[1] * below.fy,
         min(TABLE_HEIGHT + half + height, WORKSPACE_Z_MAX),
     )
-    carried = _go_to(state, drop)
-    assert carried.objects[0].pose.position_m == carried.gripper.position
-    released = step(carried, Action.make(0.0, 0.0, 0.0, GripperCommand.OPEN))
+    carried, (cx, cy, cz), _ = _go_to(grasped, drop)
+    assert carried[0].pose.position_m == (cx, cy, cz)
+    released, _, held = step(
+        carried, (cx, cy, cz), 0, Action.make(0.0, 0.0, 0.0, GripperCommand.OPEN)
+    )
     assert same_tuple_exactly_when_no_pose_changed(carried, released)
-    assert released.gripper.attached is None
-    rest = released.objects[0]
-    cx, cy = carried.gripper.position[0], carried.gripper.position[1]
+    assert held is None
+    rest = released[0]
     assert rest.pose.position_m[:2] == (cx, cy)
 
-    base_at_release = carried.gripper.position[2] - half
+    base_at_release = cz - half
     inside = (
         abs(cx - below.pose.position_m[0]) <= below.fx + 1e-9
         and abs(cy - below.pose.position_m[1]) <= below.fy + 1e-9
@@ -201,7 +317,7 @@ def test_released_object_rests_on_its_support_floor_or_the_table(
     lands_on_surface = inside and surface_z <= base_at_release + REST_TOL
     expected = surface_z if lands_on_surface else TABLE_HEIGHT
     assert math.isclose(rest.base, expected, abs_tol=1e-12)
-    assert released.objects[1] is carried.objects[1]
+    assert released[1] is carried[1]
 
 
 @settings(max_examples=30, deadline=None)
@@ -227,8 +343,7 @@ def test_degenerate_camera_raster_is_blank_bytes():
 def test_an_observation_carries_the_world_objects_tuple_itself(
     config, action_list, render
 ):
-    state = trajectory(config, action_list)[-1]
-    obs = observe(state, config.env, "pick up the cup", render=render)
-    assert obs.objects is state.objects
-    assert obs.step_count == state.step_count
+    objects = trajectory(config, action_list)[-1][0]
+    obs = observe(objects, config.env, "pick up the cup", render=render)
+    assert obs.objects is objects
     assert (obs.raster is not None) == render
