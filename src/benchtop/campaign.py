@@ -121,13 +121,8 @@ class CampaignSpec:
             raise UsageError(
                 "lighting_mutation and camera_mutation cannot both be enabled"
             )
-        if self.factors.source_filter is not None:
-            try:
-                Source(self.factors.source_filter)
-            except ValueError:
-                raise UsageError(
-                    f"unknown source_filter {self.factors.source_filter!r}"
-                ) from None
+        if self.factors.source_filter not in (None, *(s.value for s in Source)):
+            raise UsageError(f"unknown source_filter {self.factors.source_filter!r}")
         if not 0.0 < self.threshold <= 1.0:
             raise UsageError(f"threshold must be in (0, 1], got {self.threshold}")
 
@@ -409,7 +404,7 @@ def _differences(stored, derived, path: str = "$"):
 
 
 def load_manifest(path) -> CampaignManifest:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return loads(CampaignManifest, fh.read())
 
 

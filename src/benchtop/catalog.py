@@ -130,7 +130,8 @@ class Catalog:
         return Catalog(models=pool, version=self.version)
 
 
-def parse_catalog(text: str) -> Catalog:
+def parse_catalog(text: str | bytes) -> Catalog:
+    """The catalog in a JSON text or its UTF-8 bytes."""
     try:
         return loads(Catalog, text)
     except SchemaViolation as exc:
@@ -138,13 +139,9 @@ def parse_catalog(text: str) -> Catalog:
 
 
 def load_catalog(path: str | Path) -> Catalog:
-    return parse_catalog(Path(path).read_text())
+    return parse_catalog(Path(path).read_bytes())
 
 
 def load_default_catalog() -> Catalog:
-    text = (
-        resources.files("benchtop.data")
-        .joinpath(DEFAULT_CATALOG_RESOURCE)
-        .read_text()
-    )
-    return parse_catalog(text)
+    resource = resources.files("benchtop.data").joinpath(DEFAULT_CATALOG_RESOURCE)
+    return parse_catalog(resource.read_bytes())

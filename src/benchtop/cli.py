@@ -6,9 +6,11 @@ campaign manifest, ``run`` executes a manifest against a policy endpoint,
 and ``report`` aggregates execution results.
 
 Errors are machine-readable: a single JSON line on stderr with a ``code``
-and ``message``. Exit codes are 0 on success, 1 for runtime failures
-(including a failed trend check and an ``io_error`` such as a missing input
-file), 2 for usage errors.
+and ``message``. Exit codes are 0 on success, 2 for a command-line error (a
+``UsageError``, which includes a ``DescriptionParseError``), and 1 for
+everything else: a malformed input file (with the code of its fault, such
+as ``schema_violation``), a runtime failure, a failed trend check, or an
+``io_error`` such as a missing input file.
 """
 
 from __future__ import annotations
@@ -111,9 +113,7 @@ def _created_at(provider: HttpProvider | None) -> str | None:
 
 
 def _load_catalog(args):
-    if getattr(args, "catalog", None):
-        return load_catalog(args.catalog)
-    return load_default_catalog()
+    return load_catalog(args.catalog) if args.catalog else load_default_catalog()
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -137,7 +137,7 @@ def _cmd_gen_scene(args) -> int:
 
 def _cmd_paraphrase(args) -> int:
     # checked before the provider is built, so a bad flag costs no request
-    check_paraphrase_args(args.k, args.threshold)
+    check_paraphrase_args(args.instruction, args.k, args.threshold)
     with _provider_from_args(args) as provider:
         if provider is None:
             candidates = builtin_paraphrases(args.instruction, args.k)
@@ -199,18 +199,16 @@ def _cmd_report(args) -> int:
     results = load_results(args.results)
     table = aggregate(results, Factor(args.group_by))
     # checked before writing, so a bad factor or slack leaves no report behind
-    outcome = trend_check(table, args.slack) if args.check_trend else None
+    violations = trend_check(table, args.slack) if args.check_trend else ()
     _write_out(emit(table, ReportFormat(args.format)), args.out)
-    if outcome is not None and not outcome.passed:
-        for v in outcome.violations:
-            _error_line(
-                "trend",
-                f"{v.policy_id}: rate rises from {v.rate_a:.1f} at "
-                f"{v.level_a} to {v.rate_b:.1f} at {v.level_b} "
-                f"(slack {args.slack})",
-            )
-        return 1
-    return 0
+    for v in violations:
+        _error_line(
+            "trend",
+            f"{v.policy_id}: rate rises from {v.rate_a:.1f} at "
+            f"{v.level_a} to {v.rate_b:.1f} at {v.level_b} "
+            f"(slack {args.slack})",
+        )
+    return 1 if violations else 0
 
 
 def build_parser() -> _Parser:
@@ -296,9 +294,6 @@ def main(argv=None) -> int:
     except BenchtopError as exc:
         _error_line(exc.code, str(exc))
         return exc.exit_code
-    except ValueError as exc:
-        _error_line("usage", str(exc))
-        return 2
     except OSError as exc:
         _error_line("io_error", str(exc))
         return 1

@@ -23,6 +23,10 @@ The codec maps frozen dataclasses to canonical JSON text and back:
   or unknown field, the path of the object that holds it (``$.adds[0].pose``);
   for a bad value, the path of the value (``$.trials[3].trial_seed``).
 
+``parse_json`` is the program's one JSON reader. It takes text or UTF-8
+bytes only; ``NaN`` and ``Infinity`` are not JSON, and neither is a document
+nested past the recursion limit. All of these raise ``ValueError``.
+
 One (writer, decoder) pair per type is built on first use and cached, so
 type hints are read, and a class's keys sorted and quoted, once per class.
 A writer returns the canonical text of an instance directly: each object
@@ -114,6 +118,22 @@ def _emit_array(value: list | tuple, out: list[str]) -> None:
     out.append("]" if sep == "," else "[]")
 
 
+def _not_json(constant: str):
+    raise ValueError(f"{constant} is not JSON")
+
+
+# ``json.loads`` with a keyword argument would build a new decoder on each call
+_DECODER = json.JSONDecoder(parse_constant=_not_json)
+
+
+def parse_json(data: str | bytes) -> Any:
+    """The JSON value that is the whole of ``data``; ValueError if it is not one."""
+    try:
+        return _DECODER.decode(data if type(data) is str else data.decode("utf-8"))
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def first_json(
     text: str, opener: str, accept: Callable[[Any], bool], what: str
 ) -> Any:
@@ -123,12 +143,11 @@ def first_json(
     chatter around the value and values that do not parse are skipped.
     Raises NoJsonFound naming ``what`` when no candidate is accepted.
     """
-    decoder = json.JSONDecoder()
     idx = text.find(opener)
     while idx != -1:
         try:
-            value, _ = decoder.raw_decode(text, idx)
-        except ValueError:
+            value, _ = _DECODER.raw_decode(text, idx)
+        except (ValueError, RecursionError):
             pass
         else:
             if accept(value):
@@ -154,10 +173,11 @@ def decode(cls: type, raw: Any, path: str = "$") -> Any:
         raise SchemaViolation(exc.message, path + exc.where) from None
 
 
-def loads(cls: type, text: str, path: str = "$") -> Any:
-    """``decode`` of a JSON text; text that does not parse is a SchemaViolation."""
+def loads(cls: type, text: str | bytes, path: str = "$") -> Any:
+    """``decode`` of a JSON text or its UTF-8 bytes; data that ``parse_json``
+    does not read is a SchemaViolation at ``path``."""
     try:
-        raw = json.loads(text)
+        raw = parse_json(text)
     except ValueError as exc:
         raise SchemaViolation(f"invalid JSON: {exc}", path) from None
     return decode(cls, raw, path)

@@ -105,8 +105,6 @@ class InstructionSet:
 
 def builtin_paraphrases(original: str, k: int) -> list[str]:
     """Template rewrites that preserve the token bag almost entirely."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
     return [t.format(original) for t in PARAPHRASE_TEMPLATES[:k]]
 
 
@@ -125,8 +123,6 @@ def generate_paraphrases(original: str, k: int, provider) -> list[str]:
     Re-prompts up to 3 times if the reply is unparseable or comes back
     short after dedup; returns what was collected either way.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
     if k == 0:
         return []
     seen = {_normalize(original)}
@@ -164,8 +160,11 @@ def generate_paraphrases(original: str, k: int, provider) -> list[str]:
     return collected
 
 
-def check_paraphrase_args(k: int, threshold: float) -> None:
-    """Raise ``UsageError`` unless ``k >= 0`` and ``0 < threshold <= 1``."""
+def check_paraphrase_args(original: str, k: int, threshold: float) -> None:
+    """Raise ``UsageError`` unless ``original`` has a word to embed, ``k >= 0``
+    and ``0 < threshold <= 1``."""
+    if not tokenize(original):
+        raise UsageError(f"instruction has no words to embed: {original!r}")
     if not 0.0 < threshold <= 1.0:
         raise UsageError(f"threshold must be in (0, 1], got {threshold}")
     if k < 0:
@@ -185,7 +184,7 @@ def validate_candidates(
     threshold are quantized before they are compared, so a round-tripped
     instruction set re-checks to exactly the same flags.
     """
-    check_paraphrase_args(k, threshold)
+    check_paraphrase_args(original, k, threshold)
     threshold = quantize(threshold)
     ref = baseline_embed(original)
     seen = {_normalize(original)}
@@ -198,10 +197,9 @@ def validate_candidates(
         if not norm or norm in seen:
             continue
         seen.add(norm)
-        try:
+        sim = 0.0  # a candidate with no words shares none
+        if tokenize(cleaned):
             sim = quantize(cosine_similarity(ref, baseline_embed(cleaned)))
-        except ValueError:
-            sim = 0.0
         scored.append(Candidate(text=cleaned, similarity=sim, valid=sim >= threshold))
     return InstructionSet(
         original=original,

@@ -67,7 +67,7 @@ from .errors import (
     RetriesExhausted,
     UsageError,
 )
-from .jsonio import canonical_dumps
+from .jsonio import canonical_dumps, parse_json
 
 API_KEY_ENV_VAR = "PROVIDER_API_KEY"
 TIMEOUT_S = 30.0
@@ -91,9 +91,22 @@ class ChatRequest:
     temperature: float = 0.0
 
 
-def _basic_auth(user: str, password: str) -> str:
-    token = base64.b64encode(f"{user}:{password}".encode("latin-1"))
-    return "Basic " + token.decode("ascii")
+def _basic_auth(parts: urllib.parse.SplitResult) -> str:
+    unquote = urllib.parse.unquote
+    pair = f"{unquote(parts.username)}:{unquote(parts.password or '')}"
+    try:
+        return "Basic " + base64.b64encode(pair.encode("latin-1")).decode("ascii")
+    except UnicodeEncodeError:
+        raise UsageError("credentials in a URL must be Latin-1") from None
+
+
+def _split_url(url: str) -> tuple[urllib.parse.SplitResult, int | None]:
+    """The parts and port of ``url``; a URL that does not parse is a UsageError."""
+    try:
+        parts = urllib.parse.urlsplit(url)
+        return parts, parts.port
+    except ValueError as exc:
+        raise UsageError(f"cannot parse the URL {url!r}: {exc}") from None
 
 
 class HttpTransport:
@@ -117,18 +130,15 @@ class HttpTransport:
 
         self._timeout_s = timeout_s
         self._max_body_bytes = max_body_bytes
-        parts = urllib.parse.urlsplit(url)
+        parts, port = _split_url(url)
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise UsageError(f"not an http:// or https:// URL: {url!r}")
         tls = parts.scheme == "https"
-        host, port = parts.hostname, parts.port or (443 if tls else 80)
+        host, port = parts.hostname, port or (443 if tls else 80)
         authority = parts.netloc.rpartition("@")[2]  # host[:port]
         self._headers = {"Content-Type": "application/json"}
         if parts.username:
-            self._headers["Authorization"] = _basic_auth(
-                urllib.parse.unquote(parts.username),
-                urllib.parse.unquote(parts.password or ""),
-            )
+            self._headers["Authorization"] = _basic_auth(parts)
         proxies = urllib.request.getproxies()
         proxy = proxies.get(parts.scheme) or proxies.get("all")
         try:
@@ -141,26 +151,24 @@ class HttpTransport:
             self._target += "?" + parts.query
         tunnel = None
         if proxy:
-            proxy_parts = urllib.parse.urlsplit(
+            proxy_parts, proxy_port = _split_url(
                 proxy if "://" in proxy else "http://" + proxy
             )
             proxy_headers = {}
             if proxy_parts.username:
-                proxy_headers["Proxy-Authorization"] = _basic_auth(
-                    urllib.parse.unquote(proxy_parts.username),
-                    urllib.parse.unquote(proxy_parts.password or ""),
-                )
+                proxy_headers["Proxy-Authorization"] = _basic_auth(proxy_parts)
             if tls:
                 tunnel = (host, port, proxy_headers)
             else:
                 # absolute form: the proxy forwards it to the URL's origin
                 self._target = "http://" + authority + self._target
                 self._headers.update(proxy_headers)
-            host, port = proxy_parts.hostname, proxy_parts.port or 80
-        if tls:
-            self._conn = http.client.HTTPSConnection(host, port, timeout=timeout_s)
-        else:
-            self._conn = http.client.HTTPConnection(host, port, timeout=timeout_s)
+            host, port = proxy_parts.hostname, proxy_port or 80
+        connection = http.client.HTTPSConnection if tls else http.client.HTTPConnection
+        try:
+            self._conn = connection(host, port, timeout=timeout_s)
+        except http.client.InvalidURL as exc:  # a control character in the host
+            raise UsageError(str(exc)) from None
         if tunnel is not None:
             self._conn.set_tunnel(*tunnel)
 
@@ -263,8 +271,7 @@ class HttpProvider:
     def _read_fixture(self, key: str) -> dict:
         path = self._fixture_path(key)
         try:
-            with open(path, encoding="utf-8") as fh:
-                fixture = json.load(fh)
+            fixture = parse_json(path.read_bytes())
         except FileNotFoundError:
             raise MissingFixture(f"no fixture for request {key}") from None
         except ValueError as exc:  # not UTF-8, or not JSON
@@ -275,9 +282,12 @@ class HttpProvider:
         return body
 
     def _write_fixture(self, key: str, response_body: dict) -> None:
+        try:
+            text = canonical_dumps({"key": key, "response_body": response_body})
+        except ValueError as exc:  # a number such as 1e999 reads as infinity
+            raise MalformedResponse(f"cannot record the reply: {exc}") from None
         path = self._fixture_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        text = canonical_dumps({"key": key, "response_body": response_body})
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -318,7 +328,7 @@ class HttpProvider:
             if status >= 300:  # redirects are not followed
                 raise HttpStatusError(status, f"HTTP {status} from {self._url}")
             try:
-                return json.loads(data)
+                return parse_json(data)
             except ValueError as exc:
                 raise MalformedResponse(f"non-JSON response from {self._url}") from exc
         raise RetriesExhausted(

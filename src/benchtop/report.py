@@ -36,9 +36,6 @@ _CATEGORICAL_ORDER: dict[Factor, tuple[str, ...]] = {
     Factor.ENV_VARIANT: tuple(v.value for v in EnvVariant),
 }
 
-ORDERED_FACTORS = frozenset({Factor.OBJECT_COUNT})
-
-
 DEFAULT_TREND_SLACK = 3.0
 
 
@@ -64,7 +61,6 @@ class ReportTable:
     group_by: Factor
     levels: tuple
     rows: tuple[ReportRow, ...]
-    omitted_levels: tuple
 
 
 def aggregate(results, group_by: Factor) -> ReportTable:
@@ -82,11 +78,8 @@ def aggregate(results, group_by: Factor) -> ReportTable:
 
     if group_by is Factor.OBJECT_COUNT:
         levels = tuple(sorted(present))
-        omitted: tuple = ()
     else:
-        order = _CATEGORICAL_ORDER[group_by]
-        levels = tuple(lv for lv in order if lv in present)
-        omitted = tuple(lv for lv in order if lv not in present)
+        levels = tuple(lv for lv in _CATEGORICAL_ORDER[group_by] if lv in present)
 
     rows = []
     for policy_id in sorted(counts):
@@ -101,9 +94,7 @@ def aggregate(results, group_by: Factor) -> ReportTable:
         known = [r for r in rates if r is not None]
         avg = sum(known) / len(known) if known else 0.0
         rows.append(ReportRow(policy_id=policy_id, rates=tuple(rates), avg=avg))
-    return ReportTable(
-        group_by=group_by, levels=levels, rows=tuple(rows), omitted_levels=omitted
-    )
+    return ReportTable(group_by=group_by, levels=levels, rows=tuple(rows))
 
 
 def format_rate(value: float | None, empty: str = "") -> str:
@@ -152,16 +143,13 @@ class TrendViolation:
     rate_b: float
 
 
-@dataclass(frozen=True)
-class TrendOutcome:
-    passed: bool
-    violations: tuple[TrendViolation, ...]
-
-
-def trend_check(table: ReportTable, slack: float = DEFAULT_TREND_SLACK) -> TrendOutcome:
-    """Report every rise of more than ``slack`` points from one level to the
-    next; a pair with a missing rate is skipped."""
-    if table.group_by not in ORDERED_FACTORS:
+def trend_check(
+    table: ReportTable, slack: float = DEFAULT_TREND_SLACK
+) -> tuple[TrendViolation, ...]:
+    """Every rise of more than ``slack`` points from one level to the next;
+    a pair with a missing rate is skipped. The check passes when there is
+    none."""
+    if table.group_by is not Factor.OBJECT_COUNT:
         raise UsageError(
             f"trend check requires an ordered factor, got {table.group_by.value}"
         )
@@ -181,4 +169,4 @@ def trend_check(table: ReportTable, slack: float = DEFAULT_TREND_SLACK) -> Trend
                         rate_b=b,
                     )
                 )
-    return TrendOutcome(passed=not violations, violations=tuple(violations))
+    return tuple(violations)

@@ -8,9 +8,10 @@ Policies come in three kinds:
   object), and ``instruction_brittle`` (oracle on the exact planned
   instruction, random noise on anything else, e.g. paraphrases).
 - ``subprocess:<command>`` talks newline-delimited JSON over the child's
-  stdin/stdout. Replies are read on the stepping thread, which waits on the
-  pipe with ``select`` until the act deadline, so this kind needs POSIX
-  pipes.
+  stdin/stdout. The command is split as a POSIX shell splits it when the
+  endpoint is parsed, so an unclosed quote or an empty command fails before
+  any trial. Replies are read on the stepping thread, which waits on the
+  pipe with ``select`` until the act deadline, so this kind needs POSIX pipes.
 - ``http:<url>`` POSTs the same messages to an HTTP endpoint. Each worker
   builds its own client, whose ``providers.HttpTransport`` keeps one
   connection alive.
@@ -91,7 +92,7 @@ from .campaign import (
 )
 from .catalog import Catalog
 from .errors import MalformedResponse, PolicyProtocolError, PolicyTimeout, UsageError
-from .jsonio import loads
+from .jsonio import loads, parse_json
 from .providers import HttpTransport
 from .scene import EnvSetupOp
 from .sim import (
@@ -131,7 +132,7 @@ class PolicyKind(str, Enum):
 @dataclass(frozen=True)
 class PolicyEndpoint:
     policy_kind: PolicyKind
-    address: str
+    address: str | tuple[str, ...]  # a builtin's name, a URL or a command's argv
     policy_id: str
 
 
@@ -157,6 +158,13 @@ def parse_policy_endpoint(text: str) -> PolicyEndpoint:
                 f"{list(BUILTIN_POLICIES)}"
             )
         return PolicyEndpoint(policy_kind=kind, address=address, policy_id=address)
+    if kind is PolicyKind.SUBPROCESS:
+        try:
+            address = tuple(shlex.split(address))
+        except ValueError as exc:  # an unclosed quote or a trailing escape
+            raise UsageError(f"bad policy command {address!r}: {exc}") from None
+        if not address:
+            raise UsageError("policy command is empty")
     return PolicyEndpoint(policy_kind=kind, address=address, policy_id=text)
 
 
@@ -178,15 +186,12 @@ class EpisodeResult:
 def load_results(path) -> list[EpisodeResult]:
     """Read a results file, one EpisodeResult per nonblank line.
 
-    The file is read as an array of lines, so a bad line ``i`` (counted from
-    0) is reported at the JSON path ``$[i]``.
+    The file is read as an array of lines, each decoded on its own, so a bad
+    line ``i`` (counted from 0) is reported at the JSON path ``$[i]``.
     """
-    with open(path, encoding="utf-8") as fh:
-        return [
-            loads(EpisodeResult, line, f"$[{i}]")
-            for i, line in enumerate(fh)
-            if line.strip()
-        ]
+    with open(path, "rb") as fh:
+        lines = enumerate(fh.read().splitlines())
+    return [loads(EpisodeResult, line, f"$[{i}]") for i, line in lines if line.strip()]
 
 
 # ---- builtin policies -----------------------------------------------------
@@ -296,7 +301,7 @@ def builtin_episode(name: str, trial: Trial, meta: SceneMeta) -> tuple[type, int
         return RandomPolicy, seed
     if name == "random_target":
         return OraclePolicy, random.Random(seed).randrange(meta.object_count)
-    paraphrased = trial.instruction_text != meta.basic_instruction
+    paraphrased = trial.instruction_kind is InstructionKind.PARAPHRASED
     if name == "instruction_brittle" and paraphrased:
         return RandomPolicy, seed
     return OraclePolicy, meta.target_a_index
@@ -340,14 +345,6 @@ class _ObserveEncoder:
         return f'{self._prefix}{step},"type":"observe"}}'
 
 
-def _not_json(constant: str):
-    raise ValueError(f"{constant} is not JSON")
-
-
-# ``json.loads`` with a keyword argument builds a new decoder on every call.
-_REPLY_DECODER = json.JSONDecoder(parse_constant=_not_json)
-
-
 def _decode_act(line: str) -> Action:
     """The action in one reply line; anything off-protocol is an error.
 
@@ -355,7 +352,7 @@ def _decode_act(line: str) -> Action:
     number too large for a float is not a finite delta, so all fail the reply.
     """
     try:
-        raw = _REPLY_DECODER.decode(line)
+        raw = parse_json(line)
     except ValueError as exc:
         raise PolicyProtocolError(f"policy sent non-JSON line: {line[:80]!r}") from exc
     if not isinstance(raw, dict):
@@ -398,12 +395,12 @@ class SubprocessPolicyClient:
     a reply fails as a protocol error. This needs POSIX pipes.
     """
 
-    def __init__(self, command: str, act_timeout_s: float) -> None:
+    def __init__(self, argv: tuple[str, ...], act_timeout_s: float) -> None:
         import subprocess
 
         self.act_timeout_s = act_timeout_s
         self._proc = subprocess.Popen(
-            shlex.split(command),
+            argv,
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,

@@ -2,6 +2,7 @@
 
 import json
 import shlex
+import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
@@ -99,8 +100,9 @@ def test_run_rejects_malformed_manifest(tmp_path, capsys, keys, value, path):
         ((0, "success"), "false", "$[0].success"),
         ((1, "steps_used"), _DROP, "$[1]"),
         ((2,), "success: true", "$[2]"),
+        ((2,), "[" * 100000, "$[2]"),
     ],
-    ids=["string_bool", "missing_field", "not_json"],
+    ids=["string_bool", "missing_field", "not_json", "nested_too_deeply"],
 )
 def test_report_rejects_malformed_results(tmp_path, capsys, keys, value, path):
     text = (GOLDEN / "put_on.random.results.jsonl").read_text()
@@ -111,6 +113,46 @@ def test_report_rejects_malformed_results(tmp_path, capsys, keys, value, path):
         "".join((r if isinstance(r, str) else json.dumps(r)) + "\n" for r in rows)
     )
     _expect_schema_violation(capsys, ["report", "--results", str(results)], path)
+
+
+_BAD = "<not utf-8>"
+
+
+@pytest.mark.parametrize(
+    "argv, source, line, code, path",
+    [
+        (["run", "--manifest", _BAD, "--policy", "builtin:oracle"],
+         GOLDEN / "put_on.manifest.json", 0, "schema_violation", "$"),
+        (["report", "--results", _BAD],
+         GOLDEN / "put_on.random.results.jsonl", 2, "schema_violation", "$[2]"),
+        (["plan", "--task", "put_on", "--n", "2", "--k", "2", "--catalog", _BAD],
+         None, 0, "malformed_catalog", "$"),
+        (["gen-scene", "--desc", "2 objects", "--catalog", _BAD],
+         None, 0, "malformed_catalog", "$"),
+        (["run", "--manifest", str(GOLDEN / "put_on.manifest.json"),
+          "--catalog", _BAD, "--policy", "builtin:oracle"],
+         None, 0, "malformed_catalog", "$"),
+    ],
+    ids=["run_manifest", "report_results", "plan_catalog", "gen_scene_catalog",
+         "run_catalog"],
+)
+def test_an_input_file_that_is_not_utf8_is_malformed(
+    tmp_path, capsys, argv, source, line, code, path
+):
+    """A 0xff byte in a string of line ``line`` is invalid JSON at the path
+    of the document that holds it."""
+    if source is None:
+        lines = [json.dumps(_default_catalog_doc()).encode()]
+    else:
+        lines = source.read_bytes().splitlines(True)
+    lines[line] = lines[line].replace(b'"', b'"\xff', 1)
+    bad = tmp_path / "input"
+    bad.write_bytes(b"".join(lines))
+    out = tmp_path / "out"
+    argv = [arg.replace(_BAD, str(bad)) for arg in argv] + ["--out", str(out)]
+    message = _expect_error(capsys, argv, code)
+    assert message.startswith(f"{path}: invalid JSON: 'utf-8' codec can't decode")
+    assert not out.exists()
 
 
 _MISSING = "<missing>"
@@ -244,8 +286,10 @@ def test_each_provider_command_closes_its_provider(
         (["--threshold", "nan"], "threshold"),
         (["--threshold", "0"], "threshold"),
         (["--k", "-1"], "k"),
+        (["--instruction", "!!!"], "instruction"),
     ],
-    ids=["threshold_above_one", "threshold_nan", "threshold_0", "k_minus_1"],
+    ids=["threshold_above_one", "threshold_nan", "threshold_0", "k_minus_1",
+         "instruction_without_words"],
 )
 def test_paraphrase_checks_its_flags_before_any_request(
     stub_server, tmp_path, capsys, flags, name
@@ -261,21 +305,83 @@ def test_paraphrase_checks_its_flags_before_any_request(
     assert not fixtures.exists() and not out.exists()
 
 
+_RUN_GOLDEN = ["run", "--manifest", str(GOLDEN / "put_on.manifest.json")]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
         (["plan", "--task", "pick_up", "--n", "1", "--k", "1",
           "--provider-url", "ftp://x"], "not an http:// or https:// URL: 'ftp://x"),
+        (["plan", "--task", "pick_up", "--n", "1", "--k", "1",
+          "--provider-url", "http://[::1"],
+         "cannot parse the URL 'http://[::1/v1/chat/completions': Invalid IPv6 URL"),
+        (["plan", "--task", "pick_up", "--n", "1", "--k", "1",
+          "--provider-url", "http://h:99999"],
+         "cannot parse the URL 'http://h:99999/v1/chat/completions': Port out of"),
+        (["plan", "--task", "pick_up", "--n", "1", "--k", "1",
+          "--provider-url", "http://a b/"], "URL can't contain control characters"),
+        (["plan", "--task", "pick_up", "--n", "1", "--k", "1",
+          "--provider-url", "http://%E2%82%AC:pw@h/"],
+         "credentials in a URL must be Latin-1"),
         (["paraphrase", "--instruction", "pick up the apple", "--k", "2",
           "--threshold", "1.5", "--offline"], "threshold must be in (0, 1], got 1.5"),
+        ([*_RUN_GOLDEN, "--policy", "subprocess: "], "policy command is empty"),
+        ([*_RUN_GOLDEN, "--policy", 'subprocess:"x'],
+         "bad policy command '\"x': No closing quotation"),
     ],
-    ids=["plan_ftp_provider_url", "paraphrase_offline_threshold"],
+    ids=["plan_ftp_provider_url", "plan_ipv6_provider_url",
+         "plan_provider_port_out_of_range", "plan_provider_host_with_a_space",
+         "plan_provider_user_not_latin_1", "paraphrase_offline_threshold",
+         "run_empty_policy_command", "run_unclosed_policy_quote"],
 )
-def test_a_usage_error_writes_nothing(tmp_path, capsys, argv, message):
+def test_a_usage_error_writes_nothing(monkeypatch, tmp_path, capsys, argv, message):
+    def popen(*args, **kwargs):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(subprocess, "Popen", popen)
     out = tmp_path / "out.json"
     argv = [*argv, "--out", str(out)]
     assert _expect_error(capsys, argv, "usage", exit_code=2).startswith(message)
     assert not out.exists()
+
+
+def test_a_proxy_url_that_does_not_parse_is_a_usage_error(
+    closed_proxy, monkeypatch, tmp_path, capsys
+):
+    monkeypatch.setenv("HTTP_PROXY", "http://p:99999")  # in place of the closed one
+    out = tmp_path / "results.jsonl"
+    argv = [*_RUN_GOLDEN, "--policy", "http:http://127.0.0.1:9/", "--out", str(out)]
+    message = _expect_error(capsys, argv, "usage", exit_code=2)
+    assert message.startswith("cannot parse the URL 'http://p:99999': Port out of")
+    assert not out.exists()
+
+
+_REPLY = b'{"choices":[{"message":{"content":"[]"}}],"usage":{"cost":%s}}'
+
+
+@pytest.mark.parametrize(
+    "mode, cost, message",
+    [
+        ("live", b"NaN", "non-JSON response"),
+        ("record", b"NaN", "non-JSON response"),
+        ("record", b"1e999", "cannot record the reply"),
+    ],
+    ids=["nan_live", "nan_record", "infinite_record"],
+)
+def test_a_reply_that_cannot_be_read_or_recorded_is_a_malformed_response(
+    stub_server, tmp_path, capsys, mode, cost, message
+):
+    # the number is outside the content, so only the reader or the recorder sees it
+    url, state = stub_server(lambda path, payload, call: (200, _REPLY % cost))
+    fixtures = tmp_path / "fixtures"
+    out = tmp_path / "out.json"
+    argv = ["paraphrase", "--instruction", "pick up the apple", "--k", "2",
+            "--provider-url", url, "--provider-mode", mode,
+            "--fixtures-dir", str(fixtures), "--out", str(out)]
+    assert message in _expect_error(capsys, argv, "malformed_response")
+    assert state["count"] == 1
+    assert not fixtures.exists() and not out.exists()
 
 
 @pytest.mark.parametrize(

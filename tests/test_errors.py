@@ -51,3 +51,53 @@ def test_every_leaf_error_is_raised_somewhere():
         if not any(other is not cls and issubclass(other, cls) for other in classes)
     }
     assert leaves - _raised_names() == set()
+
+
+def _handled_names(function) -> set[str]:
+    """Names of the exception classes that the ``except`` clauses of
+    ``function`` catch; a bare ``except`` catches ``BaseException``."""
+    names = set()
+    for node in ast.walk(function):
+        if isinstance(node, ast.ExceptHandler):
+            caught = node.type
+            types = caught.elts if isinstance(caught, ast.Tuple) else [caught]
+            names.update(ast.unparse(t) if t else "BaseException" for t in types)
+    return names
+
+
+def test_only_typed_errors_reach_the_cli():
+    tree = ast.parse((SOURCE / "cli.py").read_text(encoding="utf-8"))
+    main = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "main"
+    )
+    assert _handled_names(main) == {"SystemExit", "BenchtopError", "OSError"}
+
+
+_JSON_READERS = {"JSONDecoder", "load", "loads"}
+
+
+def _json_readers(tree) -> set[str]:
+    """The readers of the ``json`` module that ``tree`` names."""
+    found = set()
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "json"
+        ):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and (
+            node.module == "json" or node.module.startswith("json.")
+        ):
+            found.update(alias.name for alias in node.names)
+    return found & _JSON_READERS
+
+
+def test_only_jsonio_reads_json():
+    readers = {
+        path.name: _json_readers(ast.parse(path.read_text(encoding="utf-8")))
+        for path in SOURCE.rglob("*.py")
+        if path.name != "jsonio.py"
+    }
+    assert {name: found for name, found in readers.items() if found} == {}

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from benchtop.campaign import EnvVariant, InstructionKind, SourceMix
 from benchtop.errors import SchemaViolation
-from benchtop.jsonio import canonical_dumps, decode, dumps, loads, quantize
+from benchtop.jsonio import (
+    canonical_dumps,
+    decode,
+    dumps,
+    loads,
+    parse_json,
+    quantize,
+)
 from benchtop.paraphrase import Candidate, InstructionSet
 from benchtop.runner import EpisodeResult
 from benchtop.scene import (
@@ -48,6 +55,25 @@ def test_non_finite_rejected():
         canonical_dumps(float("nan"))
     with pytest.raises(ValueError):
         canonical_dumps([math.inf])
+
+
+def test_parse_json_takes_text_or_its_utf8_bytes():
+    text = '{"a": [1, -0.5, "\u00e9", null]}'
+    assert parse_json(text) == parse_json(text.encode("utf-8")) == {
+        "a": [1, -0.5, "\u00e9", None]
+    }
+
+
+@pytest.mark.parametrize(
+    "data",
+    ["NaN", "[Infinity]", '{"a": -Infinity}', b'"caf\xe9"', b"\xff{}",
+     "[" * 100000, "{} {}"],
+    ids=["nan", "infinity", "minus_infinity", "latin_1", "0xff", "nested_too_deeply",
+         "extra_data"],
+)
+def test_parse_json_reads_strict_json_only(data):
+    with pytest.raises(ValueError):
+        parse_json(data)
 
 
 def test_unsupported_type_rejected():

@@ -146,6 +146,7 @@ REJECTED_REPLIES = {
     "infinity": b'{"type":"act","delta_position":[0.0,Infinity,0.0],"gripper":"HOLD"}',
     "minus_infinity": b'{"type":"act","delta_position":[0,0,-Infinity],"gripper":"HOLD"}',
     "bom": b'\xef\xbb\xbf{"type":"act","delta_position":[0,0,0],"gripper":"HOLD"}',
+    "nested_too_deeply": b"[" * 5000,
 }
 
 
@@ -155,7 +156,7 @@ def test_reply_that_is_not_json_fails_its_trial(catalog, short, stub_server, mod
     results = run(short, catalog, f"http:{url}")
     line = REJECTED_REPLIES[mode].decode("utf-8")  # a BOM decodes to "\ufeff"
     assert [r.error for r in results] == [
-        f"PolicyProtocolError: policy sent non-JSON line: {line!r}"
+        f"PolicyProtocolError: policy sent non-JSON line: {line[:80]!r}"
     ] * len(short.trials)
 
 
