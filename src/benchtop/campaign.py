@@ -396,9 +396,7 @@ def _differences(stored, derived, path: str = "$"):
     elif type(stored) is tuple:
         yield path, f"stored an array of {len(stored)}, derived one of {len(derived)}"
     else:
-        stored_text, derived_text = (
-            "null" if v is None else dumps(v) for v in (stored, derived)
-        )
+        stored_text, derived_text = dumps(stored), dumps(derived)
         if stored_text != derived_text:
             yield path, f"stored {stored_text}, derived {derived_text}"
 

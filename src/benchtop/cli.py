@@ -30,7 +30,7 @@ from .campaign import (
 from .catalog import Source, load_catalog, load_default_catalog
 from .errors import BenchtopError
 from .generation import fallback_generate, generate_scene
-from .jsonio import canonical_dumps, dumps
+from .jsonio import dumps
 from .paraphrase import (
     DEFAULT_SIMILARITY_THRESHOLD,
     builtin_paraphrases,
@@ -63,7 +63,7 @@ from .sim import DEFAULT_MAX_STEPS, Task
 
 
 def _error_line(code: str, message: str) -> None:
-    sys.stderr.write(canonical_dumps({"code": code, "message": message}) + "\n")
+    sys.stderr.write(dumps({"code": code, "message": message}) + "\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,17 +86,12 @@ def _add_provider_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--fixtures-dir", default=None, help=(
         "where record writes, and replay reads, one file per request"))
-    parser.add_argument(
-        "--offline",
-        action="store_true",
-        help="never contact a provider; use the builtin compilation paths",
-    )
 
 
 def _provider_from_args(args):
-    """A context manager that gives the flags' provider, or ``None`` offline,
-    and closes the provider on exit."""
-    if args.offline or not args.provider_url:
+    """A context manager that gives the flags' provider, or ``None`` without
+    ``--provider-url``, and closes the provider on exit."""
+    if not args.provider_url:
         return contextlib.nullcontext()
     provider = HttpProvider(
         args.provider_url, args.provider_model,

@@ -1,11 +1,14 @@
 """Canonical JSON and the one codec every artifact goes through.
 
-Canonical form: sorted keys, compact separators, floats with exactly six
-decimals. Strings are escaped as ``json.dumps`` escapes them by default
-(ASCII only), so apart from the floats the output is what ``json.dumps(v,
-sort_keys=True, separators=(",", ":"))`` writes. Two serializations of
-equal values are byte-identical, which is what the determinism contracts
-(byte-identical manifests, results, reports) rest on.
+``dumps`` is the program's one JSON writer: artifacts, error lines, fixture
+keys and files, provider request bodies and wire messages all go through it.
+Canonical form: sorted keys, compact separators, floats quantized with
+``quantize`` and written with exactly six decimals. Strings are escaped as
+``json.dumps`` escapes them by default (ASCII only), so apart from the
+floats the output is what ``json.dumps(v, sort_keys=True, separators=(",",
+":"))`` writes. Two serializations of equal values are byte-identical,
+which is what the determinism contracts (byte-identical manifests, results,
+reports) rest on.
 
 The codec maps frozen dataclasses to canonical JSON text and back:
 
@@ -17,8 +20,8 @@ The codec maps frozen dataclasses to canonical JSON text and back:
   nested dataclasses (stored as objects).
 - Type checks are exact: a bool is not an int, an int is not a str. A float
   field also takes an int. Non-finite numbers are rejected.
-- Floats are quantized with ``quantize`` on both ``dumps`` and ``decode``,
-  so ``loads(type(x), dumps(x)) == x`` and writing is idempotent.
+- Floats are quantized on both ``dumps`` and ``decode``, so
+  ``loads(type(x), dumps(x)) == x`` and writing is idempotent.
 - ``decode`` raises ``SchemaViolation`` carrying a JSON path: for a missing
   or unknown field, the path of the object that holds it (``$.adds[0].pose``);
   for a bad value, the path of the value (``$.trials[3].trial_seed``).
@@ -31,8 +34,9 @@ One (writer, decoder) pair per type is built on first use and cached, so
 type hints are read, and a class's keys sorted and quoted, once per class.
 A writer returns the canonical text of an instance directly: each object
 and array is joined from the texts of its own items, with no intermediate
-dict or list of every piece. ``canonical_dumps`` writes plain JSON values
-(dicts, lists, scalars), such as error lines and fixture files.
+dict or list of every piece. Plain dicts, lists, tuples and ``None`` are
+written by a small table keyed by exact type; their items go back through
+``dumps``.
 """
 
 from __future__ import annotations
@@ -56,66 +60,6 @@ def quantize(value: float) -> float:
     """Round to 6 decimals and normalize -0.0 to 0.0."""
     q = round(float(value), 6)
     return 0.0 if q == 0 else q
-
-
-def canonical_dumps(value: Any) -> str:
-    out: list[str] = []
-    _emit(value, out)
-    return "".join(out)
-
-
-def _emit(value: Any, out: list[str]) -> None:
-    # Exact types first, since they are nearly every value; then the
-    # isinstance checks, which also take subclasses (bool before int, and
-    # str-valued Enum members as their string). Subclasses of float, dict,
-    # list and tuple are rejected.
-    tp = type(value)
-    if tp is str:
-        out.append(_quote(value))
-    elif tp is float:
-        out.append(_float_text(value))
-    elif tp is dict:
-        _emit_object(value, out)
-    elif tp is list or tp is tuple:
-        _emit_array(value, out)
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, str):
-        out.append(_quote(value))
-    else:
-        raise ValueError(f"unsupported type for canonical JSON: {type(value)!r}")
-
-
-def _float_text(value: float) -> str:
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite float not serializable: {value!r}")
-    return f"{value:.6f}"
-
-
-def _emit_object(value: dict, out: list[str]) -> None:
-    sep = "{"
-    for key in sorted(value):
-        if not isinstance(key, str):
-            raise ValueError(f"non-string key not serializable: {key!r}")
-        out.append(f"{sep}{_quote(key)}:")
-        sep = ","
-        _emit(value[key], out)
-    out.append("}" if sep == "," else "{}")
-
-
-def _emit_array(value: list | tuple, out: list[str]) -> None:
-    sep = "["
-    for item in value:
-        out.append(sep)
-        sep = ","
-        _emit(item, out)
-    out.append("]" if sep == "," else "[]")
 
 
 def _not_json(constant: str):
@@ -160,9 +104,38 @@ def first_json(
 
 
 def dumps(obj: Any) -> str:
-    """The canonical JSON text of a value of a supported type, such as a
-    dataclass instance."""
-    return _codec(type(obj))[0](obj)
+    """The canonical JSON text of ``obj``: a plain JSON value (a dict with
+    string keys, a list or tuple, ``None`` or a scalar), a str-valued Enum
+    member, or an instance of a dataclass the codec supports.
+
+    Raises ``TypeError`` for a value of any other type, and ``ValueError``
+    for a non-finite float.
+    """
+    tp = type(obj)
+    return (_PLAIN.get(tp) or _codec(tp)[0])(obj)
+
+
+# Plain containers, by exact type: a subclass of dict, list or tuple goes to
+# the codec, which rejects it. ``_quote`` takes any str, so a str-valued Enum
+# member is a key too, written as its string; another key is a TypeError.
+def _write_dict(value: dict) -> str:
+    items = [_quote(key) + ":" + dumps(value[key]) for key in sorted(value)]
+    return "{" + ",".join(items) + "}"
+
+
+def _write_list(value: list | tuple) -> str:
+    return "[" + ",".join([dumps(item) for item in value]) + "]"
+
+
+_PLAIN = {
+    dict: _write_dict,
+    list: _write_list,
+    tuple: _write_list,
+    type(None): lambda value: "null",
+}
+
+# ``bench/selftest.py`` imports the writer under its earlier name.
+canonical_dumps = dumps
 
 
 def decode(cls: type, raw: Any, path: str = "$") -> Any:
@@ -239,7 +212,9 @@ def _exact(tp: type, expected: str, write: _Writer) -> tuple[_Writer, _Decoder]:
 
 
 def _write_float(value: float) -> str:
-    return _float_text(quantize(value))
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite float not serializable: {value!r}")
+    return f"{quantize(value):.6f}"
 
 
 def _decode_float(raw: Any) -> float:
@@ -301,7 +276,7 @@ def _dataclass_codec(cls: type) -> tuple[_Writer, _Decoder]:
 
 def _enum_codec(cls: type) -> tuple[_Writer, _Decoder]:
     members = {m.value: m for m in cls}
-    texts = {m: canonical_dumps(m.value) for m in cls}
+    texts = {m: _quote(m.value) for m in cls}
     expected = f"expected one of {sorted(members)}"
 
     def decode_member(raw):

@@ -10,9 +10,11 @@ Three modes:
   MissingFixture and the network is never touched. Replay runs are fully
   deterministic and work offline.
 
-The fixture key is sha256 over the canonical JSON of
-``{"endpoint": ..., "payload": ...}``, so any byte-identical request maps
-to the same file regardless of dict ordering in the caller.
+The request body is the canonical JSON of the payload (``jsonio.dumps``:
+sorted keys, no spaces, floats with six decimals). The fixture key is
+sha256 over the canonical JSON of ``{"endpoint": ..., "payload": ...}``, so
+any byte-identical request maps to the same file regardless of dict
+ordering in the caller.
 
 The API key is read from the ``PROVIDER_API_KEY`` environment variable; it
 is sent as a bearer header on live traffic and is never written to any file.
@@ -48,9 +50,9 @@ protocol error.
 from __future__ import annotations
 
 import base64
-import json
 import os
 import random
+import re
 import select
 import tempfile
 import time
@@ -67,7 +69,7 @@ from .errors import (
     RetriesExhausted,
     UsageError,
 )
-from .jsonio import canonical_dumps, parse_json
+from .jsonio import dumps, parse_json
 
 API_KEY_ENV_VAR = "PROVIDER_API_KEY"
 TIMEOUT_S = 30.0
@@ -113,7 +115,9 @@ class HttpTransport:
     """POSTs to one URL over one kept-alive ``http.client`` connection.
 
     The request target, proxy and credentials are resolved once, at
-    construction (see the module docstring). A transport serves one
+    construction (see the module docstring); a URL that does not parse, or
+    whose request target holds a space or a control character, is a
+    ``UsageError`` there, before any request. A transport serves one
     caller at a time. Its connection stays open between requests unless the
     server asks to close it or closed it while idle (its socket has become
     readable), or an exchange fails; ``http.client`` then opens a new one
@@ -164,6 +168,11 @@ class HttpTransport:
                 self._target = "http://" + authority + self._target
                 self._headers.update(proxy_headers)
             host, port = proxy_parts.hostname, proxy_port or 80
+        if re.search(r"[\x00-\x20\x7f]", self._target):
+            # http.client would refuse it on every request, each one retried
+            raise UsageError(
+                f"the URL {url!r} holds a space or a control character"
+            )
         connection = http.client.HTTPSConnection if tls else http.client.HTTPConnection
         try:
             self._conn = connection(host, port, timeout=timeout_s)
@@ -239,7 +248,7 @@ class HttpTransport:
 def fixture_key(endpoint: str, payload: dict) -> str:
     import hashlib
 
-    blob = canonical_dumps({"endpoint": endpoint, "payload": payload})
+    blob = dumps({"endpoint": endpoint, "payload": payload})
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -283,7 +292,7 @@ class HttpProvider:
 
     def _write_fixture(self, key: str, response_body: dict) -> None:
         try:
-            text = canonical_dumps({"key": key, "response_body": response_body})
+            text = dumps({"key": key, "response_body": response_body})
         except ValueError as exc:  # a number such as 1e999 reads as infinity
             raise MalformedResponse(f"cannot record the reply: {exc}") from None
         path = self._fixture_path(key)
@@ -307,7 +316,7 @@ class HttpProvider:
         return {"Authorization": f"Bearer {key}"} if key else {}
 
     def _http_post(self, payload: dict) -> dict:
-        body = json.dumps(payload, allow_nan=False).encode("utf-8")
+        body = dumps(payload).encode("utf-8")
         attempts = MAX_RETRIES + 1
         last_error = ""
         for attempt in range(attempts):

@@ -22,11 +22,13 @@ where ``step`` counts the client's observe messages since its last reset
 from 0, and expects ``{"type": "act", "delta_position": [x, y, z], "gripper":
 "OPEN"|"CLOSE"|"HOLD"}`` back, with exactly those fields. ``raster_base64``
 is the base64 of the raster's 4,096 bytes, 64 x 64 pixels in row-major
-order, and is empty when the observation has no raster. Before each
-episode the runner sends ``{"type": "reset"}``; a subprocess sends no reply
-to it, and over HTTP it gets a reply like any message, whose status must
-be 2xx. A stdio reply is one line of at most ``MAX_REPLY_BYTES`` (64 KiB)
-before its newline, and the whole line must arrive within the act timeout.
+order, and is empty when the observation has no raster. The runner writes
+each message as canonical JSON (``jsonio.dumps``: sorted keys, no spaces).
+Before each episode it sends the bytes ``{"type":"reset"}``, over a pipe
+and over HTTP alike; a subprocess sends no reply to it, and over HTTP it
+gets a reply like any message, whose status must be 2xx. A stdio reply is
+one line of at most ``MAX_REPLY_BYTES`` (64 KiB) before its newline, and
+the whole line must arrive within the act timeout.
 An HTTP reply body has the same cap, and the exchange must end within the
 act timeout too, though its status line and headers are bounded only per
 read.
@@ -71,7 +73,6 @@ parallelism level. ``subprocess`` is imported when the first
 from __future__ import annotations
 
 import base64
-import json
 import math
 import os
 import random
@@ -92,7 +93,7 @@ from .campaign import (
 )
 from .catalog import Catalog
 from .errors import MalformedResponse, PolicyProtocolError, PolicyTimeout, UsageError
-from .jsonio import loads, parse_json
+from .jsonio import dumps, loads, parse_json
 from .providers import HttpTransport
 from .scene import EnvSetupOp
 from .sim import (
@@ -310,9 +311,13 @@ def builtin_episode(name: str, trial: Trial, meta: SceneMeta) -> tuple[type, int
 # ---- wire clients ---------------------------------------------------------
 
 
+_RESET = '{"type":"reset"}'  # dumps({"type": "reset"})
+
+
 class _ObserveEncoder:
-    """Writes observe messages as ``json.dumps(payload, sort_keys=True,
-    separators=(",", ":"))`` would, byte for byte.
+    """Writes observe messages as ``dumps(payload)`` would, byte for byte;
+    with no float in the payload, that is also what ``json.dumps(payload,
+    sort_keys=True, separators=(",", ":"))`` writes.
 
     The step number counts the messages encoded since the last ``reset``,
     from 0. Everything before it depends only on the instruction and the
@@ -335,7 +340,7 @@ class _ObserveEncoder:
         if raster is not self._raster or obs.instruction != self._instruction:
             data = base64.b64encode(raster or b"").decode("ascii")
             self._prefix = (
-                '{"instruction":' + json.dumps(obs.instruction)
+                '{"instruction":' + dumps(obs.instruction)
                 + ',"raster_base64":"' + data
                 + '","step":'
             )
@@ -442,7 +447,7 @@ class SubprocessPolicyClient:
 
     def reset(self, goal: TaskGoal) -> None:
         self._encoder.reset()
-        self._send('{"type":"reset"}')
+        self._send(_RESET)
 
     def act(self, obs: Observation) -> Action:
         self._send(self._encoder.encode(obs))
@@ -497,7 +502,7 @@ class HttpPolicyClient:
 
     def reset(self, goal: TaskGoal) -> None:
         self._encoder.reset()
-        self._post(b'{"type": "reset"}', "policy reset timed out")
+        self._post(_RESET.encode("ascii"), "policy reset timed out")
 
     def act(self, obs: Observation) -> Action:
         data = self._post(

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from benchtop import providers
 from benchtop.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -257,8 +258,6 @@ _DESC = "2 objects, one is an apple"
 def test_each_provider_command_closes_its_provider(
     stub_server, monkeypatch, tmp_path, capsys, argv, status, exit_code
 ):
-    from benchtop import providers
-
     replies = [_OBJECTS, _NULL_ENV]
     url, _ = stub_server(
         lambda path, payload, call: (status, _chat_reply(replies[call - 1])),
@@ -325,21 +324,31 @@ _RUN_GOLDEN = ["run", "--manifest", str(GOLDEN / "put_on.manifest.json")]
           "--provider-url", "http://%E2%82%AC:pw@h/"],
          "credentials in a URL must be Latin-1"),
         (["paraphrase", "--instruction", "pick up the apple", "--k", "2",
-          "--threshold", "1.5", "--offline"], "threshold must be in (0, 1], got 1.5"),
+          "--provider-url", "http://127.0.0.1:9/a b"],
+         "the URL 'http://127.0.0.1:9/a b/v1/chat/completions' holds a space"),
+        (["paraphrase", "--instruction", "pick up the apple", "--k", "2",
+          "--threshold", "1.5"], "threshold must be in (0, 1], got 1.5"),
         ([*_RUN_GOLDEN, "--policy", "subprocess: "], "policy command is empty"),
         ([*_RUN_GOLDEN, "--policy", 'subprocess:"x'],
          "bad policy command '\"x': No closing quotation"),
+        ([*_RUN_GOLDEN, "--policy", "http:http://127.0.0.1:9/a b"],
+         "the URL 'http://127.0.0.1:9/a b' holds a space or a control character"),
     ],
     ids=["plan_ftp_provider_url", "plan_ipv6_provider_url",
          "plan_provider_port_out_of_range", "plan_provider_host_with_a_space",
-         "plan_provider_user_not_latin_1", "paraphrase_offline_threshold",
-         "run_empty_policy_command", "run_unclosed_policy_quote"],
+         "plan_provider_user_not_latin_1", "paraphrase_provider_path_with_a_space",
+         "paraphrase_offline_threshold", "run_empty_policy_command",
+         "run_unclosed_policy_quote", "run_policy_path_with_a_space"],
 )
 def test_a_usage_error_writes_nothing(monkeypatch, tmp_path, capsys, argv, message):
     def popen(*args, **kwargs):
         raise AssertionError("a process was started")
 
+    def post(*args, **kwargs):
+        raise AssertionError("a request was sent")
+
     monkeypatch.setattr(subprocess, "Popen", popen)
+    monkeypatch.setattr(providers.HttpTransport, "post", post)
     out = tmp_path / "out.json"
     argv = [*argv, "--out", str(out)]
     assert _expect_error(capsys, argv, "usage", exit_code=2).startswith(message)

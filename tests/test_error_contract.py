@@ -188,7 +188,7 @@ TEXT_TARGETS = {
     ),
     "instruction": (
         "put the apple on the plate",
-        lambda text: ["paraphrase", "--offline", "--instruction", text, "--k", "2"],
+        lambda text: ["paraphrase", "--instruction", text, "--k", "2"],
     ),
 }
 

@@ -74,11 +74,12 @@ def test_only_typed_errors_reach_the_cli():
     assert _handled_names(main) == {"SystemExit", "BenchtopError", "OSError"}
 
 
-_JSON_READERS = {"JSONDecoder", "load", "loads"}
+_JSON_CODECS = {"JSONDecoder", "load", "loads", "JSONEncoder", "dump", "dumps"}
 
 
-def _json_readers(tree) -> set[str]:
-    """The readers of the ``json`` module that ``tree`` names."""
+def _json_uses(tree) -> set[str]:
+    """The readers and writers of the ``json`` module that ``tree`` names,
+    and every name it imports from a ``json.`` submodule."""
     found = set()
     for node in ast.walk(tree):
         if (
@@ -86,18 +87,19 @@ def _json_readers(tree) -> set[str]:
             and isinstance(node.value, ast.Name)
             and node.value.id == "json"
         ):
-            found.add(node.attr)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 and (
-            node.module == "json" or node.module.startswith("json.")
-        ):
-            found.update(alias.name for alias in node.names)
-    return found & _JSON_READERS
+            found.update({node.attr} & _JSON_CODECS)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module == "json":
+                found.update({a.name for a in node.names} & _JSON_CODECS)
+            elif node.module.startswith("json."):
+                found.update(f"{node.module}.{a.name}" for a in node.names)
+    return found
 
 
-def test_only_jsonio_reads_json():
-    readers = {
-        path.name: _json_readers(ast.parse(path.read_text(encoding="utf-8")))
+def test_only_jsonio_uses_json():
+    uses = {
+        path.name: _json_uses(ast.parse(path.read_text(encoding="utf-8")))
         for path in SOURCE.rglob("*.py")
         if path.name != "jsonio.py"
     }
-    assert {name: found for name, found in readers.items() if found} == {}
+    assert {name: found for name, found in uses.items() if found} == {}

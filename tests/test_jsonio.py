@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from benchtop.campaign import EnvVariant, InstructionKind, SourceMix
 from benchtop.errors import SchemaViolation
 from benchtop.jsonio import (
-    canonical_dumps,
     decode,
     dumps,
     loads,
@@ -32,29 +31,31 @@ from benchtop.scene import (
 
 
 def test_keys_sorted_and_compact():
-    assert canonical_dumps({"b": 1, "a": 2}) == '{"a":2,"b":1}'
+    assert dumps({"b": 1, "a": 2}) == '{"a":2,"b":1}'
 
 
 def test_floats_fixed_six_decimals():
-    assert canonical_dumps(0.5) == "0.500000"
-    assert canonical_dumps([1.0, -0.25]) == "[1.000000,-0.250000]"
+    assert dumps(0.5) == "0.500000"
+    assert dumps([1.0, -0.25]) == "[1.000000,-0.250000]"
 
 
 def test_bool_is_not_an_int():
-    assert canonical_dumps(True) == "true"
-    assert canonical_dumps({"flag": False, "n": 0}) == '{"flag":false,"n":0}'
+    assert dumps(True) == "true"
+    assert dumps({"flag": False, "n": 0}) == '{"flag":false,"n":0}'
 
 
 def test_none_and_strings():
-    assert canonical_dumps(None) == "null"
-    assert canonical_dumps("a\"b") == '"a\\"b"'
+    assert dumps(None) == "null"
+    assert dumps("a\"b") == '"a\\"b"'
 
 
 def test_non_finite_rejected():
     with pytest.raises(ValueError):
-        canonical_dumps(float("nan"))
+        dumps(float("nan"))
     with pytest.raises(ValueError):
-        canonical_dumps([math.inf])
+        dumps([math.inf])
+    with pytest.raises(ValueError):
+        dumps(math.inf)
 
 
 def test_parse_json_takes_text_or_its_utf8_bytes():
@@ -77,8 +78,9 @@ def test_parse_json_reads_strict_json_only(data):
 
 
 def test_unsupported_type_rejected():
-    with pytest.raises(ValueError):
-        canonical_dumps({"x": object()})
+    for value in [{"x": object()}, {1: "a"}, b"bytes", [1 + 2j]]:
+        with pytest.raises(TypeError):
+            dumps(value)
 
 
 def test_quantize_six_decimals():
@@ -91,7 +93,16 @@ def test_quantize_negative_zero_normalized():
     q = quantize(-1e-9)
     assert q == 0.0
     assert math.copysign(1.0, q) == 1.0
-    assert canonical_dumps(q) == "0.000000"
+    assert dumps(q) == "0.000000"
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [(-0.0, "0.000000"), ([-1e-9], "[0.000000]"), ({"a": -4e-7}, '{"a":0.000000}')],
+    ids=["negative_zero", "tiny_negative", "in_an_object"],
+)
+def test_plain_floats_are_quantized(value, text):
+    assert dumps(value) == text
 
 
 _scalars = st.one_of(
@@ -114,8 +125,8 @@ _values = st.recursive(
 @given(_values)
 def test_canonical_form_is_a_fixed_point(value):
     """Parsing canonical output and re-emitting it changes nothing."""
-    first = canonical_dumps(value)
-    assert canonical_dumps(json.loads(first)) == first
+    first = dumps(value)
+    assert dumps(json.loads(first)) == first
 
 
 @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
@@ -153,7 +164,7 @@ _float_free = st.recursive(
 @given(_float_free)
 def test_canonical_dumps_writes_what_json_dumps_writes(value):
     expected = json.dumps(value, sort_keys=True, separators=(",", ":"))
-    assert canonical_dumps(value) == expected
+    assert dumps(value) == expected
 
 
 @pytest.mark.parametrize(
@@ -163,7 +174,7 @@ def test_canonical_dumps_writes_what_json_dumps_writes(value):
 )
 def test_canonical_dumps_on_edge_values(value):
     expected = json.dumps(value, sort_keys=True, separators=(",", ":"))
-    assert canonical_dumps(value) == expected
+    assert dumps(value) == expected
 
 
 # ---- the dataclass codec ----------------------------------------------------
@@ -306,7 +317,7 @@ def test_unsupported_hint_is_a_type_error():
 
 def _reference(value):
     """The plain JSON value of a codec value, built field by field with
-    ``dataclasses``; ``canonical_dumps`` of it is the canonical text."""
+    ``dataclasses``; ``dumps`` of it is the canonical text."""
     if dataclasses.is_dataclass(value):
         return {
             f.name: _reference(getattr(value, f.name))
@@ -377,7 +388,7 @@ _results = st.builds(
 @given(st.one_of(_scenes, _instruction_sets, _results))
 def test_dumps_writes_the_canonical_text_of_the_reference(value):
     text = dumps(value)
-    assert text == canonical_dumps(_reference(value))
+    assert text == dumps(_reference(value))
     # the written floats are quantized, so a value read back is quantized too
     quantized = decode(type(value), _reference(value))
     assert loads(type(value), text) == quantized

@@ -12,6 +12,7 @@ from benchtop.errors import (
     MissingFixture,
     RetriesExhausted,
 )
+from benchtop.jsonio import dumps
 from benchtop.providers import (
     ChatRequest,
     HttpProvider,
@@ -304,8 +305,9 @@ def test_request_bodies_are_the_json_of_the_payload(stub_server, make_provider):
         ],
         "temperature": 0.7,
     }
-    body = json.dumps(chat_payload, allow_nan=False).encode("utf-8")
+    body = dumps(chat_payload).encode("utf-8")
     assert state["bodies"] == [body]
+    assert json.loads(body) == chat_payload
     assert state["last_headers"]["Content-Type"] == "application/json"
 
 

@@ -334,7 +334,7 @@ def test_http_policy_messages_and_kept_alive_connection(catalog, short, stub_ser
             assert client.act(obs).gripper is GripperCommand.HOLD
     finally:
         client.close()
-    assert state["bodies"] == [b'{"type": "reset"}'] + [
+    assert state["bodies"] == [b'{"type":"reset"}'] + [
         reference(obs, step).encode("utf-8") for step, obs in enumerate(observations)
     ]
     assert state["connections"] == 1
