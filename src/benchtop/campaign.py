@@ -44,7 +44,9 @@ from .paraphrase import (
     DEFAULT_SIMILARITY_THRESHOLD,
     InstructionSet,
     builtin_paraphrases,
+    fill_slots,
     generate_paraphrases,
+    keeps_slots,
     validate_candidates,
 )
 from .scene import (
@@ -434,9 +436,10 @@ def _scene_meta(
         env_variant=spec.env_variant,
         target_a_index=a,
         target_b_index=b,
-        basic_instruction=INSTRUCTION_TEMPLATES[spec.task].format(
-            a=models[a].display_name,
-            b=None if b is None else models[b].display_name,
+        basic_instruction=fill_slots(
+            INSTRUCTION_TEMPLATES[spec.task],
+            models[a].display_name,
+            None if b is None else models[b].display_name,
         ),
     )
 
@@ -485,9 +488,15 @@ def plan_campaign(
     """Plan every scene and trial of a campaign.
 
     With no chat provider the offline compilation path is used throughout:
-    seeded scene synthesis plus template paraphrases. A failure while
-    planning an individual scene surfaces as PartialPlanFailure, whose
-    message names the scene; nothing is silently dropped.
+    seeded scene synthesis plus template paraphrases. With one, the
+    provider is asked for each scene's objects (never its environment,
+    which is the campaign's factor) and, once before the first scene, for
+    rewrites of the task's slot form that ``keeps_slots`` keeps. Each scene
+    fills those templates with its target names, so paraphrase j is the
+    same wording in every scene (see ``paraphrase``). A failure while
+    planning an individual scene, or the templates, surfaces as
+    PartialPlanFailure, whose message names it; nothing is silently
+    dropped.
     """
     spec.validate()
     pool = catalog
@@ -498,6 +507,20 @@ def plan_campaign(
     metas: list[SceneMeta] = []
     instruction_sets: list[InstructionSet] = []
     variant = spec.env_variant
+    paraphrased = spec.factors.use_paraphrases and spec.k_instructions > 1
+    want = spec.k_instructions - 1
+    templates = None
+    if paraphrased and chat_provider is not None:
+        slot_form = INSTRUCTION_TEMPLATES[spec.task]
+        try:
+            templates = generate_paraphrases(
+                slot_form, want, chat_provider,
+                keep=lambda template: keeps_slots(template, slot_form),
+            )
+        except BenchtopError as exc:
+            raise PartialPlanFailure(
+                f"planning failed at the paraphrase templates: {exc}"
+            ) from exc
 
     for i in range(spec.n_scenes):
         try:
@@ -526,12 +549,15 @@ def plan_campaign(
             metas.append(meta)
             scenes.append(scene)
 
-            if spec.factors.use_paraphrases and spec.k_instructions > 1:
-                basic, want = meta.basic_instruction, spec.k_instructions - 1
-                if chat_provider is None:
+            if paraphrased:
+                basic = meta.basic_instruction
+                if templates is None:
                     candidates = builtin_paraphrases(basic, want)
                 else:
-                    candidates = generate_paraphrases(basic, want, chat_provider)
+                    b_name = None if b_model is None else b_model.display_name
+                    candidates = [
+                        fill_slots(t, a_model.display_name, b_name) for t in templates
+                    ]
                 instruction_sets.append(
                     validate_candidates(basic, candidates, want, spec.threshold)
                 )

@@ -3,7 +3,10 @@
 Subcommands mirror the pipeline stages: ``gen-scene`` compiles one
 description, ``paraphrase`` expands one instruction, ``plan`` writes a
 campaign manifest, ``run`` executes a manifest against a policy endpoint,
-and ``report`` aggregates execution results.
+and ``report`` aggregates execution results. With a provider, ``gen-scene``
+asks it for the objects and then, when the description names neither
+lighting nor camera, for the environment; ``plan`` asks it only for each
+scene's objects and for one set of paraphrase templates.
 
 Errors are machine-readable: a single JSON line on stderr with a ``code``
 and ``message``. Exit codes are 0 on success, 2 for a command-line error (a
@@ -18,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 
 from . import __version__
@@ -29,7 +33,12 @@ from .campaign import (
 )
 from .catalog import Source, load_catalog, load_default_catalog
 from .errors import BenchtopError
-from .generation import fallback_generate, generate_scene
+from .generation import (
+    ask_environment,
+    fallback_generate,
+    generate_scene,
+    parse_description,
+)
 from .jsonio import dumps
 from .paraphrase import (
     DEFAULT_SIMILARITY_THRESHOLD,
@@ -121,11 +130,15 @@ def _write_out(text: str, out: str | None) -> None:
 
 def _cmd_gen_scene(args) -> int:
     catalog = _load_catalog(args)
+    description = parse_description(args.desc)
     with _provider_from_args(args) as provider:
         if provider is None:
-            config = fallback_generate(args.desc, catalog, args.seed)
+            config = fallback_generate(description, catalog, args.seed)
         else:
-            config = generate_scene(args.desc, provider, catalog, args.seed)
+            config = generate_scene(description, provider, catalog, args.seed)
+            if description.lighting is None and description.camera is None:
+                env = ask_environment(description, provider)
+                config = replace(config, env=env)
     _write_out(dumps(config) + "\n", args.out)
     return 0
 

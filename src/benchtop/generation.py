@@ -2,10 +2,14 @@
 
 Two compilation paths produce the same artifact:
 
-- ``generate_scene`` asks a chat provider for the object list (and
-  optionally the environment) and parses the JSON out of the reply, asking
-  at most three times with the last rejection appended, then keeps each
-  given pose that fits and samples the others.
+- ``generate_scene`` asks a chat provider for the object list and parses
+  the JSON out of the reply, asking at most three times with the last
+  rejection appended, then keeps each given pose that fits and samples the
+  others. The environment comes from the description alone.
+  ``ask_environment`` asks the provider for it in the same way; only
+  ``gen-scene`` calls it, and only when the description names neither
+  lighting nor camera. A campaign never does, because its lighting and
+  camera are factors.
 - ``fallback_generate`` is fully offline: a small grammar pulls the object
   count, named objects, lighting, and camera out of the description, named
   objects are resolved against the catalog, and the rest of the scene is
@@ -362,13 +366,12 @@ def generate_scene(
 
     A mention the catalog cannot resolve raises ``UnresolvableMention``
     before any chat call, as in ``fallback_generate``. The provider is asked
-    for the objects and then, unless the description sets the lighting or
-    the camera, for the environment. Each ask makes at most 3 chat calls,
-    and each retry appends the previous reply's rejection to the prompt.
-    Objects that never parse raise ValidationFailed; an environment that
-    never parses, or is out of range three times, leaves the default one.
-    Poses are placed in op order: an LLM pose that fits beside the objects
-    before it is kept, and any other is sampled in its place.
+    only for the objects, in at most 3 chat calls, each retry appending the
+    previous reply's rejection to the prompt; objects that never parse
+    raise ValidationFailed. The environment is the description's, as in
+    ``fallback_generate``. Poses are placed in op order: an LLM pose that
+    fits beside the objects before it is kept, and any other is sampled in
+    its place.
     """
     if isinstance(description, str):
         description = parse_description(description)
@@ -391,17 +394,24 @@ def generate_scene(
             f"provider scene omits described objects: {sorted(missing)}"
         )
 
-    env = _env_from_description(description)
-    if description.lighting is None and description.camera is None:
-        with contextlib.suppress(*_ENV_ERRORS):
-            env = _ask(
-                provider, build_env_prompt(description), parse_llm_env, _ENV_ERRORS
-            )
-
     return SceneConfig(
         scene_id=scene_id or f"scene-{seed & 0xFFFFFFFF:08x}",
         adds=tuple(_fill_poses(ops, catalog, rng)),
-        env=env,
+        env=_env_from_description(description),
         seed=seed,
         provenance=Provenance.LLM,
     )
+
+
+def ask_environment(description: SceneDescription, provider) -> EnvSetupOp:
+    """The environment a chat provider reads in ``description``.
+
+    At most 3 chat calls, each retry appending the previous reply's
+    rejection to the prompt. A reply that never parses, or is out of range
+    three times, gives the default environment. ``gen-scene`` calls this
+    after ``generate_scene`` when the description names neither lighting
+    nor camera; ``plan_campaign`` never does.
+    """
+    with contextlib.suppress(*_ENV_ERRORS):
+        return _ask(provider, build_env_prompt(description), parse_llm_env, _ENV_ERRORS)
+    return EnvSetupOp()

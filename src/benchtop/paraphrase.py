@@ -15,6 +15,23 @@ integers, far below 2**53 so each converts to float64 without loss. The two
 square roots, their product and the final division are the only rounded
 operations, always in that order, so a similarity depends only on the two
 token bags and never on token order or summation order.
+
+A bag of words cannot tell "put the bowl inside the apple" or "do not put
+the apple inside the bowl" from the instruction, so a campaign planned
+through a provider asks it for slot templates instead of texts: rewrites
+of the task's slot form, such as ``put the {a} inside the {b}``.
+``keeps_slots`` drops a template unless each slot the form uses appears
+exactly once, in the form's order, beside no other brace, and the template
+adds no negation token. ``fill_slots`` then puts a scene's object names in
+with ``str.replace`` (never ``str.format`` on provider text), and the
+filled texts are scored as any candidate is. The templates are asked once
+per campaign, so paraphrase j is the same wording in every scene. That
+loses per-scene variety, but it gives a cleaner paraphrase factor, and it
+keeps record and replay consistent: identical payloads share one fixture
+key, so a per-scene ask of the same prompt could not replay as it ran.
+One blind spot remains: a changed relation keeps both slots in order, so
+"put the apple next to the bowl" still scores 0.825 against "put the
+apple inside the bowl" and passes the default threshold.
 """
 
 from __future__ import annotations
@@ -22,7 +39,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .catalog import tokenize
@@ -52,6 +69,10 @@ PARAPHRASE_TEMPLATES: tuple[str, ...] = (
     "simply {}",
     "{} gently",
 )
+
+
+# tokens as ``tokenize`` splits them: "don't" is "don", "t"
+_NEGATION_TOKENS = frozenset({"not", "no", "never", "don", "without"})
 
 
 def fnv1a_64(data: bytes) -> int:
@@ -117,11 +138,47 @@ def _is_string_array(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
-def generate_paraphrases(original: str, k: int, provider) -> list[str]:
+def keeps_slots(template: str, slot_form: str) -> bool:
+    """Whether ``template`` is a rewrite of ``slot_form`` that keeps its task.
+
+    Each of ``{a}`` and ``{b}`` that the slot form uses appears exactly
+    once, ``{a}`` before ``{b}``, with no other brace; and the template
+    holds no negation token that the slot form lacks. The order rule also
+    drops some true rewrites ("into the {b}, put the {a}"), which costs a
+    shortfall, where keeping a swap would cost a false trial.
+    """
+    slots = [slot for slot in ("{a}", "{b}") if slot in slot_form]
+    if any(template.count(slot) != 1 for slot in slots):
+        return False
+    rest = template
+    for slot in slots:
+        rest = rest.replace(slot, "")
+    if "{" in rest or "}" in rest:
+        return False
+    positions = [template.index(slot) for slot in slots]
+    if positions != sorted(positions):
+        return False
+    added = set(tokenize(template)) - set(tokenize(slot_form))
+    return _NEGATION_TOKENS.isdisjoint(added)
+
+
+def fill_slots(template: str, a: str, b: str | None = None) -> str:
+    """``template`` with ``{a}`` and ``{b}`` replaced by the names ``a`` and
+    ``b``; a name put in is never searched for a slot."""
+    parts = template.split("{a}")
+    if b is not None:
+        parts = [part.replace("{b}", b) for part in parts]
+    return a.join(parts)
+
+
+def generate_paraphrases(
+    original: str, k: int, provider, keep: Callable[[str], bool] | None = None
+) -> list[str]:
     """Ask a chat provider for k distinct paraphrases.
 
     Re-prompts up to 3 times if the reply is unparseable or comes back
-    short after dedup; returns what was collected either way.
+    short after dedup; returns what was collected either way. A rewrite
+    that ``keep`` rejects is dropped as a duplicate is.
     """
     if k == 0:
         return []
@@ -150,7 +207,10 @@ def generate_paraphrases(original: str, k: int, provider) -> list[str]:
             if not norm or norm in seen:
                 continue
             seen.add(norm)
-            collected.append(" ".join(item.split()))
+            cleaned = " ".join(item.split())
+            if keep is not None and not keep(cleaned):
+                continue
+            collected.append(cleaned)
             if len(collected) >= k:
                 return collected
         prompt = (

@@ -20,7 +20,9 @@ The API key is read from the ``PROVIDER_API_KEY`` environment variable; it
 is sent as a bearer header on live traffic and is never written to any file.
 An exchange that does not end within 30 s, a connection error, a 429 or a
 5xx is retried 3 times. A reply body longer than ``MAX_BODY_BYTES`` (1 MiB)
-fails as ``MalformedResponse`` at once, without a retry.
+fails as ``MalformedResponse`` at once, without a retry, and so does a
+reply that no fixture could hold (a number beyond the float range), in live
+mode as in record mode.
 
 ``HttpTransport`` POSTs to one URL over ``http.client`` and keeps its
 connection open for the next request. It serves one caller at a time:
@@ -291,10 +293,7 @@ class HttpProvider:
         return body
 
     def _write_fixture(self, key: str, response_body: dict) -> None:
-        try:
-            text = dumps({"key": key, "response_body": response_body})
-        except ValueError as exc:  # a number such as 1e999 reads as infinity
-            raise MalformedResponse(f"cannot record the reply: {exc}") from None
+        text = dumps({"key": key, "response_body": response_body})
         path = self._fixture_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -337,9 +336,16 @@ class HttpProvider:
             if status >= 300:  # redirects are not followed
                 raise HttpStatusError(status, f"HTTP {status} from {self._url}")
             try:
-                return parse_json(data)
+                reply = parse_json(data)
             except ValueError as exc:
                 raise MalformedResponse(f"non-JSON response from {self._url}") from exc
+            try:
+                # a number such as 1e999 reads as infinity, which no fixture
+                # can hold, so live mode refuses what record mode could not write
+                dumps(reply)
+            except ValueError as exc:
+                raise MalformedResponse(f"cannot record the reply: {exc}") from None
+            return reply
         raise RetriesExhausted(
             f"gave up on {self._url} after {attempts} attempts: {last_error}"
         )

@@ -1,11 +1,13 @@
-"""Campaign planning: environment mutations, trial seeds, factor labels and
-manifest consistency checks."""
+"""Campaign planning: environment mutations, trial seeds, factor labels,
+manifest consistency checks, and what a provider plan asks."""
 
+import json
 import math
 import random
 from dataclasses import replace
 
 import pytest
+from conftest import ScriptedChatProvider
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
@@ -24,9 +26,11 @@ from benchtop.campaign import (
     mutate_camera,
     mutate_lighting,
     plan_campaign,
+    synthesize_description,
 )
 from benchtop.catalog import Source
 from benchtop.errors import PartialPlanFailure, SchemaViolation
+from benchtop.generation import build_env_prompt, parse_description
 from benchtop.jsonio import loads, quantize
 from benchtop.scene import (
     LIGHTING_MAX,
@@ -37,7 +41,7 @@ from benchtop.scene import (
     ObjectAddOp,
     Pose,
 )
-from benchtop.seeds import splitmix64
+from benchtop.seeds import scene_seed, splitmix64
 from benchtop.sim import Task
 
 seeds = st.integers(0, 2**64 - 1)
@@ -352,3 +356,95 @@ def test_every_plan_passes_validate_before_and_after_a_round_trip(
         reject()
     manifest.validate(catalog)
     loads(CampaignManifest, manifest.dumps()).validate(catalog)
+
+
+# ---- provider plans -------------------------------------------------------
+
+TEMPLATES = [
+    "please put the {a} on the {b}",
+    "put the {a} on the {b} now",
+    "kindly put the {a} on the {b}",
+    "put the {a} on the {b} carefully",
+]
+DIM_ENV = '{"lighting": {"intensity": 0.3}, "camera": null}'
+
+
+def _provider_spec(n: int, k: int) -> CampaignSpec:
+    """A put_on spec whose scenes hold only their two targets."""
+    return CampaignSpec(
+        task=Task.PUT_ON, n_scenes=n, k_instructions=k,
+        factors=Factors(object_count_range=(2, 2)),
+    )
+
+
+def _object_replies(spec: CampaignSpec, catalog) -> list[str]:
+    """Each scene's object reply, naming the targets its description names."""
+    replies = []
+    for i in range(spec.n_scenes):
+        rng = random.Random(scene_seed(spec.master_seed, i))
+        _, a, b = synthesize_description(spec.task, spec.factors, catalog, rng)
+        replies.append(json.dumps([{"model_id": m.id, "pose": None} for m in (a, b)]))
+    return replies
+
+
+def _names(manifest, i, catalog) -> tuple[str, str]:
+    scene, meta = manifest.scenes[i], manifest.scene_meta[i]
+    return tuple(
+        catalog.get(scene.adds[j].model_id).display_name
+        for j in (meta.target_a_index, meta.target_b_index)
+    )
+
+
+def test_a_provider_plan_makes_one_template_call_and_one_call_per_scene(catalog):
+    spec = _provider_spec(n=4, k=5)
+    provider = ScriptedChatProvider(
+        replies=[json.dumps(TEMPLATES), *_object_replies(spec, catalog), DIM_ENV]
+    )
+    manifest = plan_campaign(spec, catalog, chat_provider=provider)
+    assert len(provider.calls) == spec.n_scenes + 1
+    # the dim light is never asked for, so every scene keeps the default
+    assert provider.replies == [DIM_ENV]
+    env_system = build_env_prompt(parse_description("1 object")).system
+    assert all(call.system != env_system for call in provider.calls)
+    assert all(scene.env == EnvSetupOp() for scene in manifest.scenes)
+    # the templates are asked for first, then filled in each scene
+    assert "Instruction: put the {a} on the {b}" in provider.calls[0].user
+    for i, iset in enumerate(manifest.instruction_sets):
+        a, b = _names(manifest, i, catalog)
+        assert iset.original == f"put the {a} on the {b}"
+        texts = [t.replace("{a}", a).replace("{b}", b) for t in TEMPLATES]
+        assert iset.valid_texts == tuple(texts)
+    assert manifest.shortfalls == ()
+    manifest.validate(catalog)
+
+
+@pytest.mark.parametrize(
+    "template",
+    [
+        "put the {a} on it",
+        "put the {a} on the {b} beside the {a}",
+        "put the {b} on the {a}",
+        "put the {a} on the {b} {a.__class__}",
+        "do not put the {a} on the {b}",
+    ],
+    ids=["dropped_slot", "repeated_slot", "swapped_slots", "extra_brace", "not"],
+)
+def test_a_template_that_breaks_a_slot_rule_is_a_shortfall(catalog, template):
+    spec = _provider_spec(n=1, k=2)
+    # the first ask and both of its re-prompts get the same broken template
+    provider = ScriptedChatProvider(
+        replies=[json.dumps([template])] * 3 + _object_replies(spec, catalog)
+    )
+    manifest = plan_campaign(spec, catalog, chat_provider=provider)
+    assert manifest.instruction_sets[0].candidates == ()
+    assert manifest.shortfalls == (Shortfall(scene_index=0, missing=1),)
+    assert [t.instruction_kind for t in manifest.trials] == [InstructionKind.BASIC]
+    manifest.validate(catalog)
+
+
+def test_a_failed_template_request_is_a_partial_plan_failure(catalog):
+    provider = ScriptedChatProvider(replies=[])
+    with pytest.raises(PartialPlanFailure) as info:
+        plan_campaign(_provider_spec(n=2, k=3), catalog, chat_provider=provider)
+    assert str(info.value).startswith("planning failed at the paraphrase templates:")
+    assert len(provider.calls) == 1

@@ -1,15 +1,18 @@
 """Malformed artifacts end in one JSON error line, never a traceback."""
 
 import json
+import re
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from benchtop import providers
+from benchtop.campaign import EPOCH_TIMESTAMP, load_manifest
 from benchtop.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -374,9 +377,10 @@ _REPLY = b'{"choices":[{"message":{"content":"[]"}}],"usage":{"cost":%s}}'
     [
         ("live", b"NaN", "non-JSON response"),
         ("record", b"NaN", "non-JSON response"),
+        ("live", b"1e999", "cannot record the reply"),
         ("record", b"1e999", "cannot record the reply"),
     ],
-    ids=["nan_live", "nan_record", "infinite_record"],
+    ids=["nan_live", "nan_record", "infinite_live", "infinite_record"],
 )
 def test_a_reply_that_cannot_be_read_or_recorded_is_a_malformed_response(
     stub_server, tmp_path, capsys, mode, cost, message
@@ -391,6 +395,60 @@ def test_a_reply_that_cannot_be_read_or_recorded_is_a_malformed_response(
     assert message in _expect_error(capsys, argv, "malformed_response")
     assert state["count"] == 1
     assert not fixtures.exists() and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "desc, requests, intensity",
+    [(_DESC, 2, 0.3), (_DESC + ", with lighting 0.5", 1, 0.5)],
+    ids=["asked", "described"],
+)
+def test_gen_scene_asks_for_an_environment_the_description_leaves_open(
+    stub_server, tmp_path, desc, requests, intensity
+):
+    replies = [_OBJECTS, '{"lighting": {"intensity": 0.3}, "camera": null}']
+    url, state = stub_server(
+        lambda path, payload, call: (200, _chat_reply(replies[call - 1]))
+    )
+    out = tmp_path / "scene.json"
+    assert main(["gen-scene", "--desc", desc, "--provider-url", url,
+                 "--out", str(out)]) == 0
+    assert state["count"] == requests
+    systems = [json.loads(body)["messages"][0]["content"] for body in state["bodies"]]
+    asked = [s.startswith("You configure tabletop scene environments") for s in systems]
+    assert asked == [False, True][:requests]
+    assert json.loads(out.read_text())["env"]["lighting"] == {"intensity": intensity}
+
+
+def _plan_reply(path, payload, call):
+    """Objects naming exactly the described ones, or four template rewrites."""
+    user = payload["messages"][-1]["content"]
+    if payload["messages"][0]["content"].startswith("You rewrite"):
+        form = user.rpartition("Instruction: ")[2]
+        rewrites = [f"please {form}", f"{form} now", f"kindly {form}", f"{form} gently"]
+        return 200, _chat_reply(json.dumps(rewrites))
+    description = user.split("Scene description: ")[1].split("\n")[0]
+    named = re.findall(r"one is ([^,]+)", description)
+    return 200, _chat_reply(json.dumps([{"model_id": m, "pose": None} for m in named]))
+
+
+def test_a_recorded_provider_plan_replays_without_a_request(stub_server, tmp_path):
+    url, state = stub_server(_plan_reply, protocol="HTTP/1.1")
+    n = 3
+    fixtures = tmp_path / "fixtures"
+    recorded, replayed = tmp_path / "recorded.json", tmp_path / "replayed.json"
+    argv = ["plan", "--task", "put_on", "--n", str(n), "--k", "5",
+            "--object-count-range", "2", "2", "--provider-url", url,
+            "--fixtures-dir", str(fixtures)]
+    assert main([*argv, "--provider-mode", "record", "--out", str(recorded)]) == 0
+    assert state["count"] == n + 1
+    assert len(list(fixtures.iterdir())) == n + 1
+    assert main([*argv, "--provider-mode", "replay", "--out", str(replayed)]) == 0
+    assert state["count"] == n + 1
+    # record stamps the time it planned at, and replay pins the epoch
+    manifest = load_manifest(recorded)
+    assert len(manifest.trials) == n * 5
+    expected = replace(manifest, created_at=EPOCH_TIMESTAMP).dumps() + "\n"
+    assert replayed.read_text(encoding="utf-8") == expected
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from benchtop import errors
 from benchtop.cli import main
 from benchtop.errors import BenchtopError
-from benchtop.generation import generate_scene
+from benchtop.generation import ask_environment, generate_scene, parse_description
 from benchtop.paraphrase import generate_paraphrases, validate_candidates
 from benchtop.runner import _decode_act
 
@@ -221,14 +221,14 @@ def _reply(data, doc) -> str:
 @settings(FUZZ, max_examples=60)
 @given(data=st.data())
 def test_a_mutated_scene_reply_gives_a_scene_or_a_typed_error(catalog, asked, data):
-    objects, env = json.dumps(OBJECTS_REPLY), json.dumps(ENV_REPLY)
-    if asked == "objects":
-        replies = [_reply(data, OBJECTS_REPLY)] + [env] * 3
-    else:
-        replies = [objects] + [_reply(data, ENV_REPLY)] * 3
-    provider = ScriptedChatProvider(replies=replies)
+    description = parse_description("2 objects, one is an apple")
     with contextlib.suppress(BenchtopError):
-        generate_scene("2 objects, one is an apple", provider, catalog, 0)
+        if asked == "objects":
+            provider = ScriptedChatProvider(replies=[_reply(data, OBJECTS_REPLY)] * 3)
+            generate_scene(description, provider, catalog, 0)
+        else:
+            provider = ScriptedChatProvider(replies=[_reply(data, ENV_REPLY)] * 3)
+            ask_environment(description, provider)
 
 
 @settings(FUZZ, max_examples=60)

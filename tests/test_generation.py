@@ -20,6 +20,7 @@ from benchtop.errors import (
     ValidationFailed,
 )
 from benchtop.generation import (
+    ask_environment,
     build_env_prompt,
     build_object_prompt,
     fallback_generate,
@@ -167,15 +168,28 @@ def _ops_reply(*model_ids):
 
 
 NULL_ENV = '{"lighting": null, "camera": null}'
+DIM_ENV = '{"lighting": {"intensity": 0.3}, "camera": null}'
 
 
 def test_generate_scene_happy_path(catalog):
-    provider = ScriptedChatProvider(replies=[_ops_reply("apple", "sponge"), NULL_ENV])
+    provider = ScriptedChatProvider(replies=[_ops_reply("apple", "sponge"), DIM_ENV])
     cfg = generate_scene("2 objects, one is an apple", provider, catalog, seed=11)
     assert cfg.provenance is Provenance.LLM
     assert validate_config(cfg, catalog) == []
     assert {op.model_id for op in cfg.adds} == {"apple", "sponge"}
-    assert len(provider.calls) == 2
+    # only the objects are asked; the environment is the description's
+    assert len(provider.calls) == 1
+    assert cfg.env == EnvSetupOp()
+    assert provider.replies == [DIM_ENV]
+
+
+def test_ask_environment_applies_the_reply():
+    description = parse_description("2 objects, one is an apple")
+    provider = ScriptedChatProvider(replies=[DIM_ENV])
+    env = ask_environment(description, provider)
+    assert env == EnvSetupOp(lighting=parse_llm_env(DIM_ENV).lighting)
+    assert env.lighting.intensity == 0.3
+    assert provider.calls == [build_env_prompt(description)]
 
 
 def _rejection(parse, reply) -> str:
@@ -189,41 +203,39 @@ def _rejection(parse, reply) -> str:
 def test_generate_scene_reprompts_on_garbage(catalog):
     unknown = _ops_reply("antigravity unit")
     provider = ScriptedChatProvider(
-        replies=["no json here", unknown, _ops_reply("apple"), NULL_ENV]
+        replies=["no json here", unknown, _ops_reply("apple")]
     )
     cfg = generate_scene("1 object, one is an apple", provider, catalog, seed=2)
     assert validate_config(cfg, catalog) == []
     # each retry appends the last failure to the first prompt
-    first, second, third, env = provider.calls
+    first, second, third = provider.calls
     parse = lambda reply: parse_llm_ops(reply, catalog, 1)
     assert second.user == first.user + _rejection(parse, "no json here")
     assert third.user == first.user + _rejection(parse, unknown)
-    assert first.system == second.system == third.system != env.system
+    assert first.system == second.system == third.system
     assert first.few_shot == second.few_shot == third.few_shot
 
 
 def test_generate_scene_gives_up_after_three(catalog):
-    provider = ScriptedChatProvider(replies=["bad", "worse", "nope", NULL_ENV])
+    provider = ScriptedChatProvider(replies=["bad", "worse", "nope"])
     with pytest.raises(ValidationFailed, match="^provider never produced usable ops"):
         generate_scene("1 object, one is an apple", provider, catalog, seed=2)
-    # no environment call follows
     assert len(provider.calls) == 3
     assert len({call.system for call in provider.calls}) == 1
-    assert provider.replies == [NULL_ENV]
 
 
-def test_three_garbage_env_replies_keep_the_default_env(catalog):
+def test_three_garbage_env_replies_keep_the_default_env():
     bad_shape = '{"lighting": {"brightness": 1}, "camera": null}'
     provider = ScriptedChatProvider(
-        replies=[_ops_reply("apple"), "no env", bad_shape, "still none", NULL_ENV]
+        replies=["no env", bad_shape, "still none", NULL_ENV]
     )
-    cfg = generate_scene("1 object, one is an apple", provider, catalog, seed=2)
-    assert cfg.env == EnvSetupOp()
-    assert validate_config(cfg, catalog) == []
-    objects, first, second, third = provider.calls
+    description = parse_description("1 object, one is an apple")
+    assert ask_environment(description, provider) == EnvSetupOp()
+    first, second, third = provider.calls
+    assert first == build_env_prompt(description)
     assert second.user == first.user + _rejection(parse_llm_env, "no env")
     assert third.user == first.user + _rejection(parse_llm_env, bad_shape)
-    assert first.system == second.system == third.system != objects.system
+    assert first.system == second.system == third.system
     assert provider.replies == [NULL_ENV]
 
 
@@ -236,11 +248,11 @@ def test_a_pose_number_beyond_the_float_range_is_asked_again(catalog):
         f'"yaw_rad": {HUGE}}}}}]'
     )
     provider = ScriptedChatProvider(
-        replies=[huge_yaw, _ops_reply("apple"), NULL_ENV]
+        replies=[huge_yaw, _ops_reply("apple")]
     )
     cfg = generate_scene("1 object, one is an apple", provider, catalog, seed=2)
     assert validate_config(cfg, catalog) == []
-    first, second, _ = provider.calls
+    first, second = provider.calls
     parse = lambda reply: parse_llm_ops(reply, catalog, 1)
     rejection = _rejection(parse, huge_yaw)
     assert "$[0].pose.yaw_rad: expected finite number" in rejection
@@ -250,30 +262,30 @@ def test_a_pose_number_beyond_the_float_range_is_asked_again(catalog):
 @pytest.mark.parametrize("model_id", ["", "   "], ids=["empty", "blank"])
 def test_a_blank_model_id_is_asked_again(catalog, model_id):
     blank = _ops_reply(model_id)
-    provider = ScriptedChatProvider(replies=[blank, _ops_reply("apple"), NULL_ENV])
+    provider = ScriptedChatProvider(replies=[blank, _ops_reply("apple")])
     cfg = generate_scene("1 object, one is an apple", provider, catalog, seed=2)
     assert [op.model_id for op in cfg.adds] == ["apple"]
     assert validate_config(cfg, catalog) == []
-    first, second, _ = provider.calls
+    first, second = provider.calls
     parse = lambda reply: parse_llm_ops(reply, catalog, 1)
     rejection = _rejection(parse, blank)
     assert "$[0]: 'model_id' must be a nonblank string" in rejection
     assert second.user == first.user + rejection
 
 
-def test_a_lighting_number_beyond_the_float_range_keeps_the_default_env(catalog):
+def test_a_lighting_number_beyond_the_float_range_keeps_the_default_env():
     huge = f'{{"lighting": {{"intensity": {HUGE}}}, "camera": null}}'
     assert "$.lighting.intensity: expected finite number" in _rejection(
         parse_llm_env, huge
     )
-    provider = ScriptedChatProvider(replies=[_ops_reply("apple")] + [huge] * 3)
-    cfg = generate_scene("1 object, one is an apple", provider, catalog, seed=2)
-    assert cfg.env == EnvSetupOp()
+    provider = ScriptedChatProvider(replies=[huge] * 3)
+    description = parse_description("1 object, one is an apple")
+    assert ask_environment(description, provider) == EnvSetupOp()
     assert provider.replies == []
 
 
 def test_generate_scene_requires_mentions_present(catalog):
-    provider = ScriptedChatProvider(replies=[_ops_reply("sponge"), NULL_ENV])
+    provider = ScriptedChatProvider(replies=[_ops_reply("sponge")])
     with pytest.raises(ValidationFailed):
         generate_scene("1 object, one is an apple", provider, catalog, seed=2)
 
@@ -283,7 +295,7 @@ def test_generate_scene_keeps_explicit_valid_pose(catalog):
         '[{"model_id": "apple", "pose": {"position_m": [0.1, 0.05, 0.0375],'
         ' "yaw_rad": 0.25}}]'
     )
-    provider = ScriptedChatProvider(replies=[reply, NULL_ENV])
+    provider = ScriptedChatProvider(replies=[reply])
     cfg = generate_scene("1 object, one is an apple", provider, catalog, seed=2)
     assert cfg.adds[0].pose.position_m == (0.1, 0.05, 0.0375)
     assert cfg.adds[0].pose.yaw_rad == 0.25
@@ -297,7 +309,7 @@ def test_generate_scene_keeps_the_first_stacked_pose_and_resamples_the_second(
         '[{"model_id": "apple", "pose": {"position_m": [0.0, 0.0, 0.0375], "yaw_rad": 0}},'
         ' {"model_id": "orange", "pose": {"position_m": [0.0, 0.0, 0.0375], "yaw_rad": 0}}]'
     )
-    provider = ScriptedChatProvider(replies=[stacked, NULL_ENV])
+    provider = ScriptedChatProvider(replies=[stacked])
     cfg = generate_scene(
         "2 objects, one is an apple, one is an orange", provider, catalog, seed=5
     )
@@ -343,7 +355,7 @@ def test_a_given_pose_is_kept_exactly_when_it_fits_beside_those_before_it(
          {"position_m": list(pose.position_m), "yaw_rad": pose.yaw_rad}}
         for model, pose in ops
     ])
-    provider = ScriptedChatProvider(replies=[reply, NULL_ENV])
+    provider = ScriptedChatProvider(replies=[reply])
     try:
         cfg = generate_scene(f"{len(ops)} objects", provider, catalog, seed=seed)
     except PlacementExhausted:
@@ -368,13 +380,11 @@ OUT_OF_RANGE_ENVS = (
 )
 
 
-def test_an_out_of_range_llm_env_is_asked_again_then_left_default(catalog):
-    provider = ScriptedChatProvider(
-        replies=[_ops_reply("apple"), *OUT_OF_RANGE_ENVS, NULL_ENV]
-    )
-    cfg = generate_scene("1 object, one is an apple", provider, catalog, seed=2)
-    assert cfg.env == EnvSetupOp()
-    _, first, second, third = provider.calls
+def test_an_out_of_range_llm_env_is_asked_again_then_left_default():
+    provider = ScriptedChatProvider(replies=[*OUT_OF_RANGE_ENVS, NULL_ENV])
+    description = parse_description("1 object, one is an apple")
+    assert ask_environment(description, provider) == EnvSetupOp()
+    first, second, third = provider.calls
     assert second.user == first.user + _rejection(parse_llm_env, OUT_OF_RANGE_ENVS[0])
     assert third.user == first.user + _rejection(parse_llm_env, OUT_OF_RANGE_ENVS[1])
     assert "lighting 5.0 outside [0.25, 2.0]" in second.user
@@ -396,7 +406,7 @@ def test_an_out_of_range_llm_env_is_asked_again_then_left_default(catalog):
 def test_an_out_of_range_description_env_is_a_parse_error(
     catalog, path, clause, message
 ):
-    provider = ScriptedChatProvider(replies=[_ops_reply("apple"), NULL_ENV])
+    provider = ScriptedChatProvider(replies=[_ops_reply("apple")])
     description = f"1 object, one is an apple, with {clause}"
     with pytest.raises(DescriptionParseError) as err:
         if path == "fallback":
@@ -420,7 +430,7 @@ def test_generate_scene_many_seeds_all_valid(catalog):
     """Mini sweep; the acceptance suite runs the full-scale version."""
     for seed in range(25):
         provider = ScriptedChatProvider(
-            replies=[_ops_reply("apple", "wire_basket", "carrot"), NULL_ENV]
+            replies=[_ops_reply("apple", "wire_basket", "carrot")]
         )
         cfg = generate_scene(
             "3 objects, one is an apple", provider, catalog, seed=seed
@@ -469,7 +479,7 @@ def test_fallback_env_from_description(catalog):
 
 @pytest.mark.parametrize("path", ["fallback", "provider"])
 def test_fallback_unresolvable_mention(catalog, path):
-    provider = ScriptedChatProvider(replies=[_ops_reply("apple", "sponge"), NULL_ENV])
+    provider = ScriptedChatProvider(replies=[_ops_reply("apple", "sponge")])
     description = "2 objects, one is a quantum flux"
     with pytest.raises(UnresolvableMention):
         if path == "fallback":

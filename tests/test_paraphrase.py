@@ -17,11 +17,14 @@ from benchtop.paraphrase import (
     baseline_embed,
     builtin_paraphrases,
     cosine_similarity,
+    fill_slots,
     fnv1a_64,
     generate_paraphrases,
+    keeps_slots,
     parse_paraphrase_reply,
     validate_candidates,
 )
+from benchtop.sim import Task
 
 # published reference digests for FNV-1a (64-bit)
 FNV_VECTORS = {
@@ -254,3 +257,70 @@ def test_generate_paraphrases_k_zero():
     provider = ScriptedChatProvider(replies=[])
     assert generate_paraphrases("pick up the apple", 0, provider) == []
     assert provider.calls == []
+
+
+PUT_ON = INSTRUCTION_TEMPLATES[Task.PUT_ON]  # "put the {a} on the {b}"
+PICK_UP = INSTRUCTION_TEMPLATES[Task.PICK_UP]  # "pick up the {a}"
+
+
+@pytest.mark.parametrize(
+    "template, slot_form",
+    [
+        ("now {a}", "{a}"),
+        ("now put the {a} on the {b}", PUT_ON),
+        ("kindly put the {a} on the {b}", PUT_ON),
+        ("put the {a} on the {b} carefully", PUT_ON),
+        ("place the {a} onto the {b}", PUT_ON),
+        ("grab the {a}", PICK_UP),
+    ],
+    ids=["now_slot", "now", "kindly", "carefully", "onto", "grab"],
+)
+def test_a_rewrite_that_keeps_the_slots_is_kept(template, slot_form):
+    assert keeps_slots(template, slot_form)
+
+
+@pytest.mark.parametrize(
+    "template, slot_form",
+    [
+        ("put the {a} on it", PUT_ON),
+        ("put the {a} on the {b} beside the {a}", PUT_ON),
+        ("put the {b} on the {a}", PUT_ON),
+        ("put the {a} on the {b} {a.__class__}", PUT_ON),
+        ("put the {a} on the {b} }", PUT_ON),
+        ("put the {a} on the {b}", PICK_UP),
+        ("do not put the {a} on the {b}", PUT_ON),
+        ("don't put the {a} on the {b}", PUT_ON),
+        ("never pick up the {a}", PICK_UP),
+        ("put the {a} on no {b}", PUT_ON),
+        ("put the {a} on the {b} without care", PUT_ON),
+    ],
+    ids=["dropped_slot", "repeated_slot", "swapped_slots", "attribute_brace",
+         "stray_brace", "slot_the_task_lacks", "not", "dont", "never", "no",
+         "without"],
+)
+def test_a_rewrite_that_breaks_a_slot_rule_is_dropped(template, slot_form):
+    assert not keeps_slots(template, slot_form)
+
+
+def test_a_negation_the_slot_form_holds_is_not_added():
+    assert keeps_slots("never let the {a} fall", "do not let the {a} fall, never")
+
+
+def test_fill_slots_never_searches_a_name_it_put_in():
+    assert fill_slots(PUT_ON, "apple", "bowl") == "put the apple on the bowl"
+    assert fill_slots(PICK_UP, "apple") == "pick up the apple"
+    assert fill_slots(PUT_ON, "{b}", "{a}") == "put the {b} on the {a}"
+
+
+def test_generate_paraphrases_drops_what_keep_rejects_and_asks_again():
+    provider = ScriptedChatProvider(
+        replies=[
+            '["put the {b} on the {a}", "kindly put the {a} on the {b}"]',
+            '["now put the {a} on the {b}"]',
+        ]
+    )
+    out = generate_paraphrases(
+        PUT_ON, 2, provider, keep=lambda t: keeps_slots(t, PUT_ON)
+    )
+    assert out == ["kindly put the {a} on the {b}", "now put the {a} on the {b}"]
+    assert provider.calls[1].user.startswith("Need 1 more distinct rewrites")
