@@ -1,5 +1,6 @@
 """Malformed artifacts end in one JSON error line, never a traceback."""
 
+import hashlib
 import json
 import re
 import shlex
@@ -14,6 +15,7 @@ import pytest
 from benchtop import providers
 from benchtop.campaign import EPOCH_TIMESTAMP, load_manifest
 from benchtop.cli import main
+from benchtop.jsonio import dumps
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -509,3 +511,42 @@ def test_gen_scene_rejects_an_out_of_range_description_lighting(capsys):
     argv = ["gen-scene", "--desc", "1 object with lighting 5"]
     message = _expect_error(capsys, argv, "description_parse_error", exit_code=2)
     assert message == "lighting 5.0 outside [0.25, 2.0]"
+
+
+# sha256 of ``--help`` at 80 columns, as argparse of Python 3.11 lays it out.
+HELP_SHA256 = {
+    "": "3298ca359b2ff0ed5ce93a1e4a5a88f390013b9df4391a9f3583c98d7380e75b",
+    "gen-scene": "56e60a47b81682ce0baac6f4d744ba659fe565fb449be92887c6da00c4ea1aa4",
+    "paraphrase": "0d49c0c467b65bbe1429f64874bbf7c370f8d28d987db6cb9f28266d0c82f030",
+    "plan": "e4e5f299a9dda08afb7f4569865c9015c76c3d89212efd9b2ec28419f8ddeb3e",
+    "run": "efaf77afe3ee576b1bd81a6385635c6afd236e009e1fc4308df3cac11b1866e4",
+    "report": "94244b00fa4838a19679898a66465a857ba4c0fffbac13f24bd7a9c104764228",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_SHA256), ids=lambda c: c or "top")
+def test_help_text_is_pinned(monkeypatch, capsys, command):
+    if sys.version_info[:2] != (3, 11):
+        pytest.skip("other Python versions lay argparse help out differently")
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([command, "--help"] if command else ["--help"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == HELP_SHA256[command]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus' (choose from "
+                    "'gen-scene', 'paraphrase', 'plan', 'run', 'report')"),
+        (["plan", "--task", "x"], "argument --task: invalid choice: 'x' (choose "
+                                  "from 'pick_up', 'move_near', 'put_on', 'put_in')"),
+    ],
+    ids=["no_command", "unknown_command", "bad_choice"],
+)
+def test_command_line_errors_keep_their_lines(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == dumps({"code": "usage", "message": message}) + "\n"

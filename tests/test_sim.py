@@ -12,6 +12,7 @@ from benchtop.errors import PlacementExhausted
 from benchtop.generation import fallback_generate
 from benchtop.jsonio import quantize
 from benchtop.scene import (
+    _EPS,
     PLACEMENT_MARGIN,
     REST_TOL,
     TABLE_HALF_X,
@@ -29,6 +30,7 @@ from benchtop.scene import (
 from benchtop.sim import (
     ACTION_DELTA_LIMIT,
     CONTAINER_FLOOR_OFFSET,
+    GRASP_RADIUS,
     GRIPPER_HOME,
     WORKSPACE_HALF_X,
     WORKSPACE_HALF_Y,
@@ -36,9 +38,7 @@ from benchtop.sim import (
     Action,
     GripperCommand,
     WorldObject,
-    _clamp,
     _landing,
-    _nearest_graspable,
     _placed,
     init_world,
     observe,
@@ -165,9 +165,32 @@ class WorldState:
     gripper: Gripper
 
 
+def _clamp(v: float, lo: float, hi: float) -> float:
+    return lo if v < lo else hi if v > hi else v
+
+
+def _nearest_graspable(objects, pos):
+    """The grasp search as the simulator first wrote it: every graspable the
+    gripper is at or above, by its full distance, ties to the lower index."""
+    best = None
+    for i, obj in enumerate(objects):
+        if not obj.graspable:
+            continue
+        if pos[2] + _EPS < TABLE_HEIGHT + obj.height_m / 2.0:
+            continue
+        c = obj.pose.position_m
+        d = math.sqrt(
+            (c[0] - pos[0]) ** 2 + (c[1] - pos[1]) ** 2 + (c[2] - pos[2]) ** 2
+        )
+        if d <= GRASP_RADIUS + _EPS and (best is None or (d, i) < best):
+            best = (d, i)
+    return None if best is None else best[1]
+
+
 def reference_step(state: WorldState, action: Action) -> WorldState:
-    """The step the simulator had when a world was one ``WorldState``, on the
-    same helpers: the reference the three-value ``step`` must agree with."""
+    """The step the simulator had when a world was one ``WorldState``, with
+    its own clamp and grasp search and the sim's ``_landing`` and
+    ``_placed``: the reference the three-value ``step`` must agree with."""
     dx, dy, dz = action.delta_position
 
     g = state.gripper
@@ -194,53 +217,106 @@ def reference_step(state: WorldState, action: Action) -> WorldState:
     return WorldState(objects=objects, gripper=Gripper(position=pos, attached=attached))
 
 
+# How far from a graspable center an "edge" segment steers, along x or y:
+# a few ulps either side of the grasp radius, of the radius with its
+# tolerance, and of twice the radius, beyond which no object is in reach.
+edge_offsets = st.tuples(
+    st.sampled_from([0, 1]),
+    st.builds(
+        lambda base, ulps, sign: sign * (base + ulps * math.ulp(base)),
+        st.sampled_from([GRASP_RADIUS, GRASP_RADIUS + _EPS, 2 * GRASP_RADIUS]),
+        st.integers(-4, 4),
+        st.sampled_from([-1.0, 1.0]),
+    ),
+)
+
 # A segment steers for up to 12 steps: freely by a fixed delta, toward a
-# graspable object's center (where CLOSE grasps it), or toward a point above
-# a support's or container's top (where OPEN drops the load onto it). Far
+# graspable object's center (where CLOSE grasps it), to the edge of its grasp
+# radius, to the midpoint of two graspables, or toward a point above a
+# support's or container's top (where OPEN drops the load onto it). Far
 # targets ask for deltas past the limit, which ``Action.make`` clamps.
 segments = st.tuples(
-    st.sampled_from(["free", "center", "above"]),
+    st.sampled_from(["free", "center", "edge", "between", "above"]),
     st.integers(0, 4),  # the object, modulo the count of candidates
     st.integers(1, 12),  # its steps
     st.tuples(*[st.floats(-0.08, 0.08)] * 3),  # the free delta, a tenth as jitter
     st.floats(0.0, 0.1),  # the load's clearance above the top
     st.sampled_from(GripperCommand),  # on arrival, or a free segment's last step
     st.sampled_from(GripperCommand),  # on the other steps
+    edge_offsets,  # an edge segment's axis and offset
 )
 
 
 def _steered(world, segment, last):
     objects, position, attached = world
-    kind, index, _, delta, clearance, arrival_command, command = segment
+    kind, index, _, delta, clearance, arrival_command, command, edge = segment
     if kind != "free":
-        if kind == "center":
-            candidates = [o for o in objects if o.graspable]
-        else:
+        if kind == "above":
             candidates = [o for o in objects if o.support_surface or o.container]
-        obj = (candidates or objects)[index % len(candidates or objects)]
+        else:
+            candidates = [o for o in objects if o.graspable]
+        candidates = candidates or list(objects)
+        obj = candidates[index % len(candidates)]
         x, y, z = obj.pose.position_m
         if kind == "above":
             load = 0.0 if attached is None else objects[attached].height_m / 2
             z = obj.top + load + clearance
-        jx, jy, jz = (d / 10 for d in delta)  # jitter, never below the target
-        target = (x + jx, y + jy, z + abs(jz))
+        if kind == "between":
+            other = candidates[(index + 1) % len(candidates)].pose.position_m
+            target = ((x + other[0]) / 2, (y + other[1]) / 2, max(z, other[2]))
+        elif kind == "edge":
+            axis, offset = edge
+            target = (x + offset, y, z) if axis == 0 else (x, y + offset, z)
+        else:
+            jx, jy, jz = (d / 10 for d in delta)  # jitter, never below the target
+            target = (x + jx, y + jy, z + abs(jz))
         delta = [t - p for t, p in zip(target, position)]
         last = all(abs(d) <= ACTION_DELTA_LIMIT for d in delta)
     return Action.make(*delta, arrival_command if last else command)
 
 
+STILL = (0.0, 0.0, 0.0)
+NO_EDGE = (0, 0.0)
+
+
 def _carry(item, surface):
     """A scene and segments that carry ``item`` onto ``surface`` and drop it."""
-    still = (0.0, 0.0, 0.0)
     return _two_object_scene(item, surface), [
-        ("center", 0, 12, still, 0.0, GripperCommand.CLOSE, GripperCommand.HOLD),
-        ("above", 0, 12, still, 0.02, GripperCommand.OPEN, GripperCommand.HOLD),
+        ("center", 0, 12, STILL, 0.0, GripperCommand.CLOSE, GripperCommand.HOLD,
+         NO_EDGE),
+        ("above", 0, 12, STILL, 0.02, GripperCommand.OPEN, GripperCommand.HOLD,
+         NO_EDGE),
+    ]
+
+
+def _tie_scene():
+    """Two marbles 3 cm apart on x either side of the gripper's home column,
+    so the gripper, lowered between them, is exactly as far from each."""
+    marble = CATALOG.get("marble")
+    config = SceneConfig(
+        scene_id="tie",
+        adds=(_resting(marble, -0.015), _resting(marble, 0.015)),
+        env=EnvSetupOp(),
+        seed=0,
+        provenance=Provenance.MANUAL,
+    )
+    assert validate_config(config, CATALOG) == []
+    return config
+
+
+def _lower_between():
+    """A scene and the segment that closes between its two equidistant
+    graspables, which grasps the first of them."""
+    return _tie_scene(), [
+        ("between", 0, 12, STILL, 0.0, GripperCommand.CLOSE, GripperCommand.HOLD,
+         NO_EDGE),
     ]
 
 
 @settings(max_examples=150, deadline=None)
 @example(*_carry(CATALOG.get("apple"), CATALOG.get("blue_plate")))
 @example(*_carry(CATALOG.get("lemon"), CATALOG.get("bowl")))
+@example(*_lower_between())
 @given(
     planned_scenes(5, st.sampled_from(SURFACES).map(lambda m: (m.display_name,))),
     st.lists(segments, min_size=1, max_size=20),
@@ -259,6 +335,16 @@ def test_step_agrees_with_the_world_state_reference(config, segment_list):
         assert new == (expected.objects, gripper.position, gripper.attached)
         assert (new[0] is world[0]) == (expected.objects is state.objects)
         world, state = new, expected
+
+
+def test_a_grasp_between_two_equidistant_objects_takes_the_first():
+    config = _tie_scene()
+    start = (init_world(config, CATALOG), GRIPPER_HOME, None)
+    objects, position, attached = _go_to(start, (0.0, 0.0, 0.008), GripperCommand.CLOSE)
+    left, right = (math.dist(o.pose.position_m, position) for o in start[0])
+    assert left == right <= GRASP_RADIUS
+    assert attached == 0
+    assert objects[0].pose.position_m == position
 
 
 def _go_to(world, target, gripper=GripperCommand.HOLD):
