@@ -219,28 +219,23 @@ def _cmd_report(args) -> int:
     return 1 if violations else 0
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="benchtop", description=__doc__)
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-scene", help="compile a description to a scene config")
+def _gen_scene_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--desc", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--catalog", default=None)
     p.add_argument("--out", default=None)
     _add_provider_flags(p)
-    p.set_defaults(func=_cmd_gen_scene)
 
-    p = sub.add_parser("paraphrase", help="expand and validate an instruction")
+
+def _paraphrase_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--instruction", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--threshold", type=float, default=DEFAULT_SIMILARITY_THRESHOLD)
     p.add_argument("--out", default=None)
     _add_provider_flags(p)
-    p.set_defaults(func=_cmd_paraphrase)
 
-    p = sub.add_parser("plan", help="plan a campaign manifest")
+
+def _plan_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--task", choices=[t.value for t in Task], required=True)
     p.add_argument("--n", type=int, required=True, help="number of scenes")
     p.add_argument("--k", type=int, required=True, help="instructions per scene")
@@ -260,9 +255,9 @@ def build_parser() -> _Parser:
     p.add_argument("--catalog", default=None)
     p.add_argument("--out", default=None)
     _add_provider_flags(p)
-    p.set_defaults(func=_cmd_plan)
 
-    p = sub.add_parser("run", help="execute a campaign manifest")
+
+def _run_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--manifest", required=True)
     p.add_argument("--policy", required=True, help="e.g. builtin:oracle")
     p.add_argument("--parallelism", type=int, default=1)
@@ -270,9 +265,9 @@ def build_parser() -> _Parser:
     p.add_argument("--act-timeout", type=float, default=DEFAULT_ACT_TIMEOUT_S)
     p.add_argument("--catalog", default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("report", help="aggregate results into a table")
+
+def _report_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--results", required=True)
     p.add_argument(
         "--group-by", choices=[f.value for f in Factor], default="object_count"
@@ -286,13 +281,40 @@ def build_parser() -> _Parser:
     p.add_argument("--slack", type=float, default=DEFAULT_TREND_SLACK, help=(
         "points a rate may rise under --check-trend (default %(default)s)"))
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_report)
 
+
+# name -> (help, the function that adds its arguments, the function it runs)
+_COMMANDS = {
+    "gen-scene": ("compile a description to a scene config",
+                  _gen_scene_arguments, _cmd_gen_scene),
+    "paraphrase": ("expand and validate an instruction",
+                   _paraphrase_arguments, _cmd_paraphrase),
+    "plan": ("plan a campaign manifest", _plan_arguments, _cmd_plan),
+    "run": ("execute a campaign manifest", _run_arguments, _cmd_run),
+    "report": ("aggregate results into a table", _report_arguments, _cmd_report),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser with subcommand ``command`` alone, or with all of them
+    when ``command`` is ``None``."""
+    parser = _Parser(prog="benchtop", description=__doc__)
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, func) in _COMMANDS.items():
+        if command is None or name == command:
+            p = sub.add_parser(name, help=help_text)
+            add_arguments(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    # Only the named subcommand is built. Anything else in front (nothing,
+    # an unknown name, ``--help`` or ``--version``) is for the top-level
+    # parser, whose messages list all five, so then all five are built.
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

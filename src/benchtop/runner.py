@@ -38,13 +38,16 @@ policy is respawned before the next episode on its worker.
 
 Every policy, builtin or wire client, offers ``reset(goal)``, which takes
 the scene's ``TaskGoal``, and ``act(obs)``, and one episode loop drives them
-all. The loop carries the world as three plain values (objects tuple,
-gripper position, attachment) and builds an observation only at the start
-and after a step that moved an object; otherwise the last one is passed on.
-An observation carries the world's own objects tuple, which the oracle
-reads and a wire client never sends. ``run_campaign`` builds each scene's
-start objects once, and the scene's trials share them (objects tuples are
-immutable).
+all. ``act`` returns a ``sim`` action, the plain pair ``((dx, dy, dz),
+gripper)``. The oracle and the wire clients build theirs with
+``make_action``, which clamps each delta to the step limit; ``RandomPolicy``
+draws its deltas within the limit and writes the pair itself. The loop
+carries the world as three plain values (objects tuple, gripper position,
+attachment) and builds an observation only at the start and after a step
+that moved an object; otherwise the last one is passed on. An observation
+carries the world's own objects tuple, which the oracle reads and a wire
+client never sends. ``run_campaign`` builds each scene's start objects once,
+and the scene's trials share them (objects tuples are immutable).
 
 Trials become jobs. The four builtins are two behaviours: ``OraclePolicy``
 (scripted mechanics aimed at one object) and ``RandomPolicy`` (noise from
@@ -109,6 +112,7 @@ from .sim import (
     WorldObject,
     check_success,
     init_world,
+    make_action,
     observe,
     step,
 )
@@ -253,17 +257,17 @@ class OraclePolicy:
             delta, arrived = self._step_toward(objects[self.target].pose.position_m)
             if arrived:
                 self.stage = "carry"
-                return Action.make(*delta, GripperCommand.CLOSE)
-            return Action.make(*delta, GripperCommand.HOLD)
+                return make_action(*delta, GripperCommand.CLOSE)
+            return make_action(*delta, GripperCommand.HOLD)
         if self.stage == "carry":
             delta, arrived = self._step_toward(self._carry_point(objects))
             if arrived:
                 self.stage = "done"
                 if self.goal.task is Task.PICK_UP:
-                    return Action.make(*delta, GripperCommand.HOLD)
-                return Action.make(*delta, GripperCommand.OPEN)
-            return Action.make(*delta, GripperCommand.HOLD)
-        return Action.make(0.0, 0.0, 0.0, GripperCommand.HOLD)
+                    return make_action(*delta, GripperCommand.HOLD)
+                return make_action(*delta, GripperCommand.OPEN)
+            return make_action(*delta, GripperCommand.HOLD)
+        return make_action(0.0, 0.0, 0.0, GripperCommand.HOLD)
 
 
 _GRIPPER_CHOICES = (GripperCommand.OPEN, GripperCommand.CLOSE, GripperCommand.HOLD)
@@ -280,14 +284,16 @@ class RandomPolicy:
         self._rng = random.Random(self.seed)
 
     def act(self, obs: Observation) -> Action:
-        # ``rng.uniform(-lim, lim)`` written out as its documented formula:
-        # the same float operations, so the same draws, without a call each.
+        # ``rng.uniform(-lim, lim)`` written out as its documented formula,
+        # and ``rng.choice`` of three as the draw it makes: the same
+        # operations, so the same draws, without a call each.
         rng, lim = self._rng, ACTION_DELTA_LIMIT
         span, draw = 2 * lim, rng.random
-        return Action(
-            (-lim + span * draw(), -lim + span * draw(), -lim + span * draw()),
-            rng.choice(_GRIPPER_CHOICES),
-        )
+        delta = (-lim + span * draw(), -lim + span * draw(), -lim + span * draw())
+        r = rng.getrandbits(2)
+        while r == 3:
+            r = rng.getrandbits(2)
+        return delta, _GRIPPER_CHOICES[r]
 
 
 def builtin_episode(name: str, trial: Trial, meta: SceneMeta) -> tuple[type, int]:
@@ -387,7 +393,7 @@ def _decode_act(line: str) -> Action:
         raise PolicyProtocolError(
             f"gripper must be OPEN, CLOSE, or HOLD, got {raw['gripper']!r}"
         ) from None
-    return Action.make(dx, dy, dz, gripper)
+    return make_action(dx, dy, dz, gripper)
 
 
 class SubprocessPolicyClient:
@@ -533,7 +539,8 @@ def run_episode(
     tuple, is passed on. Success is rechecked only when the objects or the
     attachment changed, the only inputs ``check_success`` reads. ``step``,
     ``observe`` and ``check_success`` are looked up on each call, so a
-    wrapper set on this module sees every call.
+    wrapper set on this module sees every call; ``policy.act`` is looked up
+    once, after ``reset``.
     """
     objects, position, attached, steps = start, GRIPPER_HOME, None, 0
     try:
@@ -541,10 +548,11 @@ def run_episode(
         if check_success(objects, attached, goal):
             return True, 0, None
         obs = observe(objects, env, instruction, render=render)
+        act = policy.act
         while steps < max_steps:
             if objects is not obs.objects:
                 obs = observe(objects, env, instruction, render=render)
-            objects, position, held = step(objects, position, attached, policy.act(obs))
+            objects, position, held = step(objects, position, attached, act(obs))
             steps += 1
             if objects is not obs.objects or held != attached:
                 attached = held

@@ -9,12 +9,18 @@ position, attached, action)`` returns the next three values and never
 consults a random source, so identical configs and action sequences
 reproduce identical trajectories bit for bit.
 
+An action is a plain pair ``((dx, dy, dz), gripper)``: the gripper's
+displacement and a ``GripperCommand``. ``make_action`` builds one with every
+delta clamped to +-``ACTION_DELTA_LIMIT``. ``step`` does not clamp the
+deltas again, so a caller that writes the pair itself keeps each delta
+within the limit.
+
 Mechanics, in full:
 
-- Per-axis motion is bounded to +-0.05 m per step (``Action.make`` clamps
-  every delta), and the gripper is confined to the workspace box. While
-  holding an object the gripper's lower z bound rises to the object's
-  half-height so the load can never dip below the table surface.
+- Per-axis motion is bounded to +-0.05 m per step by the action, and the
+  gripper is confined to the workspace box. While holding an object the
+  gripper's lower z bound rises to the object's half-height so the load can
+  never dip below the table surface.
 - CLOSE grasps the nearest graspable object whose center lies within the
   2 cm grasp radius, provided the gripper is at or above the object's
   half-height (grasps come from at/above the center, never from below).
@@ -90,37 +96,23 @@ class GripperCommand(str, Enum):
     HOLD = "HOLD"
 
 
-def _clamp(v: float, lo: float, hi: float) -> float:
-    return lo if v < lo else hi if v > hi else v
+Action = tuple[tuple[float, float, float], GripperCommand]
 
 
-@dataclass(frozen=True, slots=True)
-class Action:
-    """One gripper command. Build actions with ``make``.
-
-    ``make`` clamps every delta to +-``ACTION_DELTA_LIMIT``, and ``step``
-    relies on that: it does not clamp the deltas again. A caller whose deltas
-    already lie within the limit may build an ``Action`` directly, since the
-    clamps would change nothing; ``RandomPolicy`` does, as it draws every
-    delta from [-limit, limit] and acts on every step of long episodes.
-    """
-
-    delta_position: tuple[float, float, float]
-    gripper: GripperCommand = GripperCommand.HOLD
-
-    @classmethod
-    def make(
-        cls, dx: float, dy: float, dz: float, gripper: GripperCommand
-    ) -> "Action":
-        lim = ACTION_DELTA_LIMIT
-        return cls(
-            delta_position=(
-                _clamp(dx, -lim, lim),
-                _clamp(dy, -lim, lim),
-                _clamp(dz, -lim, lim),
-            ),
-            gripper=gripper,
-        )
+def make_action(
+    dx: float, dy: float, dz: float, gripper: GripperCommand
+) -> Action:
+    """The action ``((dx, dy, dz), gripper)``, each delta clamped to
+    +-``ACTION_DELTA_LIMIT``."""
+    lim = ACTION_DELTA_LIMIT
+    return (
+        (
+            -lim if dx < -lim else lim if dx > lim else dx,
+            -lim if dy < -lim else lim if dy > lim else dy,
+            -lim if dz < -lim else lim if dz > lim else dz,
+        ),
+        gripper,
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -214,12 +206,15 @@ def _nearest_graspable(
     objects: tuple[WorldObject, ...], pos: tuple[float, float, float]
 ) -> int | None:
     best: tuple[float, int] | None = None
+    reach = 2 * GRASP_RADIUS  # past this on x or y, out of reach by far
     for i, obj in enumerate(objects):
         if not obj.graspable:
             continue
+        c = obj.pose.position_m
+        if abs(c[0] - pos[0]) > reach or abs(c[1] - pos[1]) > reach:
+            continue
         if pos[2] + _EPS < TABLE_HEIGHT + obj.height_m / 2.0:
             continue
-        c = obj.pose.position_m
         d = math.sqrt(
             (c[0] - pos[0]) ** 2 + (c[1] - pos[1]) ** 2 + (c[2] - pos[2]) ** 2
         )
@@ -262,19 +257,24 @@ def step(
     The caller bounds the number of steps. The returned objects tuple is
     ``objects`` itself exactly when no object's pose changed.
     """
-    dx, dy, dz = action.delta_position
+    (dx, dy, dz), cmd = action
     z_min = TABLE_HEIGHT
     if attached is not None:
         z_min = TABLE_HEIGHT + objects[attached].height_m / 2.0
-    nx = _clamp(position[0] + dx, -WORKSPACE_HALF_X, WORKSPACE_HALF_X)
-    ny = _clamp(position[1] + dy, -WORKSPACE_HALF_Y, WORKSPACE_HALF_Y)
-    nz = _clamp(position[2] + dz, z_min, WORKSPACE_Z_MAX)
-    pos = (nx, ny, nz)
+    x = position[0] + dx
+    y = position[1] + dy
+    z = position[2] + dz
+    pos = (
+        -WORKSPACE_HALF_X if x < -WORKSPACE_HALF_X
+        else WORKSPACE_HALF_X if x > WORKSPACE_HALF_X else x,
+        -WORKSPACE_HALF_Y if y < -WORKSPACE_HALF_Y
+        else WORKSPACE_HALF_Y if y > WORKSPACE_HALF_Y else y,
+        z_min if z < z_min else WORKSPACE_Z_MAX if z > WORKSPACE_Z_MAX else z,
+    )
 
     # At most one object moves per step: the held one, the one just grasped,
     # or the one just released.
     moving, target = attached, pos
-    cmd = action.gripper
     if cmd is GripperCommand.CLOSE and attached is None:
         attached = moving = _nearest_graspable(objects, pos)
     elif cmd is GripperCommand.OPEN and attached is not None:

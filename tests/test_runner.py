@@ -269,7 +269,7 @@ def test_http_policy_reads_proxy_settings_once(stub_server, monkeypatch):
     with pytest.raises(PolicyProtocolError, match="cannot reach policy"):
         proxied.act(obs)
     assert state["count"] == 0
-    assert direct.act(obs).gripper is GripperCommand.HOLD
+    assert direct.act(obs)[1] is GripperCommand.HOLD
     assert state["count"] == 1
 
 
@@ -331,7 +331,7 @@ def test_http_policy_messages_and_kept_alive_connection(catalog, short, stub_ser
     try:
         client.reset(TaskGoal(Task.PUT_ON, 0, 1))
         for obs in observations:
-            assert client.act(obs).gripper is GripperCommand.HOLD
+            assert client.act(obs)[1] is GripperCommand.HOLD
     finally:
         client.close()
     assert state["bodies"] == [b'{"type":"reset"}'] + [
@@ -525,8 +525,8 @@ def test_random_policy_draws_what_uniform_and_choice_draw():
             action = policy.act(None)
             deltas = (twin.uniform(-lim, lim), twin.uniform(-lim, lim),
                       twin.uniform(-lim, lim))
-            assert action.delta_position == deltas
-            assert action.gripper is twin.choice(runner._GRIPPER_CHOICES)
+            assert action[0] == deltas
+            assert action[1] is twin.choice(runner._GRIPPER_CHOICES)
 
 
 def test_a_goal_met_at_the_start_succeeds_before_any_act(catalog):

@@ -41,6 +41,7 @@ from benchtop.sim import (
     _landing,
     _placed,
     init_world,
+    make_action,
     observe,
     render_raster,
     step,
@@ -50,9 +51,9 @@ CATALOG = load_default_catalog()
 GRASPABLE = [m for m in CATALOG.models if m.graspable]
 SURFACES = [m for m in CATALOG.models if m.support_surface or m.container]
 
-# Deltas reach past the limit, so Action.make's clamp is exercised too.
+# Deltas reach past the limit, so make_action's clamp is exercised too.
 actions = st.builds(
-    Action.make,
+    make_action,
     *[st.floats(-0.08, 0.08)] * 3,
     st.sampled_from(GripperCommand),
 )
@@ -191,7 +192,7 @@ def reference_step(state: WorldState, action: Action) -> WorldState:
     """The step the simulator had when a world was one ``WorldState``, with
     its own clamp and grasp search and the sim's ``_landing`` and
     ``_placed``: the reference the three-value ``step`` must agree with."""
-    dx, dy, dz = action.delta_position
+    (dx, dy, dz), cmd = action
 
     g = state.gripper
     attached = g.attached
@@ -204,7 +205,6 @@ def reference_step(state: WorldState, action: Action) -> WorldState:
     pos = (nx, ny, nz)
 
     moving, target = attached, pos
-    cmd = action.gripper
     if cmd is GripperCommand.CLOSE and attached is None:
         attached = moving = _nearest_graspable(state.objects, pos)
     elif cmd is GripperCommand.OPEN and attached is not None:
@@ -234,7 +234,7 @@ edge_offsets = st.tuples(
 # graspable object's center (where CLOSE grasps it), to the edge of its grasp
 # radius, to the midpoint of two graspables, or toward a point above a
 # support's or container's top (where OPEN drops the load onto it). Far
-# targets ask for deltas past the limit, which ``Action.make`` clamps.
+# targets ask for deltas past the limit, which ``make_action`` clamps.
 segments = st.tuples(
     st.sampled_from(["free", "center", "edge", "between", "above"]),
     st.integers(0, 4),  # the object, modulo the count of candidates
@@ -272,7 +272,7 @@ def _steered(world, segment, last):
             target = (x + jx, y + jy, z + abs(jz))
         delta = [t - p for t, p in zip(target, position)]
         last = all(abs(d) <= ACTION_DELTA_LIMIT for d in delta)
-    return Action.make(*delta, arrival_command if last else command)
+    return make_action(*delta, arrival_command if last else command)
 
 
 STILL = (0.0, 0.0, 0.0)
@@ -356,7 +356,7 @@ def _go_to(world, target, gripper=GripperCommand.HOLD):
         delta = [t - p for t, p in zip(target, world[1])]
         last = all(abs(d) <= ACTION_DELTA_LIMIT for d in delta)
         command = gripper if last else GripperCommand.HOLD
-        new = step(*world, Action.make(*delta, command))
+        new = step(*world, make_action(*delta, command))
         assert same_tuple_exactly_when_no_pose_changed(world[0], new[0])
         world = new
         if last:
@@ -387,7 +387,7 @@ def test_released_object_rests_on_its_support_floor_or_the_table(
     carried, (cx, cy, cz), _ = _go_to(grasped, drop)
     assert carried[0].pose.position_m == (cx, cy, cz)
     released, _, held = step(
-        carried, (cx, cy, cz), 0, Action.make(0.0, 0.0, 0.0, GripperCommand.OPEN)
+        carried, (cx, cy, cz), 0, make_action(0.0, 0.0, 0.0, GripperCommand.OPEN)
     )
     assert same_tuple_exactly_when_no_pose_changed(carried, released)
     assert held is None
