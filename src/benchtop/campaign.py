@@ -8,12 +8,12 @@ given the master seed, so two plans of the same spec are byte-identical,
 and the manifest can be shipped to other machines for execution.
 
 The manifest's inputs are its spec, its scenes, each scene's target indices
-and the paraphrase candidates' texts. Every label is a function of them:
-``_scene_meta`` gives a scene's metadata, ``validate_candidates`` its
-instruction set, and ``_trials`` the trials, their seeds and the
-shortfalls. ``plan_campaign`` builds the manifest with these functions, and
-``CampaignManifest.validate`` calls them again on a loaded manifest, so a
-label that was edited by hand is rejected.
+and the paraphrase candidates' texts. Every label is a function of them,
+and ``_labels`` is that function: it gives each scene's metadata and
+instruction set, the trials, their seeds and the shortfalls.
+``plan_campaign`` collects the inputs and builds the manifest with it, and
+``CampaignManifest.validate`` calls it again on a loaded manifest's inputs,
+so a label that was edited by hand is rejected.
 
 Environment mutations are applied after scene generation with a 0.999
 safety factor so the stated bounds (lighting shift within +-0.5, camera
@@ -321,9 +321,9 @@ class CampaignManifest:
 
         The inputs (the spec, the scenes, their target indices and the
         candidate texts) are checked for shape and range. Every label is
-        then derived from them by ``plan_campaign``'s own functions, and the
-        first stored value that differs raises SchemaViolation at its JSON
-        path. The trials may be cut short of the derived ones.
+        then derived from them by ``_labels``, as ``plan_campaign`` does, and
+        the first stored value that differs raises SchemaViolation at its
+        JSON path. The trials may be cut short of the derived ones.
         """
         try:
             self.spec.validate()
@@ -335,21 +335,18 @@ class CampaignManifest:
                 f"expected {n} scenes with metadata, got {len(self.scenes)} "
                 f"and {len(self.scene_meta)}"
             )
-        k = self.spec.k_instructions
-        paraphrased = self.spec.factors.use_paraphrases and k > 1
+        paraphrased = self.spec.factors.use_paraphrases and self.spec.k_instructions > 1
         if paraphrased and len(self.instruction_sets) != n:
             raise SchemaViolation(
                 f"expected {n} instruction sets, got {len(self.instruction_sets)}"
             )
-        metas: list[SceneMeta] = []
-        isets: list[InstructionSet] = []
-        for i, (scene, meta) in enumerate(zip(self.scenes, self.scene_meta)):
+        targets = [(m.target_a_index, m.target_b_index) for m in self.scene_meta]
+        for i, (scene, (a, b)) in enumerate(zip(self.scenes, targets)):
             bad = validate_config(scene, catalog)
             if bad:
                 raise SchemaViolation(
                     f"scene {i} is invalid: {bad[0]}", path=f"$.scenes[{i}]"
                 )
-            a, b = meta.target_a_index, meta.target_b_index
             for name, index in (("target_a_index", a), ("target_b_index", b)):
                 if index is not None and not 0 <= index < len(scene.adds):
                     raise SchemaViolation(
@@ -361,22 +358,12 @@ class CampaignManifest:
                     "must name an object other than target_a_index",
                     path=f"$.scene_meta[{i}].target_b_index",
                 )
-            metas.append(_scene_meta(self.spec, scene, a, b, catalog))
-            if paraphrased:
-                texts = [c.text for c in self.instruction_sets[i].candidates]
-                isets.append(
-                    validate_candidates(
-                        metas[i].basic_instruction, texts, k - 1, self.spec.threshold
-                    )
-                )
-        trials, shortfalls = _trials(self.spec, metas, isets)
-        derived = replace(
-            self,
-            scene_meta=tuple(metas),
-            instruction_sets=tuple(isets),
-            trials=trials[: len(self.trials)],
-            shortfalls=shortfalls,
-        )
+        texts = []
+        if paraphrased:
+            texts = [[c.text for c in s.candidates] for s in self.instruction_sets]
+        labels = _labels(self.spec, self.scenes, targets, texts, catalog)
+        labels["trials"] = labels["trials"][: len(self.trials)]
+        derived = replace(self, **labels)
         if derived != self:
             for path, message in _differences(self, derived):
                 raise SchemaViolation(message, path=path)
@@ -445,7 +432,7 @@ def _scene_meta(
 
 
 def _trials(
-    spec: CampaignSpec, metas: list[SceneMeta], isets: list[InstructionSet]
+    spec: CampaignSpec, metas: tuple[SceneMeta, ...], isets: tuple[InstructionSet, ...]
 ) -> tuple[tuple[Trial, ...], tuple[Shortfall, ...]]:
     """Each scene's basic instruction, then its valid paraphrases (none when
     ``isets`` is empty), as trials; and the scenes short of paraphrases."""
@@ -478,6 +465,30 @@ def _trials(
     return tuple(trials), tuple(shortfalls)
 
 
+def _labels(
+    spec: CampaignSpec,
+    scenes: tuple[SceneConfig, ...],
+    targets: list[tuple[int, int | None]],
+    texts: list[list[str]],
+    catalog: Catalog,
+) -> dict:
+    """A manifest's labels, by field name, from each scene's ``(a, b)``
+    targets and paraphrase candidate texts (none when it has no paraphrases)."""
+    metas = tuple(
+        _scene_meta(spec, scene, a, b, catalog)
+        for scene, (a, b) in zip(scenes, targets)
+    )
+    want = spec.k_instructions - 1
+    isets = tuple(
+        validate_candidates(meta.basic_instruction, candidates, want, spec.threshold)
+        for meta, candidates in zip(metas, texts)
+    )
+    trials, shortfalls = _trials(spec, metas, isets)
+    return dict(
+        scene_meta=metas, instruction_sets=isets, trials=trials, shortfalls=shortfalls
+    )
+
+
 def plan_campaign(
     spec: CampaignSpec,
     catalog: Catalog,
@@ -488,12 +499,13 @@ def plan_campaign(
     """Plan every scene and trial of a campaign.
 
     With no chat provider the offline compilation path is used throughout:
-    seeded scene synthesis plus template paraphrases. With one, the
-    provider is asked for each scene's objects (never its environment,
-    which is the campaign's factor) and, once before the first scene, for
-    rewrites of the task's slot form that ``keeps_slots`` keeps. Each scene
-    fills those templates with its target names, so paraphrase j is the
-    same wording in every scene (see ``paraphrase``). A failure while
+    seeded scene synthesis, and the builtin paraphrase templates applied to
+    the task's slot form. With one, the provider is asked for each scene's
+    objects (never its environment, which is the campaign's factor) and,
+    once before the first scene, for rewrites of the slot form that
+    ``keeps_slots`` keeps. Each scene fills the templates with its target
+    names, so paraphrase j is the same wording in every scene (see
+    ``paraphrase``), and ``_labels`` derives the labels. A failure while
     planning an individual scene, or the templates, surfaces as
     PartialPlanFailure, whose message names it; nothing is silently
     dropped.
@@ -503,15 +515,14 @@ def plan_campaign(
     if spec.factors.source_filter is not None:
         pool = catalog.filtered(Source(spec.factors.source_filter))
 
-    scenes: list[SceneConfig] = []
-    metas: list[SceneMeta] = []
-    instruction_sets: list[InstructionSet] = []
     variant = spec.env_variant
     paraphrased = spec.factors.use_paraphrases and spec.k_instructions > 1
     want = spec.k_instructions - 1
-    templates = None
-    if paraphrased and chat_provider is not None:
-        slot_form = INSTRUCTION_TEMPLATES[spec.task]
+    slot_form = INSTRUCTION_TEMPLATES[spec.task]
+    templates: list[str] = []
+    if paraphrased and chat_provider is None:
+        templates = builtin_paraphrases(slot_form, want)
+    elif paraphrased:
         try:
             templates = generate_paraphrases(
                 slot_form, want, chat_provider,
@@ -522,6 +533,9 @@ def plan_campaign(
                 f"planning failed at the paraphrase templates: {exc}"
             ) from exc
 
+    scenes: list[SceneConfig] = []
+    targets: list[tuple[int, int | None]] = []
+    texts: list[list[str]] = []
     for i in range(spec.n_scenes):
         try:
             synth_rng = random.Random(scene_seed(spec.master_seed, i))
@@ -545,33 +559,18 @@ def plan_campaign(
             b_index = None
             if b_model is not None:
                 b_index = _target_index(scene, b_model, skip=a_index)
-            meta = _scene_meta(spec, scene, a_index, b_index, catalog)
-            metas.append(meta)
-            scenes.append(scene)
-
-            if paraphrased:
-                basic = meta.basic_instruction
-                if templates is None:
-                    candidates = builtin_paraphrases(basic, want)
-                else:
-                    b_name = None if b_model is None else b_model.display_name
-                    candidates = [
-                        fill_slots(t, a_model.display_name, b_name) for t in templates
-                    ]
-                instruction_sets.append(
-                    validate_candidates(basic, candidates, want, spec.threshold)
-                )
         except BenchtopError as exc:
             raise PartialPlanFailure(f"planning failed at scene {i}: {exc}") from exc
+        scenes.append(scene)
+        targets.append((a_index, b_index))
+        if paraphrased:
+            names = (a_model.display_name, b_model and b_model.display_name)
+            texts.append([fill_slots(t, *names) for t in templates])
 
-    trials, shortfalls = _trials(spec, metas, instruction_sets)
     return CampaignManifest(
         spec=spec,
         scenes=tuple(scenes),
-        instruction_sets=tuple(instruction_sets),
-        scene_meta=tuple(metas),
-        trials=trials,
-        shortfalls=shortfalls,
         created_at=created_at if created_at is not None else EPOCH_TIMESTAMP,
         tool_version=__version__,
+        **_labels(spec, tuple(scenes), targets, texts, catalog),
     )

@@ -32,7 +32,6 @@ from .catalog import Catalog, ObjectModel
 from .errors import (
     CountMismatch,
     DescriptionParseError,
-    EmptyFilteredSet,
     NoJsonFound,
     PlacementExhausted,
     SchemaViolation,
@@ -281,6 +280,8 @@ def parse_llm_env(text: str) -> EnvSetupOp:
 def resolve_mentions(
     description: SceneDescription, catalog: Catalog
 ) -> list[ObjectModel]:
+    """The models ``description`` names; both compilers call it first, and it
+    raises when one is unknown or the count cannot fit on the table."""
     resolved = []
     for mention in description.mentions:
         model = catalog.resolve(mention)
@@ -289,6 +290,12 @@ def resolve_mentions(
                 f"no catalog object matches mention {mention!r}"
             )
         resolved.append(model)
+    capacity = placement_capacity(catalog)
+    if description.object_count > capacity:
+        raise PlacementExhausted(
+            f"{description.object_count} objects cannot fit on the table; "
+            f"at most {capacity} could"
+        )
     return resolved
 
 
@@ -333,14 +340,6 @@ def fallback_generate(
     ops = [ObjectAddOp(model_id=m.id, pose=None) for m in mentioned]
     mentioned_ids = {m.id for m in mentioned}
     pool = [m for m in catalog.models if m.id not in mentioned_ids]
-    if not pool:
-        raise EmptyFilteredSet("the described objects take up the whole catalog")
-    capacity = placement_capacity(catalog)
-    if description.object_count > capacity:
-        raise PlacementExhausted(
-            f"{description.object_count} objects cannot fit on the table; "
-            f"at most {capacity} could"
-        )
     for _ in range(description.object_count - len(ops)):
         if not pool:
             pool = list(catalog.models)
@@ -364,7 +363,7 @@ def generate_scene(
 ) -> SceneConfig:
     """Compile a description to a valid scene via a chat provider.
 
-    A mention the catalog cannot resolve raises ``UnresolvableMention``
+    An unresolvable mention or a count past the table's capacity raises
     before any chat call, as in ``fallback_generate``. The provider is asked
     only for the objects, in at most 3 chat calls, each retry appending the
     previous reply's rejection to the prompt; objects that never parse

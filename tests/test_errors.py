@@ -103,3 +103,41 @@ def test_only_jsonio_uses_json():
         if path.name != "jsonio.py"
     }
     assert {name: found for name, found in uses.items() if found} == {}
+
+
+def _unused_names(tree) -> set[str]:
+    """The names that ``tree`` imports (bar ``__future__``) or defines as a
+    private top-level function, class or constant, and never reads."""
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            defined.update(
+                (alias.asname or alias.name).partition(".")[0] for alias in node.names
+            )
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        defined.update(
+            name for name in names if name.startswith("_") and not name.endswith("__")
+        )
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    return defined - read
+
+
+def test_every_import_and_private_definition_is_used():
+    unused = {
+        path.name: _unused_names(ast.parse(path.read_text(encoding="utf-8")))
+        for path in SOURCE.rglob("*.py")
+    }
+    assert {name: found for name, found in unused.items() if found} == {}

@@ -11,7 +11,6 @@ from benchtop.catalog import Catalog, load_default_catalog
 from benchtop.errors import (
     CountMismatch,
     DescriptionParseError,
-    EmptyFilteredSet,
     NoJsonFound,
     PlacementExhausted,
     SchemaViolation,
@@ -489,10 +488,11 @@ def test_fallback_unresolvable_mention(catalog, path):
     assert provider.calls == []
 
 
-def test_fallback_all_models_mentioned_is_an_error(catalog):
+def test_fallback_compiles_a_scene_that_mentions_the_whole_catalog(catalog):
     pair = Catalog(models=(catalog.get("apple"), catalog.get("sponge")), version="1")
-    with pytest.raises(EmptyFilteredSet):
-        fallback_generate("2 objects, one is an apple, one is a sponge", pair, seed=0)
+    cfg = fallback_generate("2 objects, one is an apple, one is a sponge", pair, seed=0)
+    assert [op.model_id for op in cfg.adds] == ["apple", "sponge"]
+    assert validate_config(cfg, pair) == []
 
 
 def test_fallback_no_duplicate_models(catalog):
@@ -501,12 +501,18 @@ def test_fallback_no_duplicate_models(catalog):
     assert len(set(ids)) == len(ids)
 
 
+@pytest.mark.parametrize("path", ["fallback", "provider"])
 def test_fallback_rejects_a_count_past_the_table_capacity_before_placing(
-    catalog, monkeypatch
+    catalog, monkeypatch, path
 ):
     def no_sampling(*args):
         raise AssertionError("sample_pose was called")
 
     monkeypatch.setattr(generation, "sample_pose", no_sampling)
+    provider = ScriptedChatProvider(replies=[_ops_reply("apple", "sponge")])
     with pytest.raises(PlacementExhausted, match="600 objects cannot fit"):
-        fallback_generate("600 objects", catalog, seed=0)
+        if path == "fallback":
+            fallback_generate("600 objects", catalog, seed=0)
+        else:
+            generate_scene("600 objects", provider, catalog, seed=0)
+    assert provider.calls == []

@@ -312,6 +312,18 @@ def test_fill_slots_never_searches_a_name_it_put_in():
     assert fill_slots(PUT_ON, "{b}", "{a}") == "put the {b} on the {a}"
 
 
+@pytest.mark.parametrize("task", list(Task), ids=lambda task: task.value)
+@pytest.mark.parametrize("a, b", [("apple", "bowl"), ("x{a}y", "{b}"), ("{}", "}{")])
+def test_a_builtin_template_commutes_with_filling_the_slots(task, a, b):
+    # an offline plan fills the templates applied to the slot form, so each
+    # text must equal the template applied to the filled basic instruction
+    slot_form = INSTRUCTION_TEMPLATES[task]
+    b = None if task is Task.PICK_UP else b
+    basic = fill_slots(slot_form, a, b)
+    for template in PARAPHRASE_TEMPLATES:
+        assert fill_slots(template.format(slot_form), a, b) == template.format(basic)
+
+
 def test_generate_paraphrases_drops_what_keep_rejects_and_asks_again():
     provider = ScriptedChatProvider(
         replies=[
